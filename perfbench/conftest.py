@@ -1,0 +1,14 @@
+"""Make the package sources and the benchmark modules importable in tests.
+
+Run the benchmark's own tests from the repository root with:
+
+    python3 -m pytest perfbench
+"""
+
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parent
+for path in (BENCH_DIR.parent / "src", BENCH_DIR):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
