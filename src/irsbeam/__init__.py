@@ -9,13 +9,13 @@ from .arrays import (
     upa_response,
 )
 from .channel import (
+    AlignmentEstimate,
     CascadeChannel,
     PathSet,
     assemble_channels,
     channel_from_h,
     channel_from_lambda,
     exhaustive_search,
-    measure,
     sample_paths,
 )
 from .codebook import (
@@ -26,25 +26,23 @@ from .codebook import (
     build_round,
     build_scan_plan,
     effective_support,
+    encode_round,
     optimize_constant_modulus,
     plan_from_json,
     plan_to_json,
 )
 from .decoder import (
-    AlignmentEstimate,
     MeasurementSet,
     bin_of,
     classify_nulltons,
     decode_los,
     decode_nlos,
-    intersect_los,
     probability_matrix,
     rayleigh_threshold,
     select_nm_rounds,
     synthesize_measurements,
 )
 from .errors import (
-    AmbiguousDecodeError,
     InvalidDimensionError,
     InvalidParameterError,
     ThresholdTooHighError,
@@ -54,7 +52,6 @@ from .harness import (
     TrialRecord,
     bgr,
     optimal_beams,
-    pathloss,
     run_trial,
     run_trials,
     snr_to_sigma,

@@ -111,9 +111,3 @@ def cascade_dictionary(cfg: ArrayConfig) -> np.ndarray:
     """
     return _cascade_dictionary_cached(cfg.m_y, cfg.m_z)
 
-
-def khatri_rao_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise Kronecker product: row i is kron(a[i, :], b[i, :])."""
-    if a.shape[0] != b.shape[0]:
-        raise InvalidDimensionError("row counts must match for row-wise Kronecker")
-    return np.einsum("ij,ik->ijk", a, b).reshape(a.shape[0], -1)

@@ -1,4 +1,5 @@
-"""Geometric cascade channels, beamspace images and phaseless measurements."""
+"""Geometric cascade channels, their beamspace images and the exhaustive
+grid-scan baseline."""
 
 from __future__ import annotations
 
@@ -60,6 +61,17 @@ class CascadeChannel:
     lam: np.ndarray
     strongest: tuple[int, int]
     cfg: ArrayConfig = field(repr=False)
+
+
+@dataclass(frozen=True)
+class AlignmentEstimate:
+    """Estimated strongest index with decoder diagnostics (0-based)."""
+
+    i_star: int
+    j_star: int
+    candidate_count: int
+    nm_rounds: tuple[int, ...] | None
+    detector_threshold: float
 
 
 def _argmax_2d(a: np.ndarray) -> tuple[int, int]:
@@ -145,33 +157,15 @@ def channel_from_lambda(lam: np.ndarray, cfg: ArrayConfig) -> CascadeChannel:
     return CascadeChannel(h=h, lam=lam, strongest=_argmax_2d(np.abs(lam)), cfg=cfg)
 
 
-def measure(
-    ch: CascadeChannel,
-    v: np.ndarray,
-    f: np.ndarray,
-    sigma: float,
-    rng: np.random.Generator,
-) -> float:
-    """Phaseless measurement |v^H H f + n|, n ~ CN(0, sigma^2)."""
-    z = np.vdot(v, ch.h @ f)
-    if not np.isfinite(z):
-        raise FloatingPointError("non-finite measurement value")
-    if sigma > 0:
-        z += complex(*rng.standard_normal(2)) * sigma / np.sqrt(2.0)
-    return float(np.abs(z))
-
-
 def exhaustive_search(
     ch: CascadeChannel, sigma: float, rng: np.random.Generator
-):
+) -> AlignmentEstimate:
     """Scan every (IRS beam, BS beam) grid pair and return the argmax.
 
     With v = sqrt(M) * barD_R(:, i) and f = D_{N_t}(:, j) the noiseless
     measurement equals sqrt(M) * |lam(i, j)|, so the whole grid can be
     measured at once.
     """
-    from .decoder import AlignmentEstimate  # local import to avoid a cycle
-
     z = np.sqrt(ch.cfg.m) * ch.lam
     if sigma > 0:
         noise = (

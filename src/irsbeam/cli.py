@@ -48,7 +48,7 @@ def _cmd_run(args) -> int:
     cfg = _load_cfg(args)
     records = run_trials(cfg)
     label = "T" if cfg.snr_db is None else "snr"
-    value = cfg.l if cfg.snr_db is None else cfg.snr_db
+    value = cfg.budget if cfg.snr_db is None else cfg.snr_db
     row = aggregate(records, label, value, cfg.seed)
     _emit(rows_to_csv([row]), args.out or cfg.output)
     return 0
@@ -63,11 +63,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_plan(args) -> int:
     cfg = _load_cfg(args)
-    import numpy as np
-
-    rng = np.random.default_rng(cfg.seed)
-    plan = build_scan_plan(cfg.array, cfg.q, cfg.l, cfg.mode, rng)
-    plan = replace(plan, seed=cfg.seed)
+    plan = build_scan_plan(cfg.array, cfg.q, cfg.l, cfg.mode, cfg.seed)
     _emit(plan_to_json(plan) + "\n", args.out or cfg.output)
     return 0
 

@@ -173,30 +173,27 @@ def _assign_bins(c_mat: np.ndarray, supports: tuple[np.ndarray, ...]) -> np.ndar
     return owner
 
 
-def build_round(
+def encode_round(
     cfg: ArrayConfig,
     q: int,
-    rng: np.random.Generator,
-    mode: str = IDEAL_SPARSE,
+    c_design: tuple[np.ndarray, ...],
+    a_supports: tuple[np.ndarray, ...],
+    mode: str,
 ) -> RoundEncoding:
-    """One uniformly random full-coverage round of U x V measurements."""
-    m, n_t, r = cfg.m, cfg.n_t, cfg.r
-    if q < 1 or m % q != 0:
-        raise InvalidParameterError(f"bin size q={q} must divide M={m}")
-    if n_t % r != 0:
-        raise InvalidParameterError(f"RF chains r={r} must divide N_t={n_t}")
-    if mode not in (IDEAL_SPARSE, CONSTANT_MODULUS):
-        raise InvalidParameterError(f"unknown plan mode {mode!r}")
+    """Beams, coefficients and bin maps of one round given its partitions.
 
-    c_design = _random_partition(m, q, rng)
-    a_supports = _random_partition(n_t, r, rng)
-    beta = np.sqrt(m / q)
-    gamma = 1.0 / np.sqrt(r)
+    c_design splits {0..M-1} into sets of size q, a_supports splits
+    {0..N_t-1} into sets of size R. Ideal-sparse beams put amplitude
+    beta = sqrt(M/q) exactly on their design set; constant-modulus beams
+    are solved per design set and sense their effective supports.
+    """
+    m, n_t = cfg.m, cfg.n_t
+    beta = float(np.sqrt(m / q))
+    gamma = float(1.0 / np.sqrt(cfg.r))
 
     a_mat = np.zeros((n_t, len(a_supports)), dtype=complex)
     for vi, sup in enumerate(a_supports):
         a_mat[sup, vi] = gamma
-    f_beams = dft_dictionary(n_t) @ a_mat
 
     bar_d = cascade_dictionary(cfg)
     if mode == IDEAL_SPARSE:
@@ -214,22 +211,38 @@ def build_round(
             effective_support(v_beams[:, ui], q, bar_d)
             for ui in range(v_beams.shape[1])
         )
-    row_bin = _assign_bins(c_mat, c_supports)
-
-    col_bin = _assign_bins(a_mat, a_supports)
     return RoundEncoding(
         c_supports=c_supports,
         a_supports=a_supports,
         c_design=c_design,
-        beta=float(beta),
-        gamma=float(gamma),
-        row_bin=row_bin,
-        col_bin=col_bin,
+        beta=beta,
+        gamma=gamma,
+        row_bin=_assign_bins(c_mat, c_supports),
+        col_bin=_assign_bins(a_mat, a_supports),
         c_mat=c_mat,
         a_mat=a_mat,
         v_beams=v_beams,
-        f_beams=f_beams,
+        f_beams=dft_dictionary(n_t) @ a_mat,
     )
+
+
+def build_round(
+    cfg: ArrayConfig,
+    q: int,
+    rng: np.random.Generator,
+    mode: str = IDEAL_SPARSE,
+) -> RoundEncoding:
+    """One uniformly random full-coverage round of U x V measurements."""
+    m, n_t, r = cfg.m, cfg.n_t, cfg.r
+    if q < 1 or m % q != 0:
+        raise InvalidParameterError(f"bin size q={q} must divide M={m}")
+    if n_t % r != 0:
+        raise InvalidParameterError(f"RF chains r={r} must divide N_t={n_t}")
+    if mode not in (IDEAL_SPARSE, CONSTANT_MODULUS):
+        raise InvalidParameterError(f"unknown plan mode {mode!r}")
+    c_design = _random_partition(m, q, rng)
+    a_supports = _random_partition(n_t, r, rng)
+    return encode_round(cfg, q, c_design, a_supports, mode)
 
 
 def build_scan_plan(
@@ -237,12 +250,12 @@ def build_scan_plan(
     q: int,
     l: int,
     mode: str = IDEAL_SPARSE,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | int | np.integer | None = None,
 ) -> ScanPlan:
     """L independently randomized rounds; total budget T = U*V*L."""
     if l < 1:
         raise InvalidParameterError("at least one round is required")
-    seed = rng if isinstance(rng, int) else None
+    seed = int(rng) if isinstance(rng, (int, np.integer)) else None
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     rounds = tuple(build_round(cfg, q, rng, mode) for _ in range(l))
@@ -250,9 +263,10 @@ def build_scan_plan(
 
 
 def plan_to_json(plan: ScanPlan) -> str:
-    """Serialize the plan; supports, amplitudes, mode and seed are enough
-    to reproduce the physical beams exactly (the beam solver is
-    deterministic given a support set)."""
+    """Serialize the plan. The array, q, mode and each round's design
+    partitions are enough to rebuild every beam exactly: the amplitudes
+    follow from M, q and R, and the constant-modulus solver is
+    deterministic given a design set."""
     doc = {
         "n_t": plan.cfg.n_t,
         "m_y": plan.cfg.m_y,
@@ -265,10 +279,7 @@ def plan_to_json(plan: ScanPlan) -> str:
         "rounds": [
             {
                 "c_design": [s.tolist() for s in rnd.c_design],
-                "c_supports": [s.tolist() for s in rnd.c_supports],
                 "a_supports": [s.tolist() for s in rnd.a_supports],
-                "beta": rnd.beta,
-                "gamma": rnd.gamma,
             }
             for rnd in plan.rounds
         ],
@@ -276,53 +287,49 @@ def plan_to_json(plan: ScanPlan) -> str:
     return json.dumps(doc, indent=2)
 
 
-def plan_from_json(text: str) -> ScanPlan:
-    """Rebuild a plan (including physical beams) from its serialized form."""
-    doc = json.loads(text)
-    cfg = ArrayConfig(
-        n_t=doc["n_t"], m_y=doc["m_y"], m_z=doc["m_z"], r=doc["r"],
-        spacing_ratio=doc["spacing_ratio"],
-    )
-    q, mode = doc["q"], doc["mode"]
-    bar_d = cascade_dictionary(cfg)
-    d_nt = dft_dictionary(cfg.n_t)
-    rounds = []
-    for rnd in doc["rounds"]:
-        a_supports = tuple(np.asarray(s, dtype=int) for s in rnd["a_supports"])
-        gamma = rnd["gamma"]
-        a_mat = np.zeros((cfg.n_t, len(a_supports)), dtype=complex)
-        for vi, sup in enumerate(a_supports):
-            a_mat[sup, vi] = gamma
-        c_design = tuple(np.asarray(s, dtype=int) for s in rnd["c_design"])
-        beta = rnd["beta"]
-        if mode == IDEAL_SPARSE:
-            c_supports = c_design
-            c_mat = np.zeros((cfg.m, len(c_supports)), dtype=complex)
-            for ui, sup in enumerate(c_supports):
-                c_mat[sup, ui] = beta
-            v_beams = bar_d @ c_mat
-        else:
-            v_beams = np.empty((cfg.m, len(c_design)), dtype=complex)
-            for ui, sup in enumerate(c_design):
-                v_beams[:, ui] = optimize_constant_modulus(bar_d[:, sup]).v
-            c_mat = bar_d.conj().T @ v_beams
-            c_supports = tuple(
-                effective_support(v_beams[:, ui], q, bar_d)
-                for ui in range(v_beams.shape[1])
-            )
-        rounds.append(
-            RoundEncoding(
-                c_supports=c_supports,
-                a_supports=a_supports,
-                c_design=c_design,
-                beta=beta,
-                gamma=gamma,
-                row_bin=_assign_bins(c_mat, c_supports),
-                col_bin=_assign_bins(a_mat, a_supports),
-                c_mat=c_mat,
-                a_mat=a_mat,
-                v_beams=v_beams,
-                f_beams=d_nt @ a_mat,
-            )
+def _parse_partition(name: str, sets, n: int, size: int) -> tuple[np.ndarray, ...]:
+    """A list of integer index lists that must split {0..n-1} into sets
+    of `size` each, as arrays."""
+    parts = tuple(np.asarray(s) for s in sets) if isinstance(sets, list) else ()
+    flat = np.concatenate(parts) if parts else np.empty(0, dtype=int)
+    if any(p.dtype.kind not in "iu" or p.shape != (size,) for p in parts) or not (
+        np.array_equal(np.sort(flat), np.arange(n))
+    ):
+        raise InvalidParameterError(
+            f"{name} must partition range({n}) into sets of {size} integers"
         )
-    return ScanPlan(cfg=cfg, q=q, mode=mode, seed=doc["seed"], rounds=tuple(rounds))
+    return parts
+
+
+def plan_from_json(text: str) -> ScanPlan:
+    """Rebuild a plan, physical beams included, from its serialized form.
+
+    Keys written by older versions (beta, gamma, c_supports) are ignored.
+    A missing key, a non-integer size, an unknown mode or round sets that
+    do not partition the index ranges raise InvalidParameterError.
+    """
+    doc = json.loads(text)
+    try:
+        sizes = {k: doc[k] for k in ("n_t", "m_y", "m_z", "r", "q")}
+        spacing, mode, seed = doc["spacing_ratio"], doc["mode"], doc["seed"]
+        raw = [(rnd["c_design"], rnd["a_supports"]) for rnd in doc["rounds"]]
+    except KeyError as exc:
+        raise InvalidParameterError(f"plan is missing key {exc}") from None
+    if any(type(v) is not int for v in sizes.values()) or type(spacing) not in (int, float):
+        raise InvalidParameterError("plan sizes must be integers, spacing_ratio a number")
+    q = sizes.pop("q")
+    cfg = ArrayConfig(**sizes, spacing_ratio=spacing)
+    if mode not in (IDEAL_SPARSE, CONSTANT_MODULUS):
+        raise InvalidParameterError(f"unknown plan mode {mode!r}")
+    if not raw:
+        raise InvalidParameterError("at least one round is required")
+    rounds = tuple(
+        encode_round(
+            cfg, q,
+            _parse_partition(f"round {l} c_design", c_design, cfg.m, q),
+            _parse_partition(f"round {l} a_supports", a_supports, cfg.n_t, cfg.r),
+            mode,
+        )
+        for l, (c_design, a_supports) in enumerate(raw)
+    )
+    return ScanPlan(cfg=cfg, q=q, mode=mode, seed=seed, rounds=rounds)

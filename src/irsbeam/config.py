@@ -19,10 +19,15 @@ _FLOAT_KEYS = {"spacing_ratio", "snr_db", "p_fa",
 _LIST_KEYS = {"snr_sweep", "t_sweep", "m_sweep"}
 _STR_KEYS = {"mode", "scenario", "output"}
 _ALL_KEYS = _ARRAY_KEYS | _INT_KEYS | _FLOAT_KEYS | _LIST_KEYS | _STR_KEYS
+# Keys whose value may be `none` (or empty): no noise, the scenario's
+# default Rician factor, standard output.
+_NULLABLE_KEYS = {"snr_db", "rician_irs_user_db", "output"}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    raw: dict[str, str] = {}
+    """Parse config text; a malformed line or value raises
+    InvalidParameterError naming its line."""
+    raw: dict[str, tuple[int, str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -34,15 +39,22 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise InvalidParameterError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise InvalidParameterError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = value
+        raw[key] = (lineno, value)
 
     def pop(key, cast, default=None):
         if key not in raw:
             return default
-        value = raw.pop(key)
+        lineno, value = raw.pop(key)
         if value.lower() in ("none", ""):
+            if key not in _NULLABLE_KEYS:
+                raise InvalidParameterError(f"line {lineno}: {key} needs a value")
             return None
-        return cast(value)
+        try:
+            return cast(value)
+        except ValueError:
+            raise InvalidParameterError(
+                f"line {lineno}: invalid value {value!r} for {key}"
+            ) from None
 
     def int_list(value: str) -> tuple[int, ...]:
         return tuple(int(v) for v in value.split(","))

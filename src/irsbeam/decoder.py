@@ -1,8 +1,9 @@
 """Strongest-path recovery from phaseless bin measurements.
 
-Implements the noiseless set-intersection scheme, the noisy
-probability-product decoder for LOS channels, and the no-multiton (NM)
-round pipeline for NLOS channels.
+One probability-product decoder scores every beamspace entry by the
+product of its bins' squared measurements over a set of rounds: all
+rounds for LOS channels, only the no-multiton (NM) rounds for NLOS
+channels.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import AlignmentEstimate
 from .codebook import ScanPlan
-from .errors import AmbiguousDecodeError, ThresholdTooHighError
+from .errors import ThresholdTooHighError
 
 
 @dataclass(frozen=True)
@@ -30,17 +32,6 @@ class MeasurementSet:
                 raise ValueError(f"round matrix must be {rnd.u} x {rnd.v}")
             if np.any(y_l < 0):
                 raise ValueError("magnitude measurements must be nonnegative")
-
-
-@dataclass(frozen=True)
-class AlignmentEstimate:
-    """Estimated strongest index with decoder diagnostics (0-based)."""
-
-    i_star: int
-    j_star: int
-    candidate_count: int
-    nm_rounds: tuple[int, ...] | None
-    detector_threshold: float
 
 
 def synthesize_measurements(
@@ -67,24 +58,6 @@ def bin_of(plan: ScanPlan, l: int, i: int, j: int) -> tuple[int, int]:
     return int(rnd.row_bin[i]), int(rnd.col_bin[j])
 
 
-def intersect_los(
-    plan: ScanPlan, argmax_bins: list[tuple[int, int]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Noiseless decoding: intersect the winning bins' supports per round."""
-    rows: np.ndarray | None = None
-    cols: np.ndarray | None = None
-    for rnd, (u, v) in zip(plan.rounds, argmax_bins):
-        rows = rnd.c_supports[u] if rows is None else np.intersect1d(
-            rows, rnd.c_supports[u]
-        )
-        cols = rnd.a_supports[v] if cols is None else np.intersect1d(
-            cols, rnd.a_supports[v]
-        )
-    if rows.size == 0 or cols.size == 0:
-        raise AmbiguousDecodeError("winning bins share no common index")
-    return rows, cols
-
-
 def probability_matrix(y_l: np.ndarray, plan: ScanPlan, l: int) -> np.ndarray:
     """M x N_t soft scores: entry (i, j) is the squared measurement of its
     bin. Equivalent to the indicator-vector inner product but O(M*N_t)
@@ -94,15 +67,49 @@ def probability_matrix(y_l: np.ndarray, plan: ScanPlan, l: int) -> np.ndarray:
     return y_sq[np.ix_(rnd.row_bin, rnd.col_bin)]
 
 
-def _product_argmax(
-    prob_mats: list[np.ndarray], mask: np.ndarray
-) -> tuple[int, int]:
-    prod = prob_mats[0].copy()
-    for p in prob_mats[1:]:
-        prod *= p
-    prod[~mask] = -np.inf
-    i, j = np.unravel_index(int(np.argmax(prod)), prod.shape)
-    return int(i), int(j)
+def _decode(
+    measurements: MeasurementSet,
+    plan: ScanPlan,
+    epsilon: float,
+    rounds: range | tuple[int, ...],
+    nm_rounds: tuple[int, ...] | None,
+) -> AlignmentEstimate:
+    """Probability-product decoding over the given rounds.
+
+    Candidates are the entries whose squared score reaches epsilon**2 in
+    at least one round. Among them the product of squared scores is
+    maximized through the sum of log magnitudes (half the log of the
+    product), which neither underflows nor overflows. A candidate whose
+    product is 0 (log -inf) still beats every non-candidate; ties go to
+    the lowest row, then column.
+    """
+    eps_sq = epsilon**2
+    score = np.zeros((plan.cfg.m, plan.cfg.n_t))
+    mask = np.zeros(score.shape, dtype=bool)
+    for l in rounds:
+        rnd = plan.rounds[l]
+        y = measurements.y[l]
+        with np.errstate(divide="ignore"):
+            log_y = np.log(y)
+        # gather columns (U x N_t), then whole rows: several times faster
+        # than one np.ix_ gather, and the result is C-contiguous
+        mask |= (y**2 >= eps_sq)[:, rnd.col_bin][rnd.row_bin]
+        score += log_y[:, rnd.col_bin][rnd.row_bin]
+    n_candidates = int(mask.sum())
+    if n_candidates == 0:
+        raise ThresholdTooHighError(max(
+            float(probability_matrix(measurements.y[l], plan, l).max())
+            for l in rounds
+        ))
+    score[~mask] = -np.inf
+    best = int(np.argmax(score))
+    if score.flat[best] == -np.inf:
+        best = int(np.argmax(mask))
+    i, j = np.unravel_index(best, score.shape)
+    return AlignmentEstimate(
+        i_star=int(i), j_star=int(j), candidate_count=n_candidates,
+        nm_rounds=nm_rounds, detector_threshold=epsilon,
+    )
 
 
 def decode_los(
@@ -113,20 +120,7 @@ def decode_los(
     epsilon is the detector threshold in the magnitude domain; the
     candidate gate operates on squared scores, hence epsilon**2.
     """
-    prob_mats = [
-        probability_matrix(y_l, plan, l) for l, y_l in enumerate(measurements.y)
-    ]
-    mask = np.zeros_like(prob_mats[0], dtype=bool)
-    for p in prob_mats:
-        mask |= p >= epsilon**2
-    n_candidates = int(mask.sum())
-    if n_candidates == 0:
-        raise ThresholdTooHighError(max(float(p.max()) for p in prob_mats))
-    i, j = _product_argmax(prob_mats, mask)
-    return AlignmentEstimate(
-        i_star=i, j_star=j, candidate_count=n_candidates,
-        nm_rounds=None, detector_threshold=epsilon,
-    )
+    return _decode(measurements, plan, epsilon, range(plan.l), None)
 
 
 def classify_nulltons(y_l: np.ndarray, epsilon: float) -> int:
@@ -152,18 +146,7 @@ def decode_nlos(
     """
     counts = [classify_nulltons(y_l, epsilon) for y_l in measurements.y]
     nm = select_nm_rounds(counts)
-    prob_mats = [probability_matrix(measurements.y[l], plan, l) for l in nm]
-    mask = np.zeros_like(prob_mats[0], dtype=bool)
-    for p in prob_mats:
-        mask |= p >= epsilon**2
-    n_candidates = int(mask.sum())
-    if n_candidates == 0:
-        raise ThresholdTooHighError(max(float(p.max()) for p in prob_mats))
-    i, j = _product_argmax(prob_mats, mask)
-    return AlignmentEstimate(
-        i_star=i, j_star=j, candidate_count=n_candidates,
-        nm_rounds=nm, detector_threshold=epsilon,
-    )
+    return _decode(measurements, plan, epsilon, nm, nm)
 
 
 def rayleigh_threshold(sigma: float, p_fa: float = 0.1) -> float:

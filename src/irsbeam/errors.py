@@ -23,6 +23,3 @@ class ThresholdTooHighError(RuntimeError):
         )
         self.max_observed = max_observed
 
-
-class AmbiguousDecodeError(RuntimeError):
-    """Set intersection came out empty; fall back to probability decoding."""

@@ -12,10 +12,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .arrays import ArrayConfig, cascade_dictionary, dft_dictionary
-from .channel import CascadeChannel, assemble_channels, exhaustive_search, sample_paths
+from .channel import (
+    AlignmentEstimate,
+    CascadeChannel,
+    assemble_channels,
+    exhaustive_search,
+    sample_paths,
+)
 from .codebook import IDEAL_SPARSE, build_scan_plan
 from .decoder import (
-    AlignmentEstimate,
     decode_los,
     decode_nlos,
     rayleigh_threshold,
@@ -66,6 +71,11 @@ class ExperimentConfig:
             return self.rician_irs_user_db
         return 13.2 if self.scenario == "los" else 0.0
 
+    @property
+    def budget(self) -> int:
+        """Measurements per trial: T = U*V*L."""
+        return (self.array.m // self.q) * (self.array.n_t // self.array.r) * self.l
+
 
 @dataclass(frozen=True)
 class TrialRecord:
@@ -81,13 +91,6 @@ def snr_to_sigma(h: np.ndarray, snr_db: float) -> float:
         raise InvalidParameterError("channel must be nonzero to set an SNR")
     m, n_t = h.shape
     return float(fro / math.sqrt(n_t * m * 10.0 ** (snr_db / 10.0)))
-
-
-def pathloss(distance_m: float, exponent: float, g0_db: float) -> float:
-    """Large-scale power gain: g0 * d^-exponent, g0 given in dB at 1 m."""
-    if distance_m < 1:
-        raise InvalidParameterError("distance must be >= 1 m")
-    return 10.0 ** (g0_db / 10.0) * distance_m ** (-exponent)
 
 
 def optimal_beams(h: np.ndarray, tol: float = 1e-8, max_iters: int = 100):
@@ -150,18 +153,30 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, trial_index)))
 
 
-def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
-    """Sample a channel, scan it, decode, score success and BGR."""
-    rng = trial_rng(cfg.seed, trial_index)
+def _sample_channel(
+    cfg: ExperimentConfig, rng: np.random.Generator
+) -> tuple[CascadeChannel, float]:
+    """Draw one cascade channel and its noise std (0 when noiseless)."""
     bs_irs = sample_paths(cfg.paths_bs_irs, cfg.rician_bs_irs_db, rng, with_bs_aod=True)
     irs_user = sample_paths(cfg.paths_irs_user, cfg.irs_user_rician_db, rng)
     ch = assemble_channels(bs_irs, irs_user, cfg.array)
-    plan = build_scan_plan(cfg.array, cfg.q, cfg.l, cfg.mode, rng)
+    sigma = 0.0 if cfg.snr_db is None else snr_to_sigma(ch.h, cfg.snr_db)
+    return ch, sigma
 
-    if cfg.snr_db is None:
-        sigma = 0.0
-    else:
-        sigma = snr_to_sigma(ch.h, cfg.snr_db)
+
+def _score(
+    cfg: ExperimentConfig, ch: CascadeChannel, estimate: AlignmentEstimate
+) -> TrialRecord:
+    success = (estimate.i_star, estimate.j_star) == ch.strongest
+    ratio = bgr(ch, estimate) if cfg.compute_bgr else float("nan")
+    return TrialRecord(success=success, bgr=ratio, estimate=estimate)
+
+
+def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
+    """Sample a channel, scan it, decode, score success and BGR."""
+    rng = trial_rng(cfg.seed, trial_index)
+    ch, sigma = _sample_channel(cfg, rng)
+    plan = build_scan_plan(cfg.array, cfg.q, cfg.l, cfg.mode, rng)
     measurements = synthesize_measurements(ch.lam, plan, sigma, rng)
     if sigma > 0:
         epsilon = rayleigh_threshold(sigma, cfg.p_fa)
@@ -169,29 +184,25 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
         epsilon = 1e-9 * max(float(y.max()) for y in measurements.y)
 
     decode = decode_los if cfg.scenario == "los" else decode_nlos
-    estimate = decode(measurements, plan, epsilon)
-    success = (estimate.i_star, estimate.j_star) == ch.strongest
-    ratio = bgr(ch, estimate) if cfg.compute_bgr else float("nan")
-    return TrialRecord(success=success, bgr=ratio, estimate=estimate)
+    return _score(cfg, ch, decode(measurements, plan, epsilon))
 
 
 def run_baseline_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
     """Exhaustive grid scan on the same channel/noise realizations."""
     rng = trial_rng(cfg.seed, trial_index)
-    bs_irs = sample_paths(cfg.paths_bs_irs, cfg.rician_bs_irs_db, rng, with_bs_aod=True)
-    irs_user = sample_paths(cfg.paths_irs_user, cfg.irs_user_rician_db, rng)
-    ch = assemble_channels(bs_irs, irs_user, cfg.array)
-    sigma = 0.0 if cfg.snr_db is None else snr_to_sigma(ch.h, cfg.snr_db)
-    estimate = exhaustive_search(ch, sigma, rng)
-    success = (estimate.i_star, estimate.j_star) == ch.strongest
-    ratio = bgr(ch, estimate) if cfg.compute_bgr else float("nan")
-    return TrialRecord(success=success, bgr=ratio, estimate=estimate)
+    ch, sigma = _sample_channel(cfg, rng)
+    return _score(cfg, ch, exhaustive_search(ch, sigma, rng))
 
 
 def _worker_count() -> int:
     env = os.environ.get(WORKERS_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise InvalidParameterError(
+                f"{WORKERS_ENV} must be an integer, got {env!r}"
+            ) from None
     return os.cpu_count() or 1
 
 
@@ -260,8 +271,8 @@ def sweep_points(cfg: ExperimentConfig, axis: str) -> list[tuple[str, float, Exp
     if axis == "T":
         if not cfg.t_sweep:
             raise InvalidParameterError("t_sweep is empty")
-        u, v = cfg.array.m // cfg.q, cfg.array.n_t // cfg.array.r
-        return [("T", u * v * l, replace(cfg, l=l)) for l in cfg.t_sweep]
+        points = [replace(cfg, l=l) for l in cfg.t_sweep]
+        return [("T", p.budget, p) for p in points]
     if axis == "snr":
         if not cfg.snr_sweep:
             raise InvalidParameterError("snr_sweep is empty")

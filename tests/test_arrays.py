@@ -7,7 +7,6 @@ from irsbeam.arrays import (
     ArrayConfig,
     cascade_dictionary,
     dft_dictionary,
-    khatri_rao_rows,
     steering_vector,
     ula_response,
     upa_response,
@@ -104,7 +103,8 @@ def test_cascade_dictionary_trivial():
 def test_cascade_dictionary_first_columns_distinct_rest_duplicates():
     cfg = ArrayConfig(n_t=1, m_y=2, m_z=2, r=1)
     d_r = np.kron(dft_dictionary(2), dft_dictionary(2))
-    tilde = 2.0 * khatri_rao_rows(np.conj(d_r), d_r)  # sqrt(M) = 2
+    # row-wise Kronecker product: row i is kron(conj(d_r[i]), d_r[i])
+    tilde = 2.0 * np.einsum("ij,ik->ijk", np.conj(d_r), d_r).reshape(4, 16)  # sqrt(M) = 2
     assert tilde.shape == (4, 16)
     bar = cascade_dictionary(cfg)
     np.testing.assert_allclose(bar, tilde[:, :4], atol=1e-14)

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from irsbeam.arrays import ArrayConfig, cascade_dictionary, dft_dictionary, khatri_rao_rows
+from irsbeam.arrays import ArrayConfig, cascade_dictionary, dft_dictionary
 from irsbeam.channel import (
     PathSet,
     assemble_channels,
     channel_from_h,
     channel_from_lambda,
     exhaustive_search,
-    measure,
     sample_paths,
 )
 from irsbeam.errors import InvalidDimensionError
@@ -145,7 +144,7 @@ def test_merged_row_construction_identity():
 
     # merged construction: rows of J summed into groups S_i defined by
     # duplicate columns of the full row-wise Khatri-Rao product
-    tilde_full = np.sqrt(m) * khatri_rao_rows(np.conj(d_r), d_r)
+    tilde_full = np.sqrt(m) * np.einsum("ij,ik->ijk", np.conj(d_r), d_r).reshape(m, m * m)
     bar = cascade_dictionary(cfg)
     j_mat = np.sqrt(n_t * m / (p * pp)) * np.kron(
         np.conj(alpha)[:, None], sigma
@@ -157,52 +156,6 @@ def test_merged_row_construction_identity():
         )[0]
         lam_merged[i] = j_mat[dup].sum(axis=0)
     np.testing.assert_allclose(lam_merged, ch.lam, atol=1e-9)
-
-
-class TestMeasure:
-    def test_noiseless_equals_inner_product(self):
-        rng = np.random.default_rng(5)
-        bs_irs = sample_paths(2, 10.0, rng, with_bs_aod=True)
-        irs_user = sample_paths(2, 10.0, rng)
-        ch = assemble_channels(bs_irs, irs_user, CFG)
-        v = rng.standard_normal(CFG.m) + 1j * rng.standard_normal(CFG.m)
-        f = rng.standard_normal(CFG.n_t) + 1j * rng.standard_normal(CFG.n_t)
-        f /= np.linalg.norm(f)
-        assert measure(ch, v, f, 0.0, rng) == pytest.approx(
-            abs(np.vdot(v, ch.h @ f))
-        )
-
-    def test_on_grid_beam_pair_reads_sqrt_m_lambda(self):
-        bs_irs = grid_aligned_paths(CFG, iy=1, iz=2, jt=3)
-        irs_user = grid_aligned_paths(CFG, iy=0, iz=1, jt=0)
-        irs_user = PathSet(
-            gains=irs_user.gains, azimuth=irs_user.azimuth,
-            elevation=irs_user.elevation,
-        )
-        ch = assemble_channels(bs_irs, irs_user, CFG)
-        i, j = ch.strongest
-        v = np.sqrt(CFG.m) * cascade_dictionary(CFG)[:, i]
-        f = dft_dictionary(CFG.n_t)[:, j]
-        rng = np.random.default_rng(0)
-        assert measure(ch, v, f, 0.0, rng) == pytest.approx(
-            np.sqrt(CFG.m) * abs(ch.lam[i, j])
-        )
-
-    def test_zero_channel_zero_noise(self):
-        ch = channel_from_h(np.zeros((CFG.m, CFG.n_t), complex), CFG)
-        rng = np.random.default_rng(0)
-        v = np.ones(CFG.m, complex)
-        f = np.ones(CFG.n_t, complex) / np.sqrt(CFG.n_t)
-        assert measure(ch, v, f, 0.0, rng) == 0.0
-
-    def test_noise_only_rayleigh_mean(self):
-        ch = channel_from_h(np.zeros((CFG.m, CFG.n_t), complex), CFG)
-        rng = np.random.default_rng(21)
-        v = np.ones(CFG.m, complex)
-        f = np.ones(CFG.n_t, complex) / np.sqrt(CFG.n_t)
-        ys = [measure(ch, v, f, 1.0, rng) for _ in range(100_000)]
-        # |CN(0, 1)| is Rayleigh(1/sqrt(2)) with mean sqrt(pi)/2
-        assert np.mean(ys) == pytest.approx(np.sqrt(np.pi) / 2, rel=0.02)
 
 
 class TestExhaustive:

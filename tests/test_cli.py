@@ -66,6 +66,14 @@ class TestRunCommand:
         assert 0.0 <= float(row[3]) <= 1.0
         assert int(row[7]) == 5
 
+    def test_noiseless_run_reports_budget(self, config_path, capsys,
+                                          monkeypatch):
+        monkeypatch.setenv("IRSBEAM_WORKERS", "1")
+        main(["run", "--config", config_path])
+        row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        # snr_db = none: the row is a point on the T axis, T = U*V*L
+        assert row[:2] == ["T", str(4 * 4 * 3)]
+
     def test_writes_file_and_respects_overrides(self, config_path, tmp_path,
                                                 monkeypatch):
         monkeypatch.setenv("IRSBEAM_WORKERS", "1")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +132,50 @@ class TestScanPlan:
             np.testing.assert_allclose(r1.v_beams, r2.v_beams)
             for s1, s2 in zip(r1.c_supports, r2.c_supports):
                 np.testing.assert_array_equal(s1, s2)
+
+
+class TestPlanJson:
+    def test_numpy_integer_seed_recorded(self):
+        plan = build_scan_plan(SMALL, 2, 1, rng=np.int64(5))
+        assert plan.seed == 5 and type(plan.seed) is int
+        assert json.loads(plan_to_json(plan))["seed"] == 5
+        same = build_scan_plan(SMALL, 2, 1, rng=5)
+        np.testing.assert_array_equal(plan.rounds[0].row_bin, same.rounds[0].row_bin)
+
+    def test_older_documents_with_amplitudes_load(self):
+        plan = build_scan_plan(SMALL, 2, 2, rng=11)
+        doc = json.loads(plan_to_json(plan))
+        for d, rnd in zip(doc["rounds"], plan.rounds):
+            d.update(beta=rnd.beta, gamma=rnd.gamma,
+                     c_supports=[s.tolist() for s in rnd.c_supports])
+        back = plan_from_json(json.dumps(doc))
+        for r1, r2 in zip(plan.rounds, back.rounds):
+            np.testing.assert_array_equal(r1.v_beams, r2.v_beams)
+            assert (r1.beta, r1.gamma) == (r2.beta, r2.gamma)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: d.pop("q"),
+        lambda d: d["rounds"][0].pop("a_supports"),
+        lambda d: d.update(n_t="8"),
+        lambda d: d.update(q=2.0),
+        lambda d: d.update(mode="phase-only"),
+        lambda d: d["rounds"][0]["a_supports"][0].__setitem__(0, 8),
+        lambda d: d["rounds"][0]["c_design"][0].__setitem__(0, -1),
+        lambda d: d["rounds"][1]["c_design"][0].__setitem__(
+            0, d["rounds"][1]["c_design"][1][0]
+        ),
+        lambda d: d["rounds"][0]["a_supports"][0].pop(),
+        lambda d: d["rounds"][0]["a_supports"][0].__setitem__(0, 0.5),
+        lambda d: d["rounds"][0].update(c_design=5),
+        lambda d: d.update(rounds=[]),
+    ], ids=["missing-q", "missing-a_supports", "string-size", "float-q",
+            "unknown-mode", "index-past-end", "negative-index", "duplicate-index",
+            "short-set", "float-index", "not-a-list", "no-rounds"])
+    def test_malformed_document_rejected(self, corrupt):
+        doc = json.loads(plan_to_json(build_scan_plan(SMALL, 2, 2, rng=3)))
+        corrupt(doc)
+        with pytest.raises(InvalidParameterError):
+            plan_from_json(json.dumps(doc))
 
 
 class TestConstantModulus:

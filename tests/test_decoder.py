@@ -1,53 +1,34 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irsbeam.arrays import ArrayConfig
-from irsbeam.codebook import RoundEncoding, ScanPlan, build_round, build_scan_plan
+from irsbeam.codebook import IDEAL_SPARSE, ScanPlan, build_scan_plan, encode_round
 from irsbeam.decoder import (
     MeasurementSet,
     bin_of,
     classify_nulltons,
     decode_los,
     decode_nlos,
-    intersect_los,
     probability_matrix,
     rayleigh_threshold,
     select_nm_rounds,
     synthesize_measurements,
 )
-from irsbeam.errors import AmbiguousDecodeError, ThresholdTooHighError
+from irsbeam.errors import ThresholdTooHighError
 
 SMALL = ArrayConfig(n_t=16, m_y=4, m_z=4, r=4)
 
 
 def handmade_round(cfg, c_parts, a_parts):
     """Ideal-sparse round from explicit index partitions."""
-    m, n_t = cfg.m, cfg.n_t
-    q = len(c_parts[0])
-    r = len(a_parts[0])
-    beta, gamma = np.sqrt(m / q), 1 / np.sqrt(r)
-    c_supports = tuple(np.asarray(s) for s in c_parts)
-    a_supports = tuple(np.asarray(s) for s in a_parts)
-    c_mat = np.zeros((m, len(c_supports)), complex)
-    for u, s in enumerate(c_supports):
-        c_mat[s, u] = beta
-    a_mat = np.zeros((n_t, len(a_supports)), complex)
-    for v, s in enumerate(a_supports):
-        a_mat[s, v] = gamma
-    row_bin = np.empty(m, int)
-    for u, s in enumerate(c_supports):
-        row_bin[s] = u
-    col_bin = np.empty(n_t, int)
-    for v, s in enumerate(a_supports):
-        col_bin[s] = v
-    from irsbeam.arrays import cascade_dictionary, dft_dictionary
-
-    return RoundEncoding(
-        c_supports=c_supports, a_supports=a_supports, c_design=c_supports,
-        beta=beta, gamma=gamma, row_bin=row_bin, col_bin=col_bin,
-        c_mat=c_mat, a_mat=a_mat,
-        v_beams=cascade_dictionary(cfg) @ c_mat,
-        f_beams=dft_dictionary(n_t) @ a_mat,
+    return encode_round(
+        cfg,
+        len(c_parts[0]),
+        tuple(np.asarray(s) for s in c_parts),
+        tuple(np.asarray(s) for s in a_parts),
+        IDEAL_SPARSE,
     )
 
 
@@ -114,32 +95,6 @@ class TestProbabilityMatrix:
         assert p[i0, j0] == p[i1, j1] == y[0, 0] ** 2
 
 
-class TestIntersect:
-    def test_single_round_returns_full_supports(self):
-        plan = build_scan_plan(SMALL, 4, 1, rng=6)
-        rows, cols = intersect_los(plan, [(1, 2)])
-        np.testing.assert_array_equal(rows, np.sort(plan.rounds[0].c_supports[1]))
-        np.testing.assert_array_equal(cols, np.sort(plan.rounds[0].a_supports[2]))
-
-    def test_planted_entry_hand_built_overlap(self):
-        cfg = ArrayConfig(n_t=4, m_y=4, m_z=2, r=2)
-        # two rounds whose winning bins overlap only at row 7, column 3
-        r1 = (([0, 1, 2, 3], [4, 5, 6, 7]), ([0, 3], [1, 2]))
-        r2 = (([0, 1, 2, 7], [3, 4, 5, 6]), ([2, 3], [0, 1]))
-        plan = handmade_plan(cfg, 4, [r1, r2])
-        rows, cols = intersect_los(plan, [(1, 0), (0, 0)])
-        np.testing.assert_array_equal(rows, [7])
-        np.testing.assert_array_equal(cols, [3])
-
-    def test_empty_intersection_raises(self):
-        cfg = ArrayConfig(n_t=4, m_y=4, m_z=2, r=2)
-        r1 = (([0, 1, 2, 3], [4, 5, 6, 7]), ([0, 1], [2, 3]))
-        r2 = (([0, 1, 2, 3], [4, 5, 6, 7]), ([0, 1], [2, 3]))
-        plan = handmade_plan(cfg, 4, [r1, r2])
-        with pytest.raises(AmbiguousDecodeError):
-            intersect_los(plan, [(0, 0), (1, 1)])
-
-
 def planted_lam(m, n_t, entries):
     lam = np.zeros((m, n_t), complex)
     for (i, j), val in entries.items():
@@ -184,16 +139,22 @@ class TestDecodeLos:
         truth = np.unravel_index(np.argmax(prod), prod.shape)
         assert (est.i_star, est.j_star) == truth
 
-    def test_scaling_invariance(self):
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(-150, 150), st.sampled_from([decode_los, decode_nlos]))
+    def test_scaling_invariance(self, k, decode):
+        # scaling lam and sigma together scales every measurement and the
+        # threshold by the same factor, which must not move the decision
         plan = build_scan_plan(SMALL, 4, 3, rng=13)
         lam = planted_lam(SMALL.m, SMALL.n_t, {(7, 2): 0.9, (1, 14): 0.3})
         ms = synthesize_measurements(lam, plan, 0.1, np.random.default_rng(14))
         eps = 0.05
-        est1 = decode_los(ms, plan, eps)
-        scaled = MeasurementSet(y=tuple(7.0 * y for y in ms.y), plan=plan)
-        est2 = decode_los(scaled, plan, 7.0 * eps)
+        est1 = decode(ms, plan, eps)
+        c = 10.0**k
+        scaled = MeasurementSet(y=tuple(c * y for y in ms.y), plan=plan)
+        est2 = decode(scaled, plan, c * eps)
         assert (est1.i_star, est1.j_star) == (est2.i_star, est2.j_star)
         assert est1.candidate_count == est2.candidate_count
+        assert est1.nm_rounds == est2.nm_rounds
 
     def test_threshold_too_high(self):
         plan = build_scan_plan(SMALL, 4, 2, rng=15)

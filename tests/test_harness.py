@@ -15,7 +15,6 @@ from irsbeam.harness import (
     aggregate,
     bgr,
     optimal_beams,
-    pathloss,
     rows_to_csv,
     run_baseline_trial,
     run_trial,
@@ -44,21 +43,6 @@ class TestSnrCalibration:
     def test_zero_channel_rejected(self):
         with pytest.raises(InvalidParameterError):
             snr_to_sigma(np.zeros((4, 4)), 0.0)
-
-
-class TestPathloss:
-    def test_reference_distance(self):
-        assert pathloss(1.0, 2.0, -61.3) == pytest.approx(10 ** (-6.13))
-
-    def test_no_decay(self):
-        assert pathloss(5.0, 0.0, 0.0) == 1.0
-
-    def test_inverse_square(self):
-        assert pathloss(10.0, 2.0, 0.0) == pytest.approx(0.01)
-
-    def test_subunit_distance_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            pathloss(0.5, 2.0, 0.0)
 
 
 class TestOptimalBeams:
@@ -152,6 +136,11 @@ class TestTrials:
         assert [r.success for r in serial] == [r.success for r in parallel]
         assert [r.estimate for r in serial] == [r.estimate for r in parallel]
 
+    def test_non_integer_worker_count_rejected(self, monkeypatch):
+        monkeypatch.setenv("IRSBEAM_WORKERS", "two")
+        with pytest.raises(InvalidParameterError, match="IRSBEAM_WORKERS"):
+            run_trials(SMALL_CFG)
+
     def test_nlos_scenario_runs(self):
         cfg = ExperimentConfig(
             array=SMALL, q=4, l=4, scenario="nlos", snr_db=-5.0, trials=3,
@@ -172,6 +161,7 @@ class TestSweeps:
             ("T", u * v), ("T", 2 * u * v), ("T", 4 * u * v)
         ]
         assert [p.l for _, _, p in pts] == [1, 2, 4]
+        assert [val for _, val, p in pts] == [p.budget for _, _, p in pts]
 
     def test_snr_axis(self):
         cfg = ExperimentConfig(array=SMALL, q=4, l=2, snr_sweep=(-10.0, 0.0),
@@ -266,6 +256,16 @@ class TestConfigParsing:
     def test_none_value(self):
         cfg = parse_config_text("snr_db = none")
         assert cfg.snr_db is None
+
+    @pytest.mark.parametrize("key", ["trials", "q", "seed", "n_t", "mode", "snr_sweep"])
+    def test_required_key_cannot_be_none(self, key):
+        with pytest.raises(InvalidParameterError, match=f"line 2: {key}"):
+            parse_config_text(f"l = 3\n{key} = none")
+
+    @pytest.mark.parametrize("line", ["trials = many", "p_fa = low", "t_sweep = 1, x"])
+    def test_non_numeric_value_names_line(self, line):
+        with pytest.raises(InvalidParameterError, match="line 3"):
+            parse_config_text(f"l = 3\n# comment\n{line}")
 
     def test_nlos_default_rician(self):
         los = parse_config_text("scenario = los")
