@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,35 +26,48 @@ class CMResult:
 
 @dataclass(frozen=True)
 class RoundEncoding:
-    """One full-coverage round: two index partitions plus amplitudes.
+    """One full-coverage round: two index partitions and what they imply.
 
-    c_supports partitions {0..M-1} into U sets of size Q; a_supports
-    partitions {0..N_t-1} into V sets of size R. row_bin/col_bin are the
-    inverse maps used by the decoder (row i is sensed by IRS bin
-    row_bin[i], column j by precoder col_bin[j]). c_mat/a_mat hold the
-    beamspace coefficient vectors so a round of measurements is
-    |c_mat^H Lambda a_mat + N|; v_beams/f_beams are the physical beams.
+    c_design (U x q) splits {0..M-1} into the IRS beams' design sets,
+    a_supports (V x R) splits {0..N_t-1} into the precoders' supports.
+    c_supports (U x q) are the rows each IRS beam senses: its design set,
+    or for a constant-modulus beam its effective support; those may
+    overlap or leave rows out, so they need not partition. row_bin/col_bin
+    are the inverse maps used by the decoder (row i is sensed by IRS bin
+    row_bin[i], column j by precoder col_bin[j]). A round measures
+    |c_mat^H Lambda a_mat + N|. The physical beams v_beams/f_beams are
+    built on first read, except a constant-modulus round's solved cm_beams.
     """
 
-    c_supports: tuple[np.ndarray, ...]
-    a_supports: tuple[np.ndarray, ...]
-    c_design: tuple[np.ndarray, ...]
-    beta: float
-    gamma: float
+    cfg: ArrayConfig
+    c_design: np.ndarray
+    a_supports: np.ndarray
+    c_supports: np.ndarray
     row_bin: np.ndarray
     col_bin: np.ndarray
     c_mat: np.ndarray = field(repr=False)
     a_mat: np.ndarray = field(repr=False)
-    v_beams: np.ndarray = field(repr=False)
-    f_beams: np.ndarray = field(repr=False)
+    cm_beams: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def u(self) -> int:
-        return len(self.c_supports)
+        return self.c_design.shape[0]
 
     @property
     def v(self) -> int:
-        return len(self.a_supports)
+        return self.a_supports.shape[0]
+
+    @cached_property
+    def v_beams(self) -> np.ndarray:
+        """IRS reflect beams, M x U."""
+        if self.cm_beams is not None:
+            return self.cm_beams
+        return cascade_dictionary(self.cfg) @ self.c_mat
+
+    @cached_property
+    def f_beams(self) -> np.ndarray:
+        """BS precoders, N_t x V."""
+        return dft_dictionary(self.cfg.n_t) @ self.a_mat
 
 
 @dataclass(frozen=True)
@@ -75,9 +89,9 @@ class ScanPlan:
         return sum(r.u * r.v for r in self.rounds)
 
 
-def _random_partition(n: int, size: int, rng: np.random.Generator):
-    perm = rng.permutation(n)
-    return tuple(np.sort(perm[k : k + size]) for k in range(0, n, size))
+def _random_partition(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """A uniformly random split of {0..n-1} into n/size sorted rows."""
+    return np.sort(rng.permutation(n).reshape(-1, size), axis=1)
 
 
 def _project_unit(v: np.ndarray) -> np.ndarray:
@@ -154,75 +168,55 @@ def effective_support(v: np.ndarray, q: int, bar_d: np.ndarray) -> np.ndarray:
     return np.sort(order[:q])
 
 
-def _assign_bins(c_mat: np.ndarray, supports: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Map each row index to the bin whose support claims it.
+def _assign_bins(c_mat: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """Map each row index to the bin (row of `supports`) that claims it.
 
     Effective supports of optimized beams need not partition the grid;
     contested or orphaned indices go to the bin sensing them most strongly.
     """
-    m, u = c_mat.shape
-    mag = np.abs(c_mat)
-    owner = np.full(m, -1, dtype=int)
-    claims = np.zeros(m, dtype=int)
-    for ui, sup in enumerate(supports):
-        claims[sup] += 1
-        owner[sup] = ui
-    contested = claims != 1
+    owner = np.full(c_mat.shape[0], -1, dtype=int)
+    owner[supports] = np.arange(len(supports))[:, None]
+    contested = np.bincount(supports.ravel(), minlength=len(owner)) != 1
     if np.any(contested):
-        owner[contested] = np.argmax(mag[contested], axis=1)
+        owner[contested] = np.argmax(np.abs(c_mat[contested]), axis=1)
     return owner
 
 
 def encode_round(
-    cfg: ArrayConfig,
-    q: int,
-    c_design: tuple[np.ndarray, ...],
-    a_supports: tuple[np.ndarray, ...],
-    mode: str,
+    cfg: ArrayConfig, c_design: np.ndarray, a_supports: np.ndarray, mode: str
 ) -> RoundEncoding:
-    """Beams, coefficients and bin maps of one round given its partitions.
+    """Coefficients and bin maps of one round given its partitions.
 
-    c_design splits {0..M-1} into sets of size q, a_supports splits
-    {0..N_t-1} into sets of size R. Ideal-sparse beams put amplitude
-    beta = sqrt(M/q) exactly on their design set; constant-modulus beams
-    are solved per design set and sense their effective supports.
+    c_design (U x q) splits {0..M-1}, a_supports (V x R) splits
+    {0..N_t-1}. Ideal-sparse beams put amplitude sqrt(M/q) exactly on
+    their design set, precoders 1/sqrt(R) on their support;
+    constant-modulus beams are solved per design set and sense their
+    effective supports.
     """
-    m, n_t = cfg.m, cfg.n_t
-    beta = float(np.sqrt(m / q))
-    gamma = float(1.0 / np.sqrt(cfg.r))
-
-    a_mat = np.zeros((n_t, len(a_supports)), dtype=complex)
-    for vi, sup in enumerate(a_supports):
-        a_mat[sup, vi] = gamma
-
-    bar_d = cascade_dictionary(cfg)
+    (u, q), v = c_design.shape, len(a_supports)
+    a_mat = np.zeros((cfg.n_t, v), dtype=complex)
+    a_mat[a_supports, np.arange(v)[:, None]] = float(1.0 / np.sqrt(cfg.r))
     if mode == IDEAL_SPARSE:
-        c_supports = c_design
-        c_mat = np.zeros((m, len(c_supports)), dtype=complex)
-        for ui, sup in enumerate(c_supports):
-            c_mat[sup, ui] = beta
-        v_beams = bar_d @ c_mat
+        c_supports, cm_beams = c_design, None
+        c_mat = np.zeros((cfg.m, u), dtype=complex)
+        c_mat[c_design, np.arange(u)[:, None]] = float(np.sqrt(cfg.m / q))
     else:
-        v_beams = np.empty((m, len(c_design)), dtype=complex)
-        for ui, sup in enumerate(c_design):
-            v_beams[:, ui] = optimize_constant_modulus(bar_d[:, sup]).v
-        c_mat = bar_d.conj().T @ v_beams
-        c_supports = tuple(
-            effective_support(v_beams[:, ui], q, bar_d)
-            for ui in range(v_beams.shape[1])
+        bar_d = cascade_dictionary(cfg)
+        cm_beams = np.stack(
+            [optimize_constant_modulus(bar_d[:, sup]).v for sup in c_design], axis=1
         )
+        c_mat = bar_d.conj().T @ cm_beams
+        c_supports = np.array([effective_support(b, q, bar_d) for b in cm_beams.T])
     return RoundEncoding(
-        c_supports=c_supports,
-        a_supports=a_supports,
+        cfg=cfg,
         c_design=c_design,
-        beta=beta,
-        gamma=gamma,
+        a_supports=a_supports,
+        c_supports=c_supports,
         row_bin=_assign_bins(c_mat, c_supports),
         col_bin=_assign_bins(a_mat, a_supports),
         c_mat=c_mat,
         a_mat=a_mat,
-        v_beams=v_beams,
-        f_beams=dft_dictionary(n_t) @ a_mat,
+        cm_beams=cm_beams,
     )
 
 
@@ -242,7 +236,7 @@ def build_round(
         raise InvalidParameterError(f"unknown plan mode {mode!r}")
     c_design = _random_partition(m, q, rng)
     a_supports = _random_partition(n_t, r, rng)
-    return encode_round(cfg, q, c_design, a_supports, mode)
+    return encode_round(cfg, c_design, a_supports, mode)
 
 
 def build_scan_plan(
@@ -278,8 +272,8 @@ def plan_to_json(plan: ScanPlan) -> str:
         "seed": plan.seed,
         "rounds": [
             {
-                "c_design": [s.tolist() for s in rnd.c_design],
-                "a_supports": [s.tolist() for s in rnd.a_supports],
+                "c_design": rnd.c_design.tolist(),
+                "a_supports": rnd.a_supports.tolist(),
             }
             for rnd in plan.rounds
         ],
@@ -287,13 +281,15 @@ def plan_to_json(plan: ScanPlan) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _parse_partition(name: str, sets, n: int, size: int) -> tuple[np.ndarray, ...]:
+def _parse_partition(name: str, sets, n: int, size: int) -> np.ndarray:
     """A list of integer index lists that must split {0..n-1} into sets
-    of `size` each, as arrays."""
-    parts = tuple(np.asarray(s) for s in sets) if isinstance(sets, list) else ()
-    flat = np.concatenate(parts) if parts else np.empty(0, dtype=int)
-    if any(p.dtype.kind not in "iu" or p.shape != (size,) for p in parts) or not (
-        np.array_equal(np.sort(flat), np.arange(n))
+    of `size` each, as an (n/size) x size array."""
+    try:
+        parts = np.array(sets if isinstance(sets, list) else None)
+    except ValueError:  # ragged lists
+        parts = np.empty(0)
+    if parts.dtype.kind not in "iu" or parts.ndim != 2 or parts.shape[1] != size or not (
+        np.array_equal(np.sort(parts, axis=None), np.arange(n))
     ):
         raise InvalidParameterError(
             f"{name} must partition range({n}) into sets of {size} integers"
@@ -302,7 +298,7 @@ def _parse_partition(name: str, sets, n: int, size: int) -> tuple[np.ndarray, ..
 
 
 def plan_from_json(text: str) -> ScanPlan:
-    """Rebuild a plan, physical beams included, from its serialized form.
+    """Rebuild a plan from its serialized form.
 
     Keys written by older versions (beta, gamma, c_supports) are ignored.
     A missing key, a non-integer size, an unknown mode or round sets that
@@ -325,7 +321,7 @@ def plan_from_json(text: str) -> ScanPlan:
         raise InvalidParameterError("at least one round is required")
     rounds = tuple(
         encode_round(
-            cfg, q,
+            cfg,
             _parse_partition(f"round {l} c_design", c_design, cfg.m, q),
             _parse_partition(f"round {l} a_supports", a_supports, cfg.n_t, cfg.r),
             mode,

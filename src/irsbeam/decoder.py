@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import AlignmentEstimate
 from .codebook import ScanPlan
-from .errors import ThresholdTooHighError
+from .errors import InvalidDimensionError, InvalidParameterError, ThresholdTooHighError
 
 
 @dataclass(frozen=True)
@@ -26,12 +26,12 @@ class MeasurementSet:
 
     def __post_init__(self):
         if len(self.y) != self.plan.l:
-            raise ValueError("one measurement matrix per plan round required")
+            raise InvalidDimensionError("one measurement matrix per plan round required")
         for y_l, rnd in zip(self.y, self.plan.rounds):
             if y_l.shape != (rnd.u, rnd.v):
-                raise ValueError(f"round matrix must be {rnd.u} x {rnd.v}")
+                raise InvalidDimensionError(f"round matrix must be {rnd.u} x {rnd.v}")
             if np.any(y_l < 0):
-                raise ValueError("magnitude measurements must be nonnegative")
+                raise InvalidParameterError("magnitude measurements must be nonnegative")
 
 
 def synthesize_measurements(
@@ -131,7 +131,7 @@ def classify_nulltons(y_l: np.ndarray, epsilon: float) -> int:
 def select_nm_rounds(counts: list[int]) -> tuple[int, ...]:
     """All rounds whose nullton count attains the minimum."""
     if not counts:
-        raise ValueError("at least one round count is required")
+        raise InvalidParameterError("at least one round count is required")
     lo = min(counts)
     return tuple(l for l, c in enumerate(counts) if c == lo)
 
@@ -156,5 +156,5 @@ def rayleigh_threshold(sigma: float, p_fa: float = 0.1) -> float:
     sigma/sqrt(2), so P(y > eps) = exp(-eps^2 / sigma^2).
     """
     if not 0 < p_fa < 1:
-        raise ValueError("p_fa must lie in (0, 1)")
+        raise InvalidParameterError("p_fa must lie in (0, 1)")
     return float(sigma * np.sqrt(np.log(1.0 / p_fa)))

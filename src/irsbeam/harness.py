@@ -64,6 +64,8 @@ class ExperimentConfig:
             raise InvalidParameterError("trials must be >= 1")
         if self.scenario not in ("los", "nlos"):
             raise InvalidParameterError("scenario must be 'los' or 'nlos'")
+        if not 0 < self.p_fa < 1:
+            raise InvalidParameterError("p_fa must lie in (0, 1)")
 
     @property
     def irs_user_rician_db(self) -> float:

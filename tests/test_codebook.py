@@ -57,8 +57,11 @@ class TestBuildRound:
     def test_ideal_amplitudes_and_norms(self):
         rnd = build_round(SMALL, 2, np.random.default_rng(4))
         m, q = SMALL.m, 2
-        assert rnd.beta == pytest.approx(np.sqrt(m / q))
-        assert rnd.gamma == pytest.approx(1 / np.sqrt(SMALL.r))
+        for mat, supports, amp in ((rnd.c_mat, rnd.c_design, np.sqrt(m / q)),
+                                   (rnd.a_mat, rnd.a_supports, 1 / np.sqrt(SMALL.r))):
+            for k, sup in enumerate(supports):
+                np.testing.assert_array_equal(mat[sup, k], amp)
+            assert np.count_nonzero(mat) == supports.size
         for u in range(rnd.u):
             assert np.linalg.norm(rnd.v_beams[:, u]) ** 2 == pytest.approx(m)
         for v in range(rnd.v):
@@ -81,6 +84,42 @@ class TestBuildRound:
         for i in range(0, CFG.m, 37):
             hits = [u for u, s in enumerate(rnd.c_supports) if i in s]
             assert hits == [rnd.row_bin[i]]
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def small_geometries(draw):
+    """(array, q, l, seed) of a small ideal-sparse plan."""
+    m_y, m_z = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n_t = draw(st.integers(1, 12))
+    q = draw(st.sampled_from(divisors(m_y * m_z)))
+    r = draw(st.sampled_from(divisors(n_t)))
+    l, seed = draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1))
+    return ArrayConfig(n_t=n_t, m_y=m_y, m_z=m_z, r=r), q, l, seed
+
+
+class TestPlanProperties:
+    @settings(deadline=None, max_examples=60)
+    @given(small_geometries())
+    def test_rounds_partition_invert_and_survive_json(self, geometry):
+        cfg, q, l, seed = geometry
+        plan = build_scan_plan(cfg, q, l, rng=seed)
+        back = plan_from_json(plan_to_json(plan))
+        assert back.l == plan.l == l
+        for rnd, again in zip(plan.rounds, back.rounds):
+            for parts, bins, n, size in ((rnd.c_design, rnd.row_bin, cfg.m, q),
+                                         (rnd.a_supports, rnd.col_bin, cfg.n_t, cfg.r)):
+                assert parts.shape == (n // size, size)
+                assert np.all(np.diff(parts, axis=1) > 0)
+                np.testing.assert_array_equal(np.sort(parts, axis=None), np.arange(n))
+                for k, sup in enumerate(parts):
+                    assert np.all(bins[sup] == k)
+            for name in ("c_design", "a_supports", "c_supports", "row_bin",
+                         "col_bin", "c_mat", "a_mat"):
+                np.testing.assert_array_equal(getattr(rnd, name), getattr(again, name))
 
 
 class TestScanPlan:
@@ -146,12 +185,13 @@ class TestPlanJson:
         plan = build_scan_plan(SMALL, 2, 2, rng=11)
         doc = json.loads(plan_to_json(plan))
         for d, rnd in zip(doc["rounds"], plan.rounds):
-            d.update(beta=rnd.beta, gamma=rnd.gamma,
-                     c_supports=[s.tolist() for s in rnd.c_supports])
+            d.update(beta=np.sqrt(SMALL.m / 2), gamma=1 / np.sqrt(SMALL.r),
+                     c_supports=rnd.c_supports.tolist())
         back = plan_from_json(json.dumps(doc))
         for r1, r2 in zip(plan.rounds, back.rounds):
             np.testing.assert_array_equal(r1.v_beams, r2.v_beams)
-            assert (r1.beta, r1.gamma) == (r2.beta, r2.gamma)
+            np.testing.assert_array_equal(r1.c_mat, r2.c_mat)
+            np.testing.assert_array_equal(r1.a_mat, r2.a_mat)
 
     @pytest.mark.parametrize("corrupt", [
         lambda d: d.pop("q"),

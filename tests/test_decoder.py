@@ -16,20 +16,18 @@ from irsbeam.decoder import (
     select_nm_rounds,
     synthesize_measurements,
 )
-from irsbeam.errors import ThresholdTooHighError
+from irsbeam.errors import (
+    InvalidDimensionError,
+    InvalidParameterError,
+    ThresholdTooHighError,
+)
 
 SMALL = ArrayConfig(n_t=16, m_y=4, m_z=4, r=4)
 
 
 def handmade_round(cfg, c_parts, a_parts):
     """Ideal-sparse round from explicit index partitions."""
-    return encode_round(
-        cfg,
-        len(c_parts[0]),
-        tuple(np.asarray(s) for s in c_parts),
-        tuple(np.asarray(s) for s in a_parts),
-        IDEAL_SPARSE,
-    )
+    return encode_round(cfg, np.asarray(c_parts), np.asarray(a_parts), IDEAL_SPARSE)
 
 
 def handmade_plan(cfg, q, rounds_spec):
@@ -212,6 +210,11 @@ class TestNulltons:
         frac = np.count_nonzero(noise < eps) / n
         assert abs(frac - 0.99) < 3 * np.sqrt(0.99 * 0.01 / n)
 
+    @pytest.mark.parametrize("p_fa", [0.0, 1.0, 1.5, -0.1, float("nan")])
+    def test_threshold_rejects_p_fa_outside_unit_interval(self, p_fa):
+        with pytest.raises(InvalidParameterError, match="p_fa"):
+            rayleigh_threshold(0.5, p_fa)
+
 
 class TestNmSelection:
     def test_example_counts(self):
@@ -219,6 +222,10 @@ class TestNmSelection:
 
     def test_all_equal(self):
         assert select_nm_rounds([5, 5, 5]) == (0, 1, 2)
+
+    def test_no_counts_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            select_nm_rounds([])
 
     def test_selected_rounds_match_ground_truth(self):
         arr = ArrayConfig(n_t=128, m_y=16, m_z=16, r=4)
@@ -285,11 +292,17 @@ class TestMeasurementSet:
     def test_rejects_wrong_round_count(self):
         plan = build_scan_plan(SMALL, 4, 2, rng=24)
         rnd = plan.rounds[0]
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidDimensionError):
             MeasurementSet(y=(np.zeros((rnd.u, rnd.v)),), plan=plan)
+
+    def test_rejects_wrong_matrix_shape(self):
+        plan = build_scan_plan(SMALL, 4, 1, rng=24)
+        rnd = plan.rounds[0]
+        with pytest.raises(InvalidDimensionError, match=f"{rnd.u} x {rnd.v}"):
+            MeasurementSet(y=(np.zeros((rnd.v, rnd.u + 1)),), plan=plan)
 
     def test_rejects_negative(self):
         plan = build_scan_plan(SMALL, 4, 1, rng=25)
         rnd = plan.rounds[0]
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameterError):
             MeasurementSet(y=(-np.ones((rnd.u, rnd.v)),), plan=plan)

@@ -267,6 +267,12 @@ class TestConfigParsing:
         with pytest.raises(InvalidParameterError, match="line 3"):
             parse_config_text(f"l = 3\n# comment\n{line}")
 
+    @pytest.mark.parametrize("snr", ["-10", "none"])
+    @pytest.mark.parametrize("p_fa", ["1.5", "0", "1", "-0.2", "nan"])
+    def test_p_fa_outside_unit_interval_rejected(self, p_fa, snr):
+        with pytest.raises(InvalidParameterError, match="p_fa"):
+            parse_config_text(f"snr_db = {snr}\np_fa = {p_fa}")
+
     def test_nlos_default_rician(self):
         los = parse_config_text("scenario = los")
         nlos = parse_config_text("scenario = nlos")
