@@ -40,8 +40,8 @@ class ArrayConfig:
             raise InvalidDimensionError(
                 f"RF chain count must satisfy 1 <= r <= n_t, got r={self.r}"
             )
-        if self.spacing_ratio <= 0:
-            raise InvalidDimensionError("spacing_ratio must be positive")
+        if not (self.spacing_ratio > 0 and np.isfinite(self.spacing_ratio)):
+            raise InvalidDimensionError("spacing_ratio must be positive and finite")
 
     @property
     def m(self) -> int:

@@ -157,6 +157,18 @@ def channel_from_lambda(lam: np.ndarray, cfg: ArrayConfig) -> CascadeChannel:
     return CascadeChannel(h=h, lam=lam, strongest=_argmax_2d(np.abs(lam)), cfg=cfg)
 
 
+def noisy_magnitude(
+    z: np.ndarray, sigma: float, rng: np.random.Generator | None
+) -> np.ndarray:
+    """|z + N| with N circular complex Gaussian of variance sigma**2 per
+    entry (real parts drawn first, then imaginary); |z| when sigma is 0."""
+    if sigma > 0:
+        z = z + (
+            rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape)
+        ) * sigma / np.sqrt(2.0)
+    return np.abs(z)
+
+
 def exhaustive_search(
     ch: CascadeChannel, sigma: float, rng: np.random.Generator
 ) -> AlignmentEstimate:
@@ -166,14 +178,9 @@ def exhaustive_search(
     measurement equals sqrt(M) * |lam(i, j)|, so the whole grid can be
     measured at once.
     """
-    z = np.sqrt(ch.cfg.m) * ch.lam
-    if sigma > 0:
-        noise = (
-            rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape)
-        ) * sigma / np.sqrt(2.0)
-        z = z + noise
-    i, j = _argmax_2d(np.abs(z))
+    y = noisy_magnitude(np.sqrt(ch.cfg.m) * ch.lam, sigma, rng)
+    i, j = _argmax_2d(y)
     return AlignmentEstimate(
-        i_star=i, j_star=j, candidate_count=z.size, nm_rounds=None,
+        i_star=i, j_star=j, candidate_count=y.size, nm_rounds=None,
         detector_threshold=0.0,
     )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -220,6 +220,17 @@ def encode_round(
     )
 
 
+def check_round_shape(cfg: ArrayConfig, q: int, mode: str) -> None:
+    """Raise InvalidParameterError unless rounds of bin size q in this
+    mode can be built on the array: q must divide M, R must divide N_t."""
+    if q < 1 or cfg.m % q != 0:
+        raise InvalidParameterError(f"bin size q={q} must divide M={cfg.m}")
+    if cfg.n_t % cfg.r != 0:
+        raise InvalidParameterError(f"RF chains r={cfg.r} must divide N_t={cfg.n_t}")
+    if mode not in (IDEAL_SPARSE, CONSTANT_MODULUS):
+        raise InvalidParameterError(f"unknown plan mode {mode!r}")
+
+
 def build_round(
     cfg: ArrayConfig,
     q: int,
@@ -227,15 +238,9 @@ def build_round(
     mode: str = IDEAL_SPARSE,
 ) -> RoundEncoding:
     """One uniformly random full-coverage round of U x V measurements."""
-    m, n_t, r = cfg.m, cfg.n_t, cfg.r
-    if q < 1 or m % q != 0:
-        raise InvalidParameterError(f"bin size q={q} must divide M={m}")
-    if n_t % r != 0:
-        raise InvalidParameterError(f"RF chains r={r} must divide N_t={n_t}")
-    if mode not in (IDEAL_SPARSE, CONSTANT_MODULUS):
-        raise InvalidParameterError(f"unknown plan mode {mode!r}")
-    c_design = _random_partition(m, q, rng)
-    a_supports = _random_partition(n_t, r, rng)
+    check_round_shape(cfg, q, mode)
+    c_design = _random_partition(cfg.m, q, rng)
+    a_supports = _random_partition(cfg.n_t, cfg.r, rng)
     return encode_round(cfg, c_design, a_supports, mode)
 
 
@@ -262,11 +267,7 @@ def plan_to_json(plan: ScanPlan) -> str:
     follow from M, q and R, and the constant-modulus solver is
     deterministic given a design set."""
     doc = {
-        "n_t": plan.cfg.n_t,
-        "m_y": plan.cfg.m_y,
-        "m_z": plan.cfg.m_z,
-        "r": plan.cfg.r,
-        "spacing_ratio": plan.cfg.spacing_ratio,
+        **asdict(plan.cfg),
         "q": plan.q,
         "mode": plan.mode,
         "seed": plan.seed,
@@ -301,22 +302,24 @@ def plan_from_json(text: str) -> ScanPlan:
     """Rebuild a plan from its serialized form.
 
     Keys written by older versions (beta, gamma, c_supports) are ignored.
-    A missing key, a non-integer size, an unknown mode or round sets that
-    do not partition the index ranges raise InvalidParameterError.
+    A missing key, a non-integer size, a shape check_round_shape rejects
+    or round sets that do not partition the index ranges raise
+    InvalidParameterError.
     """
     doc = json.loads(text)
     try:
-        sizes = {k: doc[k] for k in ("n_t", "m_y", "m_z", "r", "q")}
-        spacing, mode, seed = doc["spacing_ratio"], doc["mode"], doc["seed"]
+        array = {f.name: doc[f.name] for f in fields(ArrayConfig)}
+        q, mode, seed = doc["q"], doc["mode"], doc["seed"]
         raw = [(rnd["c_design"], rnd["a_supports"]) for rnd in doc["rounds"]]
     except KeyError as exc:
         raise InvalidParameterError(f"plan is missing key {exc}") from None
-    if any(type(v) is not int for v in sizes.values()) or type(spacing) not in (int, float):
+    if type(q) is not int or any(
+        type(array[f.name]) not in ((int, float) if f.type == "float" else (int,))
+        for f in fields(ArrayConfig)
+    ):
         raise InvalidParameterError("plan sizes must be integers, spacing_ratio a number")
-    q = sizes.pop("q")
-    cfg = ArrayConfig(**sizes, spacing_ratio=spacing)
-    if mode not in (IDEAL_SPARSE, CONSTANT_MODULUS):
-        raise InvalidParameterError(f"unknown plan mode {mode!r}")
+    cfg = ArrayConfig(**array)
+    check_round_shape(cfg, q, mode)
     if not raw:
         raise InvalidParameterError("at least one round is required")
     rounds = tuple(

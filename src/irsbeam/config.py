@@ -1,33 +1,61 @@
 """Flat key-value experiment config files.
 
 Format: one `key = value` per line, `#` comments, blank lines ignored.
-Unknown keys are an error so typos fail fast. Sweep lists are
-comma-separated.
+The keys are the ArrayConfig and ExperimentConfig fields but `array`
+and `compute_bgr`, typed and defaulted by them; `none` is accepted where
+the type allows None. Unknown keys are an error so typos fail fast.
+Sweep lists are comma-separated.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 from .arrays import ArrayConfig
 from .errors import InvalidParameterError
 from .harness import ExperimentConfig
 
-_ARRAY_KEYS = {"n_t", "m_y", "m_z", "r", "spacing_ratio"}
-_INT_KEYS = {"n_t", "m_y", "m_z", "r", "q", "l", "trials", "seed",
-             "paths_bs_irs", "paths_irs_user"}
-_FLOAT_KEYS = {"spacing_ratio", "snr_db", "p_fa",
-               "rician_bs_irs_db", "rician_irs_user_db"}
-_LIST_KEYS = {"snr_sweep", "t_sweep", "m_sweep"}
-_STR_KEYS = {"mode", "scenario", "output"}
-_ALL_KEYS = _ARRAY_KEYS | _INT_KEYS | _FLOAT_KEYS | _LIST_KEYS | _STR_KEYS
-# Keys whose value may be `none` (or empty): no noise, the scenario's
-# default Rician factor, standard output.
-_NULLABLE_KEYS = {"snr_db", "rician_irs_user_db", "output"}
+# field annotation (a string: annotations are postponed) -> value cast
+_CASTS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "tuple[int, ...]": lambda text: tuple(int(v) for v in text.split(",")),
+    "tuple[float, ...]": lambda text: tuple(float(v) for v in text.split(",")),
+}
+_NULLABLE = " | None"
+
+# File defaults for the fields the dataclasses leave required.
+_DEFAULTS = {"n_t": 128, "m_y": 16, "m_z": 16, "r": 4, "q": 32, "l": 4}
+
+# key -> (cast, accepts none); a field type with no cast fails at import
+_KEYS = {
+    f.name: (_CASTS[f.type.removesuffix(_NULLABLE)], f.type.endswith(_NULLABLE))
+    for f in (*fields(ArrayConfig), *fields(ExperimentConfig))
+    if f.name not in ("array", "compute_bgr")
+}
+_ARRAY_KEYS = [f.name for f in fields(ArrayConfig)]
+
+
+def _cast(key: str, lineno: int, value: str):
+    cast, nullable = _KEYS[key]
+    if value.lower() in ("none", ""):
+        if not nullable:
+            raise InvalidParameterError(f"line {lineno}: {key} needs a value")
+        return None
+    try:
+        return cast(value)
+    except ValueError:
+        raise InvalidParameterError(
+            f"line {lineno}: invalid value {value!r} for {key}"
+        ) from None
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse config text; a malformed line or value raises
-    InvalidParameterError naming its line."""
-    raw: dict[str, tuple[int, str]] = {}
+    InvalidParameterError naming its line, and a value ExperimentConfig
+    or ArrayConfig rejects raises their error."""
+    given = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -35,60 +63,14 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise InvalidParameterError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise InvalidParameterError(f"line {lineno}: unknown key {key!r}")
-        if key in raw:
+        if key in given:
             raise InvalidParameterError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = (lineno, value)
-
-    def pop(key, cast, default=None):
-        if key not in raw:
-            return default
-        lineno, value = raw.pop(key)
-        if value.lower() in ("none", ""):
-            if key not in _NULLABLE_KEYS:
-                raise InvalidParameterError(f"line {lineno}: {key} needs a value")
-            return None
-        try:
-            return cast(value)
-        except ValueError:
-            raise InvalidParameterError(
-                f"line {lineno}: invalid value {value!r} for {key}"
-            ) from None
-
-    def int_list(value: str) -> tuple[int, ...]:
-        return tuple(int(v) for v in value.split(","))
-
-    def float_list(value: str) -> tuple[float, ...]:
-        return tuple(float(v) for v in value.split(","))
-
-    array = ArrayConfig(
-        n_t=pop("n_t", int, 128),
-        m_y=pop("m_y", int, 16),
-        m_z=pop("m_z", int, 16),
-        r=pop("r", int, 4),
-        spacing_ratio=pop("spacing_ratio", float, 0.5),
-    )
-    kwargs = dict(
-        array=array,
-        q=pop("q", int, 32),
-        l=pop("l", int, 4),
-        mode=pop("mode", str, "ideal-sparse"),
-        scenario=pop("scenario", str, "los"),
-        snr_db=pop("snr_db", float, -20.0),
-        snr_sweep=pop("snr_sweep", float_list, ()),
-        t_sweep=pop("t_sweep", int_list, ()),
-        m_sweep=pop("m_sweep", int_list, ()),
-        trials=pop("trials", int, 500),
-        seed=pop("seed", int, 0),
-        p_fa=pop("p_fa", float, 0.1),
-        paths_bs_irs=pop("paths_bs_irs", int, 2),
-        paths_irs_user=pop("paths_irs_user", int, 2),
-        rician_bs_irs_db=pop("rician_bs_irs_db", float, 13.2),
-        rician_irs_user_db=pop("rician_irs_user_db", float, None),
-        output=pop("output", str, None),
-    )
-    return ExperimentConfig(**kwargs)
+        given[key] = _cast(key, lineno, value)
+    values = {**_DEFAULTS, **given}
+    array = ArrayConfig(**{k: values.pop(k) for k in _ARRAY_KEYS if k in values})
+    return ExperimentConfig(array=array, **values)
 
 
 def parse_config(path: str) -> ExperimentConfig:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import AlignmentEstimate
+from .channel import AlignmentEstimate, noisy_magnitude
 from .codebook import ScanPlan
 from .errors import InvalidDimensionError, InvalidParameterError, ThresholdTooHighError
 
@@ -41,15 +41,11 @@ def synthesize_measurements(
     rng: np.random.Generator | None = None,
 ) -> MeasurementSet:
     """Y_l = |C_l^H Lambda A_l + N_l| for every round of the plan."""
-    ys = []
-    for rnd in plan.rounds:
-        z = rnd.c_mat.conj().T @ lam @ rnd.a_mat
-        if sigma > 0:
-            z = z + (
-                rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape)
-            ) * sigma / np.sqrt(2.0)
-        ys.append(np.abs(z))
-    return MeasurementSet(y=tuple(ys), plan=plan)
+    ys = tuple(
+        noisy_magnitude(rnd.c_mat.conj().T @ lam @ rnd.a_mat, sigma, rng)
+        for rnd in plan.rounds
+    )
+    return MeasurementSet(y=ys, plan=plan)
 
 
 def bin_of(plan: ScanPlan, l: int, i: int, j: int) -> tuple[int, int]:

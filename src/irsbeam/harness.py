@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .arrays import ArrayConfig, cascade_dictionary, dft_dictionary
+from .arrays import ArrayConfig
 from .channel import (
     AlignmentEstimate,
     CascadeChannel,
@@ -19,7 +19,7 @@ from .channel import (
     exhaustive_search,
     sample_paths,
 )
-from .codebook import IDEAL_SPARSE, build_scan_plan
+from .codebook import IDEAL_SPARSE, build_scan_plan, check_round_shape
 from .decoder import (
     decode_los,
     decode_nlos,
@@ -60,12 +60,22 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
+        # reject every value a trial would, before any worker starts
+        check_round_shape(self.array, self.q, self.mode)
+        if self.l < 1 or any(l < 1 for l in self.t_sweep):
+            raise InvalidParameterError("l and every t_sweep entry must be >= 1")
         if self.trials < 1:
             raise InvalidParameterError("trials must be >= 1")
+        if self.seed < 0:
+            raise InvalidParameterError("seed must be >= 0")
         if self.scenario not in ("los", "nlos"):
             raise InvalidParameterError("scenario must be 'los' or 'nlos'")
         if not 0 < self.p_fa < 1:
             raise InvalidParameterError("p_fa must lie in (0, 1)")
+        if self.paths_bs_irs < 1 or self.paths_irs_user < 1:
+            raise InvalidParameterError("path counts must be >= 1")
+        if not all(map(math.isfinite, (self.rician_bs_irs_db, self.irs_user_rician_db))):
+            raise InvalidParameterError("Rician factors must be finite")
 
     @property
     def irs_user_rician_db(self) -> float:
@@ -129,25 +139,20 @@ def optimal_beams(h: np.ndarray, tol: float = 1e-8, max_iters: int = 100):
     return v, f
 
 
-def _grid_gain(h: np.ndarray, cfg: ArrayConfig, i: int, j: int) -> float:
-    v = math.sqrt(cfg.m) * cascade_dictionary(cfg)[:, i]
-    f = dft_dictionary(cfg.n_t)[:, j]
-    return abs(np.vdot(v, h @ f)) ** 2
-
-
 def bgr(ch: CascadeChannel, estimate: AlignmentEstimate) -> float:
     """Beamforming gain ratio of the grid-aligned estimate vs full CSI.
 
-    The alternating maximizer is additionally warm-started from the best
-    grid pair so the reference provably dominates every grid beam pair.
+    Grid pair (i, j), v = sqrt(M) barD_R[:, i] and f = D[:, j], has gain
+    |v^H H f|^2 = M |lam[i, j]|^2. The reference is the larger of the
+    alternating maximizer's gain and the best grid pair's, so it
+    dominates every grid pair even when the ascent stops at a local
+    maximum.
     """
-    cfg = ch.cfg
     v_opt, f_opt = optimal_beams(ch.h)
     opt_gain = abs(np.vdot(v_opt, ch.h @ f_opt)) ** 2
-    # the reference must dominate every grid pair; guard against a local
-    # maximum of the alternating ascent
-    opt_gain = max(opt_gain, _grid_gain(ch.h, cfg, *ch.strongest))
-    return _grid_gain(ch.h, cfg, estimate.i_star, estimate.j_star) / opt_gain
+    m, lam = ch.cfg.m, ch.lam
+    opt_gain = max(opt_gain, m * abs(lam[ch.strongest]) ** 2)
+    return m * abs(lam[estimate.i_star, estimate.j_star]) ** 2 / opt_gain
 
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
@@ -205,6 +210,9 @@ def _worker_count() -> int:
             raise InvalidParameterError(
                 f"{WORKERS_ENV} must be an integer, got {env!r}"
             ) from None
+    if hasattr(os, "sched_getaffinity"):
+        # os.cpu_count() also counts CPUs outside the process's affinity mask
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

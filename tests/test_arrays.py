@@ -153,3 +153,11 @@ def test_array_config_validation():
         ArrayConfig(n_t=4, m_y=1, m_z=1, r=5)
     with pytest.raises(InvalidDimensionError):
         ArrayConfig(n_t=4, m_y=1, m_z=1, r=1, spacing_ratio=0.0)
+
+
+@pytest.mark.parametrize("spacing", [float("nan"), float("inf")])
+def test_array_config_rejects_non_finite_spacing(spacing):
+    # a NaN or infinite spacing gives NaN steering vectors, and every trial
+    # on them fails in the decoder
+    with pytest.raises(InvalidDimensionError, match="spacing_ratio"):
+        ArrayConfig(n_t=4, m_y=1, m_z=1, r=1, spacing_ratio=spacing)

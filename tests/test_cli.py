@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from irsbeam import harness
 from irsbeam.cli import main
 from irsbeam.codebook import plan_from_json
+from irsbeam.errors import InvalidParameterError
 from irsbeam.harness import CSV_HEADER
 
 SMALL_CONFIG = """
@@ -84,6 +86,17 @@ class TestRunCommand:
         row = out.read_text().strip().splitlines()[1].split(",")
         assert int(row[2]) == 2
         assert int(row[7]) == 9
+
+    def test_bad_bin_size_fails_before_pool_starts(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            pytest.fail("a process pool was started for an invalid config")
+
+        monkeypatch.setenv("IRSBEAM_WORKERS", "2")
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        path = tmp_path / "bad.cfg"
+        path.write_text("q = 3\ntrials = 4\n")
+        with pytest.raises(InvalidParameterError, match="q=3 must divide"):
+            main(["run", "--config", str(path)])
 
     def test_missing_config_errors(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -1,7 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irsbeam.arrays import ArrayConfig, cascade_dictionary, dft_dictionary
 from irsbeam.channel import channel_from_lambda
@@ -12,6 +15,7 @@ from irsbeam.harness import (
     CSV_HEADER,
     ExperimentConfig,
     TrialRecord,
+    _worker_count,
     aggregate,
     bgr,
     optimal_beams,
@@ -140,6 +144,14 @@ class TestTrials:
         monkeypatch.setenv("IRSBEAM_WORKERS", "two")
         with pytest.raises(InvalidParameterError, match="IRSBEAM_WORKERS"):
             run_trials(SMALL_CFG)
+
+    def test_default_workers_follow_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("IRSBEAM_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert _worker_count() == 3
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert _worker_count() == 64
 
     def test_nlos_scenario_runs(self):
         cfg = ExperimentConfig(
@@ -273,6 +285,15 @@ class TestConfigParsing:
         with pytest.raises(InvalidParameterError, match="p_fa"):
             parse_config_text(f"snr_db = {snr}\np_fa = {p_fa}")
 
+    @pytest.mark.parametrize("line", [
+        "q = 3", "r = 3", "mode = cm", "l = 0", "t_sweep = 2, 0",
+        "paths_bs_irs = 0", "paths_irs_user = 0", "rician_bs_irs_db = inf",
+        "rician_irs_user_db = nan", "seed = -1",
+    ])
+    def test_value_every_trial_would_reject_fails_at_parse(self, line):
+        with pytest.raises(InvalidParameterError):
+            parse_config_text(line)
+
     def test_nlos_default_rician(self):
         los = parse_config_text("scenario = los")
         nlos = parse_config_text("scenario = nlos")
@@ -280,3 +301,66 @@ class TestConfigParsing:
         assert nlos.irs_user_rician_db == 0.0
         override = parse_config_text("scenario = nlos\nrician_irs_user_db = 3.0")
         assert override.irs_user_rician_db == 3.0
+
+
+def _finite(**kw):
+    return st.floats(allow_nan=False, allow_infinity=False, **kw)
+
+
+@st.composite
+def config_fields(draw):
+    """Valid field values for a config file, each key written or left to
+    its default."""
+    n_t = draw(st.sampled_from([4, 8, 12, 16]))
+    m_y, m_z = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    m = m_y * m_z
+    values = {
+        "n_t": n_t, "m_y": m_y, "m_z": m_z,
+        "r": draw(st.sampled_from([r for r in range(1, n_t + 1) if n_t % r == 0])),
+        "spacing_ratio": draw(_finite(min_value=1e-3, max_value=4.0)),
+        "q": draw(st.sampled_from([q for q in range(1, m + 1) if m % q == 0])),
+        "l": draw(st.integers(1, 9)),
+        "mode": draw(st.sampled_from(["ideal-sparse", "constant-modulus"])),
+        "scenario": draw(st.sampled_from(["los", "nlos"])),
+        "snr_db": draw(st.none() | _finite()),
+        "snr_sweep": draw(st.lists(_finite(), min_size=1, max_size=4).map(tuple)),
+        "t_sweep": draw(st.lists(st.integers(1, 50), min_size=1, max_size=4).map(tuple)),
+        "m_sweep": draw(st.lists(st.integers(1, 512), min_size=1, max_size=4).map(tuple)),
+        "trials": draw(st.integers(1, 10**6)),
+        "seed": draw(st.integers(0, 2**63)),
+        "p_fa": draw(_finite(min_value=1e-9, max_value=1 - 1e-9)),
+        "paths_bs_irs": draw(st.integers(1, 8)),
+        "paths_irs_user": draw(st.integers(1, 8)),
+        "rician_bs_irs_db": draw(_finite()),
+        "rician_irs_user_db": draw(st.none() | _finite()),
+        "output": draw(st.none() | st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True)
+                       .filter(lambda s: s.lower() != "none")),
+    }
+    keep = set(draw(st.lists(st.sampled_from(sorted(values)), unique=True)))
+    # r and q are drawn to divide the drawn sizes, not the default ones
+    geometry = {"n_t", "m_y", "m_z", "r", "q"}
+    if keep & geometry:
+        keep |= geometry
+    return {k: v for k, v in values.items() if k in keep}
+
+
+def _config_line(key, value):
+    if value is None:
+        return f"{key} = none"
+    if isinstance(value, tuple):
+        return f"{key} = " + ", ".join(repr(v) for v in value)
+    return f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(config_fields())
+def test_written_config_parses_back_to_equal_config(values):
+    text = "\n".join(_config_line(k, v) for k, v in values.items())
+    array_keys = ("n_t", "m_y", "m_z", "r", "spacing_ratio")
+    array = {"n_t": 128, "m_y": 16, "m_z": 16, "r": 4}
+    array.update((k, v) for k, v in values.items() if k in array_keys)
+    expected = ExperimentConfig(
+        array=ArrayConfig(**array),
+        **{"q": 32, "l": 4, **{k: v for k, v in values.items() if k not in array_keys}},
+    )
+    assert parse_config_text(text) == expected
