@@ -6,7 +6,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .codebook import build_scan_plan, plan_to_json
+from .codebook import CONSTANT_MODULUS, build_scan_plan, plan_to_json
 from .config import parse_config
 from .harness import aggregate, rows_to_csv, run_trials, sweep
 from .theory import PlanProbe, p_lower_los, p_lower_nlos, p_nm_round, sample_complexity
@@ -64,6 +64,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_plan(args) -> int:
     cfg = _load_cfg(args)
     plan = build_scan_plan(cfg.array, cfg.q, cfg.l, cfg.mode, cfg.seed)
+    if plan.mode == CONSTANT_MODULUS:
+        total = sum(r.u for r in plan.rounds)
+        stalled = total - sum(int(r.cm_converged.sum()) for r in plan.rounds)
+        print(f"{stalled} of {total} constant-modulus beams stopped at max_iters",
+              file=sys.stderr)
     _emit(plan_to_json(plan) + "\n", args.out or cfg.output)
     return 0
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
@@ -36,7 +37,9 @@ class RoundEncoding:
     are the inverse maps used by the decoder (row i is sensed by IRS bin
     row_bin[i], column j by precoder col_bin[j]). A round measures
     |c_mat^H Lambda a_mat + N|. The physical beams v_beams/f_beams are
-    built on first read, except a constant-modulus round's solved cm_beams.
+    built on first read, except a constant-modulus round's solved cm_beams
+    (M x U); cm_converged (U,) says which of their solves converged before
+    max_iters. Both are None in an ideal-sparse round.
     """
 
     cfg: ArrayConfig
@@ -48,6 +51,7 @@ class RoundEncoding:
     c_mat: np.ndarray = field(repr=False)
     a_mat: np.ndarray = field(repr=False)
     cm_beams: np.ndarray | None = field(default=None, repr=False)
+    cm_converged: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def u(self) -> int:
@@ -119,20 +123,22 @@ def optimize_constant_modulus(
     non-decreasing; init is the phase of the summed columns.
     """
     p = np.asarray(selected)
+    # the conj().T layout picks BLAS's gemv kernel; a contiguous copy
+    # would change the beams in their low bits
+    ph = p.conj().T
     m = p.shape[0]
     s = p.sum(axis=1)
     v = np.where(np.abs(s) > 0, np.exp(1j * np.angle(s)), 1.0 + 0j)
 
-    def objective(v):
-        return float(np.sum(np.log2(1.0 + np.abs(p.conj().T @ v) ** 2)))
-
-    objs = [objective(v)]
+    # inner = ph @ v and den = 1 + |inner|^2, kept in step with v
+    inner = ph @ v
+    den = 1.0 + np.abs(inner) ** 2
+    objs = [float(np.sum(np.log2(den)))]
     converged = False
     step = step0 * m
     for _ in range(max_iters):
-        inner = p.conj().T @ v  # (Q,)
         # Wirtinger gradient of the objective w.r.t. conj(v).
-        egrad = p @ (inner / (1.0 + np.abs(inner) ** 2))
+        egrad = p @ (inner / den)
         rgrad = egrad - np.real(egrad * np.conj(v)) * v
         gnorm = np.linalg.norm(rgrad)
         if gnorm == 0:
@@ -142,8 +148,11 @@ def optimize_constant_modulus(
         trial_step = step
         for _ in range(30):
             cand = v + trial_step * rgrad
-            cand = np.where(np.abs(cand) > 0, cand / np.abs(cand), v)
-            obj = objective(cand)
+            mag = np.abs(cand)
+            cand = cand / mag if mag.all() else np.where(mag > 0, cand / mag, v)
+            cand_inner = ph @ cand
+            cand_den = 1.0 + np.abs(cand_inner) ** 2
+            obj = float(np.sum(np.log2(cand_den)))
             if obj > objs[-1]:
                 accepted = True
                 break
@@ -151,7 +160,7 @@ def optimize_constant_modulus(
         if not accepted:
             converged = True
             break
-        v = cand
+        v, inner, den = cand, cand_inner, cand_den
         step = trial_step * 2.0
         objs.append(obj)
         if obj - objs[-2] < tol * max(1.0, abs(objs[-2])):
@@ -183,28 +192,35 @@ def _assign_bins(c_mat: np.ndarray, supports: np.ndarray) -> np.ndarray:
 
 
 def encode_round(
-    cfg: ArrayConfig, c_design: np.ndarray, a_supports: np.ndarray, mode: str
+    cfg: ArrayConfig,
+    c_design: np.ndarray,
+    a_supports: np.ndarray,
+    mode: str,
+    cm_beams: np.ndarray | None = None,
+    cm_converged: np.ndarray | None = None,
 ) -> RoundEncoding:
     """Coefficients and bin maps of one round given its partitions.
 
     c_design (U x q) splits {0..M-1}, a_supports (V x R) splits
     {0..N_t-1}. Ideal-sparse beams put amplitude sqrt(M/q) exactly on
     their design set, precoders 1/sqrt(R) on their support;
-    constant-modulus beams are solved per design set and sense their
-    effective supports.
+    constant-modulus beams sense their effective supports. They are
+    solved per design set unless cm_beams (M x U) and cm_converged (U,)
+    from an earlier solve are given.
     """
     (u, q), v = c_design.shape, len(a_supports)
     a_mat = np.zeros((cfg.n_t, v), dtype=complex)
     a_mat[a_supports, np.arange(v)[:, None]] = float(1.0 / np.sqrt(cfg.r))
     if mode == IDEAL_SPARSE:
-        c_supports, cm_beams = c_design, None
+        c_supports, cm_beams, cm_converged = c_design, None, None
         c_mat = np.zeros((cfg.m, u), dtype=complex)
         c_mat[c_design, np.arange(u)[:, None]] = float(np.sqrt(cfg.m / q))
     else:
         bar_d = cascade_dictionary(cfg)
-        cm_beams = np.stack(
-            [optimize_constant_modulus(bar_d[:, sup]).v for sup in c_design], axis=1
-        )
+        if cm_beams is None:
+            solved = [optimize_constant_modulus(bar_d[:, sup]) for sup in c_design]
+            cm_beams = np.stack([res.v for res in solved], axis=1)
+            cm_converged = np.array([res.converged for res in solved])
         c_mat = bar_d.conj().T @ cm_beams
         c_supports = np.array([effective_support(b, q, bar_d) for b in cm_beams.T])
     return RoundEncoding(
@@ -217,6 +233,7 @@ def encode_round(
         c_mat=c_mat,
         a_mat=a_mat,
         cm_beams=cm_beams,
+        cm_converged=cm_converged,
     )
 
 
@@ -261,23 +278,27 @@ def build_scan_plan(
     return ScanPlan(cfg=cfg, q=q, mode=mode, seed=seed, rounds=rounds)
 
 
+def _round_doc(rnd: RoundEncoding) -> dict:
+    doc = {"c_design": rnd.c_design.tolist(), "a_supports": rnd.a_supports.tolist()}
+    if rnd.cm_beams is not None:
+        doc["cm_beams"] = base64.b64encode(rnd.cm_beams.astype("<c16").tobytes()).decode()
+        doc["cm_converged"] = rnd.cm_converged.tolist()
+    return doc
+
+
 def plan_to_json(plan: ScanPlan) -> str:
-    """Serialize the plan. The array, q, mode and each round's design
-    partitions are enough to rebuild every beam exactly: the amplitudes
-    follow from M, q and R, and the constant-modulus solver is
-    deterministic given a design set."""
+    """Serialize the plan: the array, q, mode and each round's design
+    partitions. The ideal-sparse amplitudes follow from M, q and R. A
+    constant-modulus round also stores its solved beams exactly, as
+    base64 of little-endian complex128 ("<c16") bytes of the M x U array
+    in row-major order, and the solves' convergence flags, so a reload
+    runs no solver."""
     doc = {
         **asdict(plan.cfg),
         "q": plan.q,
         "mode": plan.mode,
         "seed": plan.seed,
-        "rounds": [
-            {
-                "c_design": rnd.c_design.tolist(),
-                "a_supports": rnd.a_supports.tolist(),
-            }
-            for rnd in plan.rounds
-        ],
+        "rounds": [_round_doc(rnd) for rnd in plan.rounds],
     }
     return json.dumps(doc, indent=2)
 
@@ -298,19 +319,45 @@ def _parse_partition(name: str, sets, n: int, size: int) -> np.ndarray:
     return parts
 
 
+def _parse_cm(name: str, rnd: dict, m: int, u: int) -> tuple[np.ndarray, np.ndarray]:
+    """A constant-modulus round's stored beams (M x U, unit modulus) and
+    convergence flags (U bools)."""
+    if "cm_beams" not in rnd or "cm_converged" not in rnd:
+        raise InvalidParameterError(
+            f"{name} stores no cm_beams/cm_converged (written by an older "
+            "version); rebuild the plan with `irsbeam plan`"
+        )
+    try:
+        raw = base64.b64decode(rnd["cm_beams"], validate=True)
+    except (TypeError, ValueError):  # binascii.Error is a ValueError
+        raise InvalidParameterError(f"{name} cm_beams is not base64") from None
+    if len(raw) != m * u * 16:
+        raise InvalidParameterError(
+            f"{name} cm_beams holds {len(raw)} bytes, not {m}x{u} complex128"
+        )
+    beams = np.frombuffer(raw, dtype="<c16").reshape(m, u).astype(complex)
+    if not np.all(np.isfinite(beams)) or np.abs(np.abs(beams) - 1.0).max() > 1e-12:
+        raise InvalidParameterError(f"{name} cm_beams must be finite and unit-modulus")
+    flags = rnd["cm_converged"]
+    if not isinstance(flags, list) or len(flags) != u or any(type(f) is not bool for f in flags):
+        raise InvalidParameterError(f"{name} cm_converged must be a list of {u} booleans")
+    return beams, np.array(flags, dtype=bool)
+
+
 def plan_from_json(text: str) -> ScanPlan:
-    """Rebuild a plan from its serialized form.
+    """Rebuild a plan from its serialized form; this is a pure decode.
 
     Keys written by older versions (beta, gamma, c_supports) are ignored.
-    A missing key, a non-integer size, a shape check_round_shape rejects
-    or round sets that do not partition the index ranges raise
-    InvalidParameterError.
+    A missing key, a non-integer size, a shape check_round_shape rejects,
+    round sets that do not partition the index ranges, a constant-modulus
+    round without valid stored beams, or stored beams in an ideal-sparse
+    round raise InvalidParameterError.
     """
     doc = json.loads(text)
     try:
         array = {f.name: doc[f.name] for f in fields(ArrayConfig)}
         q, mode, seed = doc["q"], doc["mode"], doc["seed"]
-        raw = [(rnd["c_design"], rnd["a_supports"]) for rnd in doc["rounds"]]
+        raw = [(rnd, rnd["c_design"], rnd["a_supports"]) for rnd in doc["rounds"]]
     except KeyError as exc:
         raise InvalidParameterError(f"plan is missing key {exc}") from None
     if type(q) is not int or any(
@@ -322,13 +369,19 @@ def plan_from_json(text: str) -> ScanPlan:
     check_round_shape(cfg, q, mode)
     if not raw:
         raise InvalidParameterError("at least one round is required")
-    rounds = tuple(
-        encode_round(
+    rounds = []
+    for l, (rnd, c_design, a_supports) in enumerate(raw):
+        cm_beams = cm_converged = None
+        if mode == CONSTANT_MODULUS:
+            cm_beams, cm_converged = _parse_cm(f"round {l}", rnd, cfg.m, cfg.m // q)
+        elif "cm_beams" in rnd or "cm_converged" in rnd:
+            raise InvalidParameterError(f"round {l} of an ideal-sparse plan stores cm_beams")
+        rounds.append(encode_round(
             cfg,
             _parse_partition(f"round {l} c_design", c_design, cfg.m, q),
             _parse_partition(f"round {l} a_supports", a_supports, cfg.n_t, cfg.r),
             mode,
-        )
-        for l, (c_design, a_supports) in enumerate(raw)
-    )
-    return ScanPlan(cfg=cfg, q=q, mode=mode, seed=seed, rounds=rounds)
+            cm_beams=cm_beams,
+            cm_converged=cm_converged,
+        ))
+    return ScanPlan(cfg=cfg, q=q, mode=mode, seed=seed, rounds=tuple(rounds))

@@ -76,6 +76,9 @@ class ExperimentConfig:
             raise InvalidParameterError("path counts must be >= 1")
         if not all(map(math.isfinite, (self.rician_bs_irs_db, self.irs_user_rician_db))):
             raise InvalidParameterError("Rician factors must be finite")
+        snrs = self.snr_sweep if self.snr_db is None else (self.snr_db, *self.snr_sweep)
+        if not all(map(math.isfinite, snrs)):
+            raise InvalidParameterError("snr_db and every snr_sweep entry must be finite")
 
     @property
     def irs_user_rician_db(self) -> float:

@@ -129,6 +129,24 @@ class TestPlanCommand:
         assert plan.cfg.m == 16 and plan.cfg.n_t == 16
         assert payload["seed"] == 5
 
+    def test_constant_modulus_plan_reports_stalled_beams(self, config_path, tmp_path,
+                                                         capsys):
+        cm = tmp_path / "cm.cfg"
+        cm.write_text(SMALL_CONFIG + "mode = constant-modulus\n")
+        out = tmp_path / "plan.json"
+        assert main(["plan", "--config", str(cm), "--out", str(out)]) == 0
+        plan = plan_from_json(out.read_text())
+        total = sum(r.u for r in plan.rounds)
+        stalled = total - sum(int(r.cm_converged.sum()) for r in plan.rounds)
+        err = capsys.readouterr().err
+        assert err == f"{stalled} of {total} constant-modulus beams stopped at max_iters\n"
+
+    def test_ideal_sparse_plan_writes_nothing_to_stderr(self, config_path, capsys):
+        assert main(["plan", "--config", config_path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "cm_beams" not in captured.out
+
     def test_seed_override_changes_plan(self, config_path, tmp_path):
         a, b, c = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
         main(["plan", "--config", config_path, "--out", str(a)])

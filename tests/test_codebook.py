@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irsbeam import codebook
 from irsbeam.arrays import ArrayConfig, cascade_dictionary
 from irsbeam.codebook import (
     CONSTANT_MODULUS,
@@ -120,6 +122,77 @@ class TestPlanProperties:
             for name in ("c_design", "a_supports", "c_supports", "row_bin",
                          "col_bin", "c_mat", "a_mat"):
                 np.testing.assert_array_equal(getattr(rnd, name), getattr(again, name))
+
+
+class TestConstantModulusJson:
+    @settings(deadline=None, max_examples=25)
+    @given(small_geometries())
+    def test_round_trip_decodes_without_solving(self, geometry):
+        cfg, q, l, seed = geometry
+        plan = build_scan_plan(cfg, q, min(l, 2), CONSTANT_MODULUS, rng=seed)
+        text = plan_to_json(plan)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("plan_from_json ran the solver")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codebook, "optimize_constant_modulus", no_solve)
+            back = plan_from_json(text)
+        for rnd, again in zip(plan.rounds, back.rounds, strict=True):
+            for name in ("v_beams", "c_mat", "c_supports", "row_bin", "cm_converged"):
+                np.testing.assert_array_equal(getattr(rnd, name), getattr(again, name))
+
+    def test_converged_flags_match_the_solver(self):
+        plan = build_scan_plan(CFG, 16, 1, CONSTANT_MODULUS, rng=3)
+        rnd = plan.rounds[0]
+        bar = cascade_dictionary(CFG)
+        flags = [optimize_constant_modulus(bar[:, sup]).converged for sup in rnd.c_design]
+        assert rnd.cm_converged.tolist() == flags
+        assert not all(flags)  # some solves stop at max_iters at this size
+
+    def test_ideal_sparse_rounds_store_no_beams(self):
+        plan = build_scan_plan(SMALL, 2, 2, rng=11)
+        assert all(r.cm_beams is None and r.cm_converged is None for r in plan.rounds)
+        for d in json.loads(plan_to_json(plan))["rounds"]:
+            assert sorted(d) == ["a_supports", "c_design"]
+
+    @staticmethod
+    def _set_entry(d, k, scale):
+        beams = np.frombuffer(base64.b64decode(d["cm_beams"]), "<c16").copy()
+        beams[k] *= scale
+        d["cm_beams"] = base64.b64encode(beams.tobytes()).decode()
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: d.update(cm_beams="not base64!"),
+        lambda d: d.update(cm_beams=5),
+        lambda d: d.update(cm_beams=d["cm_beams"][:-8]),
+        lambda d: TestConstantModulusJson._set_entry(d, 3, np.nan),
+        lambda d: TestConstantModulusJson._set_entry(d, 0, 1 + 1e-11),
+        lambda d: d.pop("cm_converged"),
+        lambda d: d.update(cm_converged=d["cm_converged"][:-1]),
+        lambda d: d.update(cm_converged=[1] * len(d["cm_converged"])),
+    ], ids=["bad-base64", "not-a-string", "wrong-length", "nan-entry", "off-unit-circle",
+            "no-cm_converged", "short-cm_converged", "int-flags"])
+    def test_malformed_beams_rejected(self, corrupt):
+        plan = build_scan_plan(SMALL, 2, 2, CONSTANT_MODULUS, rng=13)
+        doc = json.loads(plan_to_json(plan))
+        plan_from_json(json.dumps(doc))
+        corrupt(doc["rounds"][1])
+        with pytest.raises(InvalidParameterError, match="round 1"):
+            plan_from_json(json.dumps(doc))
+
+    def test_missing_beams_message_says_rebuild(self):
+        doc = json.loads(plan_to_json(build_scan_plan(SMALL, 2, 1, CONSTANT_MODULUS, rng=1)))
+        del doc["rounds"][0]["cm_beams"]
+        with pytest.raises(InvalidParameterError, match="irsbeam plan"):
+            plan_from_json(json.dumps(doc))
+
+    def test_ideal_sparse_round_with_beams_rejected(self):
+        cm = json.loads(plan_to_json(build_scan_plan(SMALL, 2, 1, CONSTANT_MODULUS, rng=1)))
+        doc = json.loads(plan_to_json(build_scan_plan(SMALL, 2, 1, rng=1)))
+        doc["rounds"][0]["cm_beams"] = cm["rounds"][0]["cm_beams"]
+        with pytest.raises(InvalidParameterError, match="ideal-sparse"):
+            plan_from_json(json.dumps(doc))
 
 
 class TestScanPlan:
@@ -246,6 +319,24 @@ class TestConstantModulus:
         sel = rng.choice(CFG.m, size=16, replace=False)
         res = optimize_constant_modulus(bar[:, sel])
         assert np.abs(np.abs(res.v) - 1).max() <= 2 * np.finfo(float).eps
+
+    # seed -> (len(objectives), converged, final objective as float.hex) of
+    # the q=16 design set np.sort(default_rng(seed).choice(M, 16, replace=False))
+    PINNED = {
+        0: (145, True, "0x1.f3ed5e5055c24p+5"),
+        1: (10, True, "0x1.da8417de7f56ap+5"),
+        3: (201, False, "0x1.f2ec3bbde349ap+5"),
+        6: (193, True, "0x1.f0596f679fbb9p+5"),
+        11: (201, False, "0x1.efd537ff67794p+5"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_solver_trajectory_pinned(self, seed):
+        bar = cascade_dictionary(CFG)
+        sel = np.sort(np.random.default_rng(seed).choice(CFG.m, size=16, replace=False))
+        res = optimize_constant_modulus(bar[:, sel])
+        got = (len(res.objectives), res.converged, float(res.objectives[-1]).hex())
+        assert got == self.PINNED[seed]
 
     def test_energy_concentration(self):
         bar = cascade_dictionary(CFG)

@@ -294,6 +294,21 @@ class TestConfigParsing:
         with pytest.raises(InvalidParameterError):
             parse_config_text(line)
 
+    @pytest.mark.parametrize("line", [
+        "snr_db = nan", "snr_db = inf", "snr_db = -inf",
+        "snr_sweep = -10, nan", "snr_sweep = inf", "snr_db = none\nsnr_sweep = 0, -inf",
+    ])
+    def test_non_finite_snr_fails_at_parse(self, line):
+        with pytest.raises(InvalidParameterError, match="snr"):
+            parse_config_text(line)
+
+    @pytest.mark.parametrize("snr_db,snr_sweep", [
+        (math.nan, ()), (math.inf, ()), (None, (0.0, math.nan)), (-20.0, (-math.inf,)),
+    ])
+    def test_non_finite_snr_rejected_by_config(self, snr_db, snr_sweep):
+        with pytest.raises(InvalidParameterError, match="snr"):
+            ExperimentConfig(array=SMALL, q=4, l=2, snr_db=snr_db, snr_sweep=snr_sweep)
+
     def test_nlos_default_rician(self):
         los = parse_config_text("scenario = los")
         nlos = parse_config_text("scenario = nlos")
