@@ -38,8 +38,9 @@ class RoundEncoding:
     row_bin[i], column j by precoder col_bin[j]). A round measures
     |c_mat^H Lambda a_mat + N|. The physical beams v_beams/f_beams are
     built on first read, except a constant-modulus round's solved cm_beams
-    (M x U); cm_converged (U,) says which of their solves converged before
-    max_iters. Both are None in an ideal-sparse round.
+    (M x U). cm_converged (U,) says which of the solves that built this
+    round converged before max_iters; it is None in an ideal-sparse round
+    and in a round decoded from stored beams.
     """
 
     cfg: ArrayConfig
@@ -148,8 +149,7 @@ def optimize_constant_modulus(
         trial_step = step
         for _ in range(30):
             cand = v + trial_step * rgrad
-            mag = np.abs(cand)
-            cand = cand / mag if mag.all() else np.where(mag > 0, cand / mag, v)
+            cand = cand / np.abs(cand)  # |cand_i| >= 1: rgrad_i is tangent to v_i
             cand_inner = ph @ cand
             cand_den = 1.0 + np.abs(cand_inner) ** 2
             obj = float(np.sum(np.log2(cand_den)))
@@ -197,7 +197,6 @@ def encode_round(
     a_supports: np.ndarray,
     mode: str,
     cm_beams: np.ndarray | None = None,
-    cm_converged: np.ndarray | None = None,
 ) -> RoundEncoding:
     """Coefficients and bin maps of one round given its partitions.
 
@@ -205,14 +204,15 @@ def encode_round(
     {0..N_t-1}. Ideal-sparse beams put amplitude sqrt(M/q) exactly on
     their design set, precoders 1/sqrt(R) on their support;
     constant-modulus beams sense their effective supports. They are
-    solved per design set unless cm_beams (M x U) and cm_converged (U,)
-    from an earlier solve are given.
+    solved per design set unless cm_beams (M x U) from an earlier solve
+    are given.
     """
     (u, q), v = c_design.shape, len(a_supports)
     a_mat = np.zeros((cfg.n_t, v), dtype=complex)
     a_mat[a_supports, np.arange(v)[:, None]] = float(1.0 / np.sqrt(cfg.r))
+    cm_converged = None
     if mode == IDEAL_SPARSE:
-        c_supports, cm_beams, cm_converged = c_design, None, None
+        c_supports, cm_beams = c_design, None
         c_mat = np.zeros((cfg.m, u), dtype=complex)
         c_mat[c_design, np.arange(u)[:, None]] = float(np.sqrt(cfg.m / q))
     else:
@@ -282,7 +282,6 @@ def _round_doc(rnd: RoundEncoding) -> dict:
     doc = {"c_design": rnd.c_design.tolist(), "a_supports": rnd.a_supports.tolist()}
     if rnd.cm_beams is not None:
         doc["cm_beams"] = base64.b64encode(rnd.cm_beams.astype("<c16").tobytes()).decode()
-        doc["cm_converged"] = rnd.cm_converged.tolist()
     return doc
 
 
@@ -291,8 +290,7 @@ def plan_to_json(plan: ScanPlan) -> str:
     partitions. The ideal-sparse amplitudes follow from M, q and R. A
     constant-modulus round also stores its solved beams exactly, as
     base64 of little-endian complex128 ("<c16") bytes of the M x U array
-    in row-major order, and the solves' convergence flags, so a reload
-    runs no solver."""
+    in row-major order, so a reload runs no solver."""
     doc = {
         **asdict(plan.cfg),
         "q": plan.q,
@@ -319,13 +317,12 @@ def _parse_partition(name: str, sets, n: int, size: int) -> np.ndarray:
     return parts
 
 
-def _parse_cm(name: str, rnd: dict, m: int, u: int) -> tuple[np.ndarray, np.ndarray]:
-    """A constant-modulus round's stored beams (M x U, unit modulus) and
-    convergence flags (U bools)."""
-    if "cm_beams" not in rnd or "cm_converged" not in rnd:
+def _parse_cm_beams(name: str, rnd: dict, m: int, u: int) -> np.ndarray:
+    """A constant-modulus round's stored beams (M x U, unit modulus)."""
+    if "cm_beams" not in rnd:
         raise InvalidParameterError(
-            f"{name} stores no cm_beams/cm_converged (written by an older "
-            "version); rebuild the plan with `irsbeam plan`"
+            f"{name} stores no cm_beams (written by an older version); "
+            "rebuild the plan with `irsbeam plan`"
         )
     try:
         raw = base64.b64decode(rnd["cm_beams"], validate=True)
@@ -338,10 +335,7 @@ def _parse_cm(name: str, rnd: dict, m: int, u: int) -> tuple[np.ndarray, np.ndar
     beams = np.frombuffer(raw, dtype="<c16").reshape(m, u).astype(complex)
     if not np.all(np.isfinite(beams)) or np.abs(np.abs(beams) - 1.0).max() > 1e-12:
         raise InvalidParameterError(f"{name} cm_beams must be finite and unit-modulus")
-    flags = rnd["cm_converged"]
-    if not isinstance(flags, list) or len(flags) != u or any(type(f) is not bool for f in flags):
-        raise InvalidParameterError(f"{name} cm_converged must be a list of {u} booleans")
-    return beams, np.array(flags, dtype=bool)
+    return beams
 
 
 def plan_from_json(text: str) -> ScanPlan:
@@ -371,10 +365,10 @@ def plan_from_json(text: str) -> ScanPlan:
         raise InvalidParameterError("at least one round is required")
     rounds = []
     for l, (rnd, c_design, a_supports) in enumerate(raw):
-        cm_beams = cm_converged = None
+        cm_beams = None
         if mode == CONSTANT_MODULUS:
-            cm_beams, cm_converged = _parse_cm(f"round {l}", rnd, cfg.m, cfg.m // q)
-        elif "cm_beams" in rnd or "cm_converged" in rnd:
+            cm_beams = _parse_cm_beams(f"round {l}", rnd, cfg.m, cfg.m // q)
+        elif "cm_beams" in rnd:
             raise InvalidParameterError(f"round {l} of an ideal-sparse plan stores cm_beams")
         rounds.append(encode_round(
             cfg,
@@ -382,6 +376,5 @@ def plan_from_json(text: str) -> ScanPlan:
             _parse_partition(f"round {l} a_supports", a_supports, cfg.n_t, cfg.r),
             mode,
             cm_beams=cm_beams,
-            cm_converged=cm_converged,
         ))
     return ScanPlan(cfg=cfg, q=q, mode=mode, seed=seed, rounds=tuple(rounds))

@@ -4,7 +4,8 @@ import pytest
 
 from irsbeam import harness
 from irsbeam.cli import main
-from irsbeam.codebook import plan_from_json
+from irsbeam.codebook import build_scan_plan, plan_from_json
+from irsbeam.config import parse_config
 from irsbeam.errors import InvalidParameterError
 from irsbeam.harness import CSV_HEADER
 
@@ -133,9 +134,9 @@ class TestPlanCommand:
                                                          capsys):
         cm = tmp_path / "cm.cfg"
         cm.write_text(SMALL_CONFIG + "mode = constant-modulus\n")
-        out = tmp_path / "plan.json"
-        assert main(["plan", "--config", str(cm), "--out", str(out)]) == 0
-        plan = plan_from_json(out.read_text())
+        assert main(["plan", "--config", str(cm), "--out", str(tmp_path / "plan.json")]) == 0
+        cfg = parse_config(str(cm))
+        plan = build_scan_plan(cfg.array, cfg.q, cfg.l, cfg.mode, cfg.seed)
         total = sum(r.u for r in plan.rounds)
         stalled = total - sum(int(r.cm_converged.sum()) for r in plan.rounds)
         err = capsys.readouterr().err

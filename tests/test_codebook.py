@@ -139,8 +139,9 @@ class TestConstantModulusJson:
             mp.setattr(codebook, "optimize_constant_modulus", no_solve)
             back = plan_from_json(text)
         for rnd, again in zip(plan.rounds, back.rounds, strict=True):
-            for name in ("v_beams", "c_mat", "c_supports", "row_bin", "cm_converged"):
+            for name in ("v_beams", "c_mat", "c_supports", "row_bin"):
                 np.testing.assert_array_equal(getattr(rnd, name), getattr(again, name))
+            assert again.cm_converged is None  # only a fresh solve knows it
 
     def test_converged_flags_match_the_solver(self):
         plan = build_scan_plan(CFG, 16, 1, CONSTANT_MODULUS, rng=3)
@@ -168,11 +169,7 @@ class TestConstantModulusJson:
         lambda d: d.update(cm_beams=d["cm_beams"][:-8]),
         lambda d: TestConstantModulusJson._set_entry(d, 3, np.nan),
         lambda d: TestConstantModulusJson._set_entry(d, 0, 1 + 1e-11),
-        lambda d: d.pop("cm_converged"),
-        lambda d: d.update(cm_converged=d["cm_converged"][:-1]),
-        lambda d: d.update(cm_converged=[1] * len(d["cm_converged"])),
-    ], ids=["bad-base64", "not-a-string", "wrong-length", "nan-entry", "off-unit-circle",
-            "no-cm_converged", "short-cm_converged", "int-flags"])
+    ], ids=["bad-base64", "not-a-string", "wrong-length", "nan-entry", "off-unit-circle"])
     def test_malformed_beams_rejected(self, corrupt):
         plan = build_scan_plan(SMALL, 2, 2, CONSTANT_MODULUS, rng=13)
         doc = json.loads(plan_to_json(plan))
@@ -320,14 +317,17 @@ class TestConstantModulus:
         res = optimize_constant_modulus(bar[:, sel])
         assert np.abs(np.abs(res.v) - 1).max() <= 2 * np.finfo(float).eps
 
-    # seed -> (len(objectives), converged, final objective as float.hex) of
-    # the q=16 design set np.sort(default_rng(seed).choice(M, 16, replace=False))
+    # seed -> (len(objectives), converged, final objective) of the q=16
+    # design set np.sort(default_rng(seed).choice(M, 16, replace=False)).
+    # Rounding differs between BLAS and SIMD kernels, so the objective is
+    # compared to 1e-12: turning the start phases by 1e-11 at random moved
+    # these final objectives by at most 3.3e-13 and no count or flag.
     PINNED = {
-        0: (145, True, "0x1.f3ed5e5055c24p+5"),
-        1: (10, True, "0x1.da8417de7f56ap+5"),
-        3: (201, False, "0x1.f2ec3bbde349ap+5"),
-        6: (193, True, "0x1.f0596f679fbb9p+5"),
-        11: (201, False, "0x1.efd537ff67794p+5"),
+        0: (145, True, float.fromhex("0x1.f3ed5e5055c24p+5")),
+        1: (10, True, float.fromhex("0x1.da8417de7f56ap+5")),
+        3: (201, False, float.fromhex("0x1.f2ec3bbde349ap+5")),
+        6: (193, True, float.fromhex("0x1.f0596f679fbb9p+5")),
+        11: (201, False, float.fromhex("0x1.efd537ff67794p+5")),
     }
 
     @pytest.mark.parametrize("seed", sorted(PINNED))
@@ -335,8 +335,9 @@ class TestConstantModulus:
         bar = cascade_dictionary(CFG)
         sel = np.sort(np.random.default_rng(seed).choice(CFG.m, size=16, replace=False))
         res = optimize_constant_modulus(bar[:, sel])
-        got = (len(res.objectives), res.converged, float(res.objectives[-1]).hex())
-        assert got == self.PINNED[seed]
+        length, converged, final = self.PINNED[seed]
+        assert (len(res.objectives), res.converged) == (length, converged)
+        assert res.objectives[-1] == pytest.approx(final, rel=1e-12, abs=0)
 
     def test_energy_concentration(self):
         bar = cascade_dictionary(CFG)
