@@ -13,7 +13,6 @@ from .channel import (
     CascadeChannel,
     PathSet,
     assemble_channels,
-    channel_from_h,
     channel_from_lambda,
     exhaustive_search,
     sample_paths,
@@ -33,11 +32,9 @@ from .codebook import (
 )
 from .decoder import (
     MeasurementSet,
-    bin_of,
     classify_nulltons,
     decode_los,
     decode_nlos,
-    probability_matrix,
     rayleigh_threshold,
     select_nm_rounds,
     synthesize_measurements,

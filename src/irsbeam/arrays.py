@@ -49,31 +49,35 @@ class ArrayConfig:
         return self.m_y * self.m_z
 
 
-def steering_vector(freq: float, n: int) -> np.ndarray:
-    """Unit-norm steering vector with spatial frequency `freq`.
+def steering_vector(freq, n: int) -> np.ndarray:
+    """Unit-norm steering vectors: entry k is exp(j*pi*k*freq) / sqrt(n).
 
-    Entry k equals exp(j*pi*k*freq) / sqrt(n).
+    One frequency gives n values, an array of P frequencies an n x P
+    matrix. This is the only place a steering exponent is computed.
     """
     if n < 1:
         raise InvalidDimensionError(f"steering vector length must be >= 1, got {n}")
-    k = np.arange(n)
-    return np.exp(1j * np.pi * k * freq) / np.sqrt(n)
+    # this operation order keeps each column bit-identical to a 1-frequency call
+    return np.exp(np.multiply.outer(1j * np.pi * np.arange(n), freq)) / np.sqrt(n)
 
 
-def ula_response(angle: float, cfg: ArrayConfig) -> np.ndarray:
-    """BS transmit response: a(2*(d/lambda)*sin(angle), n_t)."""
+def ula_response(angle, cfg: ArrayConfig) -> np.ndarray:
+    """BS transmit responses a(2*(d/lambda)*sin(angle), n_t): n_t values,
+    or n_t x P for an array of P angles."""
     return steering_vector(2.0 * cfg.spacing_ratio * np.sin(angle), cfg.n_t)
 
 
-def upa_response(azimuth: float, elevation: float, cfg: ArrayConfig) -> np.ndarray:
-    """IRS receive response as a Kronecker product of two steering vectors.
+def upa_response(azimuth, elevation, cfg: ArrayConfig) -> np.ndarray:
+    """IRS receive responses, the Kronecker product of two steering vectors.
 
     The y-axis factor carries sin(az)*sin(el), the z-axis factor cos(el).
-    Unit norm by construction.
+    Arrays of P angles give M x P, one response per column (a column-wise
+    Khatri-Rao product). Unit norm by construction.
     """
     fy = 2.0 * cfg.spacing_ratio * np.sin(azimuth) * np.sin(elevation)
     fz = 2.0 * cfg.spacing_ratio * np.cos(elevation)
-    return np.kron(steering_vector(fy, cfg.m_y), steering_vector(fz, cfg.m_z))
+    ay, az = steering_vector(fy, cfg.m_y), steering_vector(fz, cfg.m_z)
+    return (ay[:, None] * az[None, :]).reshape(cfg.m, *np.shape(fy))
 
 
 @lru_cache(maxsize=32)
@@ -84,9 +88,7 @@ def dft_dictionary(n: int) -> np.ndarray:
     """
     if n < 1:
         raise InvalidDimensionError(f"dictionary size must be >= 1, got {n}")
-    freqs = -1.0 + (2.0 * np.arange(n) + 1.0) / n
-    k = np.arange(n)[:, None]
-    d = np.exp(1j * np.pi * k * freqs[None, :]) / np.sqrt(n)
+    d = steering_vector(-1.0 + (2.0 * np.arange(n) + 1.0) / n, n)
     d.setflags(write=False)
     return d
 

@@ -115,36 +115,26 @@ def sample_paths(
 def assemble_channels(
     bs_irs: PathSet, irs_user: PathSet, cfg: ArrayConfig
 ) -> CascadeChannel:
-    """Build G and h_r from their paths and form the cascade channel."""
+    """Cascade channel h = diag(conj(h_r)) G from its rank-P path factors.
+
+    G = sqrt(N_t*M/P) sum_p g_p a_p b_p^H, so h = U B^H with U (M x P) the
+    IRS responses times the gains, the scale and conj(h_r), and B
+    (N_t x P) the BS responses; likewise lam = (barD^H U)(B^H D).
+    """
     if bs_irs.bs_aod is None:
         raise InvalidDimensionError("BS-IRS path set needs BS departure angles")
     m, n_t = cfg.m, cfg.n_t
-    p = bs_irs.path_count
-    g = np.zeros((m, n_t), dtype=complex)
-    for gain, az, el, aod in zip(
-        bs_irs.gains, bs_irs.azimuth, bs_irs.elevation, bs_irs.bs_aod
-    ):
-        g += gain * np.outer(upa_response(az, el, cfg), np.conj(ula_response(aod, cfg)))
-    g *= np.sqrt(n_t * m / p)
-
-    pp = irs_user.path_count
-    h_r = np.zeros(m, dtype=complex)
-    for gain, az, el in zip(irs_user.gains, irs_user.azimuth, irs_user.elevation):
-        h_r += gain * upa_response(az, el, cfg)
-    h_r *= np.sqrt(m / pp)
-
-    h = np.conj(h_r)[:, None] * g
-    return channel_from_h(h, cfg)
-
-
-def channel_from_h(h: np.ndarray, cfg: ArrayConfig) -> CascadeChannel:
-    """Wrap an explicit M x N_t cascade matrix with its beamspace image."""
-    if h.shape != (cfg.m, cfg.n_t):
-        raise InvalidDimensionError(
-            f"cascade matrix must be {cfg.m} x {cfg.n_t}, got {h.shape}"
-        )
-    lam = cascade_dictionary(cfg).conj().T @ h @ dft_dictionary(cfg.n_t)
-    return CascadeChannel(h=h, lam=lam, strongest=_argmax_2d(np.abs(lam)), cfg=cfg)
+    h_r = upa_response(irs_user.azimuth, irs_user.elevation, cfg) @ irs_user.gains
+    h_r *= np.sqrt(m / irs_user.path_count)
+    u = (
+        np.conj(h_r)[:, None]
+        * upa_response(bs_irs.azimuth, bs_irs.elevation, cfg)
+        * bs_irs.gains
+        * np.sqrt(n_t * m / bs_irs.path_count)
+    )
+    b_h = ula_response(bs_irs.bs_aod, cfg).conj().T
+    lam = (cascade_dictionary(cfg).conj().T @ u) @ (b_h @ dft_dictionary(n_t))
+    return CascadeChannel(h=u @ b_h, lam=lam, strongest=_argmax_2d(np.abs(lam)), cfg=cfg)
 
 
 def channel_from_lambda(lam: np.ndarray, cfg: ArrayConfig) -> CascadeChannel:

@@ -15,6 +15,12 @@ from .errors import InvalidParameterError
 IDEAL_SPARSE = "ideal-sparse"
 CONSTANT_MODULUS = "constant-modulus"
 
+# Constant-modulus solver: iteration cap, relative objective gain below
+# which it stops, and first step length per IRS element.
+CM_MAX_ITERS = 200
+CM_TOL = 1e-6
+CM_STEP0 = 1.0
+
 
 @dataclass(frozen=True)
 class CMResult:
@@ -39,8 +45,8 @@ class RoundEncoding:
     |c_mat^H Lambda a_mat + N|. The physical beams v_beams/f_beams are
     built on first read, except a constant-modulus round's solved cm_beams
     (M x U). cm_converged (U,) says which of the solves that built this
-    round converged before max_iters; it is None in an ideal-sparse round
-    and in a round decoded from stored beams.
+    round converged before CM_MAX_ITERS steps; it is None in an
+    ideal-sparse round and in a round decoded from stored beams.
     """
 
     cfg: ArrayConfig
@@ -109,19 +115,16 @@ def _project_unit(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def optimize_constant_modulus(
-    selected: np.ndarray,
-    max_iters: int = 200,
-    tol: float = 1e-6,
-    step0: float = 1.0,
-) -> CMResult:
+def optimize_constant_modulus(selected: np.ndarray) -> CMResult:
     """Maximize sum_q log2(1 + |v^H p_q|^2) over unit-modulus v.
 
     `selected` is the M x Q matrix of target dictionary columns. Projected
     gradient ascent on the per-entry unit circle with backtracking: compute
     the Euclidean gradient, remove its radial component, step, renormalize
     every entry to unit modulus. The accepted objective sequence is
-    non-decreasing; init is the phase of the summed columns.
+    non-decreasing; init is the phase of the summed columns. It stops
+    after CM_MAX_ITERS steps or once a step gains less than CM_TOL
+    relative.
     """
     p = np.asarray(selected)
     # the conj().T layout picks BLAS's gemv kernel; a contiguous copy
@@ -136,8 +139,8 @@ def optimize_constant_modulus(
     den = 1.0 + np.abs(inner) ** 2
     objs = [float(np.sum(np.log2(den)))]
     converged = False
-    step = step0 * m
-    for _ in range(max_iters):
+    step = CM_STEP0 * m
+    for _ in range(CM_MAX_ITERS):
         # Wirtinger gradient of the objective w.r.t. conj(v).
         egrad = p @ (inner / den)
         rgrad = egrad - np.real(egrad * np.conj(v)) * v
@@ -163,7 +166,7 @@ def optimize_constant_modulus(
         v, inner, den = cand, cand_inner, cand_den
         step = trial_step * 2.0
         objs.append(obj)
-        if obj - objs[-2] < tol * max(1.0, abs(objs[-2])):
+        if obj - objs[-2] < CM_TOL * max(1.0, abs(objs[-2])):
             converged = True
             break
     return CMResult(v=_project_unit(v), objectives=np.array(objs), converged=converged)
@@ -342,18 +345,29 @@ def plan_from_json(text: str) -> ScanPlan:
     """Rebuild a plan from its serialized form; this is a pure decode.
 
     Keys written by older versions (beta, gamma, c_supports) are ignored.
-    A missing key, a non-integer size, a shape check_round_shape rejects,
-    round sets that do not partition the index ranges, a constant-modulus
-    round without valid stored beams, or stored beams in an ideal-sparse
-    round raise InvalidParameterError.
+    Text that is not a JSON object, rounds that are not a list of objects,
+    a seed that is not null or a non-negative integer, a missing key, a
+    non-integer size, a shape check_round_shape rejects, round sets that
+    do not partition the index ranges, a constant-modulus round without
+    valid stored beams, or stored beams in an ideal-sparse round raise
+    InvalidParameterError.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidParameterError(f"plan is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InvalidParameterError("plan must be a JSON object")
     try:
         array = {f.name: doc[f.name] for f in fields(ArrayConfig)}
-        q, mode, seed = doc["q"], doc["mode"], doc["seed"]
-        raw = [(rnd, rnd["c_design"], rnd["a_supports"]) for rnd in doc["rounds"]]
+        q, mode, seed, docs = doc["q"], doc["mode"], doc["seed"], doc["rounds"]
+        if not isinstance(docs, list) or not all(isinstance(d, dict) for d in docs):
+            raise InvalidParameterError("plan rounds must be a list of objects")
+        raw = [(rnd, rnd["c_design"], rnd["a_supports"]) for rnd in docs]
     except KeyError as exc:
         raise InvalidParameterError(f"plan is missing key {exc}") from None
+    if seed is not None and (type(seed) is not int or seed < 0):
+        raise InvalidParameterError("plan seed must be null or a non-negative integer")
     if type(q) is not int or any(
         type(array[f.name]) not in ((int, float) if f.type == "float" else (int,))
         for f in fields(ArrayConfig)

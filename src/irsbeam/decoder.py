@@ -48,21 +48,6 @@ def synthesize_measurements(
     return MeasurementSet(y=ys, plan=plan)
 
 
-def bin_of(plan: ScanPlan, l: int, i: int, j: int) -> tuple[int, int]:
-    """The unique (u, v) bin sensing beamspace entry (i, j) in round l."""
-    rnd = plan.rounds[l]
-    return int(rnd.row_bin[i]), int(rnd.col_bin[j])
-
-
-def probability_matrix(y_l: np.ndarray, plan: ScanPlan, l: int) -> np.ndarray:
-    """M x N_t soft scores: entry (i, j) is the squared measurement of its
-    bin. Equivalent to the indicator-vector inner product but O(M*N_t)
-    because every index has exactly one bin."""
-    rnd = plan.rounds[l]
-    y_sq = np.abs(y_l) ** 2
-    return y_sq[np.ix_(rnd.row_bin, rnd.col_bin)]
-
-
 def _decode(
     measurements: MeasurementSet,
     plan: ScanPlan,
@@ -93,10 +78,11 @@ def _decode(
         score += log_y[:, rnd.col_bin][rnd.row_bin]
     n_candidates = int(mask.sum())
     if n_candidates == 0:
-        raise ThresholdTooHighError(max(
-            float(probability_matrix(measurements.y[l], plan, l).max())
-            for l in rounds
-        ))
+        # the largest squared measurement (y >= 0); in an ideal-sparse
+        # round every bin scores some entry, so it is the largest score
+        raise ThresholdTooHighError(
+            max(float(measurements.y[l].max()) for l in rounds) ** 2
+        )
     score[~mask] = -np.inf
     best = int(np.argmax(score))
     if score.flat[best] == -np.inf:

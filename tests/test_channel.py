@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from irsbeam.arrays import ArrayConfig, cascade_dictionary, dft_dictionary
+from irsbeam.arrays import (
+    ArrayConfig,
+    cascade_dictionary,
+    dft_dictionary,
+    ula_response,
+    upa_response,
+)
 from irsbeam.channel import (
     PathSet,
     assemble_channels,
-    channel_from_h,
     channel_from_lambda,
     exhaustive_search,
     sample_paths,
@@ -29,6 +36,62 @@ def grid_aligned_paths(cfg, iy, iz, jt, gain=1.0 + 0j):
         elevation=np.array([el]),
         bs_aod=np.array([aod]),
     )
+
+
+def per_path_cascade(bs_irs, irs_user, cfg):
+    """Reference cascade matrix summed path by path with np.outer."""
+    g = sum(
+        gain * np.outer(upa_response(az, el, cfg), np.conj(ula_response(aod, cfg)))
+        for gain, az, el, aod in zip(
+            bs_irs.gains, bs_irs.azimuth, bs_irs.elevation, bs_irs.bs_aod
+        )
+    ) * np.sqrt(cfg.n_t * cfg.m / bs_irs.path_count)
+    h_r = sum(
+        gain * upa_response(az, el, cfg)
+        for gain, az, el in zip(irs_user.gains, irs_user.azimuth, irs_user.elevation)
+    ) * np.sqrt(cfg.m / irs_user.path_count)
+    return np.conj(h_r)[:, None] * g
+
+
+small_cascades = st.tuples(
+    st.integers(1, 4),  # m_y
+    st.integers(1, 4),  # m_z
+    st.integers(1, 8),  # n_t
+    st.integers(1, 4),  # BS-IRS paths
+    st.integers(1, 4),  # IRS-user paths
+    st.integers(0, 2**32 - 1),  # seed
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_cascades)
+def test_assemble_matches_per_path_oracle(case):
+    m_y, m_z, n_t, p, pp, seed = case
+    cfg = ArrayConfig(n_t=n_t, m_y=m_y, m_z=m_z, r=1)
+    rng = np.random.default_rng(seed)
+    bs_irs = sample_paths(p, 0.0, rng, with_bs_aod=True)
+    irs_user = sample_paths(pp, 0.0, rng)
+    ch = assemble_channels(bs_irs, irs_user, cfg)
+    h = per_path_cascade(bs_irs, irs_user, cfg)
+    assert np.abs(ch.h - h).max() <= 1e-12 * np.abs(h).max()
+    lam = cascade_dictionary(cfg).conj().T @ h @ dft_dictionary(n_t)
+    assert np.abs(ch.lam - lam).max() <= 1e-12 * np.abs(lam).max()
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_cascades)
+def test_vectorized_responses_match_per_angle_calls(case):
+    m_y, m_z, n_t, p, _, seed = case
+    cfg = ArrayConfig(n_t=n_t, m_y=m_y, m_z=m_z, r=1)
+    paths = sample_paths(p, 0.0, np.random.default_rng(seed), with_bs_aod=True)
+    ula = ula_response(paths.bs_aod, cfg)
+    upa = upa_response(paths.azimuth, paths.elevation, cfg)
+    assert ula.shape == (n_t, p) and upa.shape == (cfg.m, p)
+    for k in range(p):
+        assert np.array_equal(ula[:, k], ula_response(paths.bs_aod[k], cfg))
+        assert np.array_equal(
+            upa[:, k], upa_response(paths.azimuth[k], paths.elevation[k], cfg)
+        )
 
 
 class TestSamplePaths:
@@ -114,16 +177,11 @@ class TestAssemble:
 
     def test_beamspace_matches_transform(self):
         rng = np.random.default_rng(13)
-        h = rng.standard_normal((CFG.m, CFG.n_t)) + 1j * rng.standard_normal(
-            (CFG.m, CFG.n_t)
-        )
-        ch = channel_from_h(h, CFG)
-        expect = cascade_dictionary(CFG).conj().T @ h @ dft_dictionary(CFG.n_t)
-        np.testing.assert_allclose(ch.lam, expect)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidDimensionError):
-            channel_from_h(np.zeros((3, 3)), CFG)
+        bs_irs = sample_paths(3, 0.0, rng, with_bs_aod=True)
+        irs_user = sample_paths(2, 0.0, rng)
+        ch = assemble_channels(bs_irs, irs_user, CFG)
+        expect = cascade_dictionary(CFG).conj().T @ ch.h @ dft_dictionary(CFG.n_t)
+        np.testing.assert_allclose(ch.lam, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
 
 
 def test_merged_row_construction_identity():
@@ -140,7 +198,7 @@ def test_merged_row_construction_identity():
     g = np.sqrt(n_t * m / p) * d_r @ sigma @ dft_dictionary(n_t).conj().T
     h_r = np.sqrt(m / pp) * d_r @ alpha
     h = np.conj(h_r)[:, None] * g
-    ch = channel_from_h(h, cfg)
+    lam = cascade_dictionary(cfg).conj().T @ h @ dft_dictionary(n_t)
 
     # merged construction: rows of J summed into groups S_i defined by
     # duplicate columns of the full row-wise Khatri-Rao product
@@ -155,7 +213,7 @@ def test_merged_row_construction_identity():
             np.all(np.abs(tilde_full - bar[:, i : i + 1]) < 1e-9, axis=0)
         )[0]
         lam_merged[i] = j_mat[dup].sum(axis=0)
-    np.testing.assert_allclose(lam_merged, ch.lam, atol=1e-9)
+    np.testing.assert_allclose(lam_merged, lam, atol=1e-9)
 
 
 class TestExhaustive:

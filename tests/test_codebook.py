@@ -287,6 +287,29 @@ class TestPlanJson:
         with pytest.raises(InvalidParameterError):
             plan_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("text", [
+        "{",
+        "[1]",
+        {"rounds": [5]},
+        {"rounds": 5},
+        {"seed": "x"},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"seed": True},
+    ], ids=["invalid-json", "top-level-list", "round-not-object", "rounds-not-list",
+            "string-seed", "negative-seed", "float-seed", "bool-seed"])
+    def test_malformed_text_rejected_with_package_error(self, text):
+        if isinstance(text, dict):
+            doc = json.loads(plan_to_json(build_scan_plan(SMALL, 2, 1, rng=3)))
+            text = json.dumps({**doc, **text})
+        with pytest.raises(InvalidParameterError):
+            plan_from_json(text)
+
+    def test_null_seed_loads(self):
+        plan = build_scan_plan(SMALL, 2, 1, rng=np.random.default_rng(3))
+        assert plan.seed is None
+        assert plan_from_json(plan_to_json(plan)).seed is None
+
 
 class TestConstantModulus:
     def test_single_column_phase_alignment_is_optimal(self):

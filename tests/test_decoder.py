@@ -7,11 +7,9 @@ from irsbeam.arrays import ArrayConfig
 from irsbeam.codebook import IDEAL_SPARSE, ScanPlan, build_scan_plan, encode_round
 from irsbeam.decoder import (
     MeasurementSet,
-    bin_of,
     classify_nulltons,
     decode_los,
     decode_nlos,
-    probability_matrix,
     rayleigh_threshold,
     select_nm_rounds,
     synthesize_measurements,
@@ -30,6 +28,11 @@ def handmade_round(cfg, c_parts, a_parts):
     return encode_round(cfg, np.asarray(c_parts), np.asarray(a_parts), IDEAL_SPARSE)
 
 
+def score_matrix(y_l, rnd):
+    """M x N_t oracle: entry (i, j) is the squared measurement of its bin."""
+    return (np.abs(y_l) ** 2)[np.ix_(rnd.row_bin, rnd.col_bin)]
+
+
 def handmade_plan(cfg, q, rounds_spec):
     rounds = tuple(handmade_round(cfg, c, a) for c, a in rounds_spec)
     return ScanPlan(cfg=cfg, q=q, mode="ideal-sparse", seed=None, rounds=rounds)
@@ -41,8 +44,9 @@ class TestBinOf:
         plan = handmade_plan(
             cfg, 2, [(([0, 1], [2, 3]), ([0, 1], [2, 3]))]
         )
-        assert bin_of(plan, 0, 2, 0) == (1, 0)
-        assert bin_of(plan, 0, 0, 3) == (0, 1)
+        rnd = plan.rounds[0]
+        assert (rnd.row_bin[2], rnd.col_bin[0]) == (1, 0)
+        assert (rnd.row_bin[0], rnd.col_bin[3]) == (0, 1)
 
     def test_indicator_has_single_nonzero(self):
         plan = build_scan_plan(SMALL, 4, 2, rng=0)
@@ -50,7 +54,7 @@ class TestBinOf:
             rnd = plan.rounds[l]
             for i in range(SMALL.m):
                 for j in range(SMALL.n_t):
-                    u, v = bin_of(plan, l, i, j)
+                    u, v = rnd.row_bin[i], rnd.col_bin[j]
                     hits = [
                         (uu, vv)
                         for uu in range(rnd.u)
@@ -64,7 +68,7 @@ class TestProbabilityMatrix:
     def test_zero_measurements(self):
         plan = build_scan_plan(SMALL, 4, 1, rng=1)
         rnd = plan.rounds[0]
-        p = probability_matrix(np.zeros((rnd.u, rnd.v)), plan, 0)
+        p = score_matrix(np.zeros((rnd.u, rnd.v)), rnd)
         assert np.all(p == 0)
 
     def test_matches_indicator_inner_product(self):
@@ -72,7 +76,7 @@ class TestProbabilityMatrix:
         rnd = plan.rounds[0]
         rng = np.random.default_rng(3)
         y = rng.uniform(0, 2, size=(rnd.u, rnd.v))
-        p = probability_matrix(y, plan, 0)
+        p = score_matrix(y, rnd)
         y_sq_vec = (y * y).ravel()
         for i in range(SMALL.m):
             for j in range(SMALL.n_t):
@@ -87,7 +91,7 @@ class TestProbabilityMatrix:
         plan = build_scan_plan(SMALL, 4, 1, rng=4)
         rnd = plan.rounds[0]
         y = np.random.default_rng(5).uniform(0, 1, size=(rnd.u, rnd.v))
-        p = probability_matrix(y, plan, 0)
+        p = score_matrix(y, rnd)
         i0, i1 = rnd.c_supports[0][:2]
         j0, j1 = rnd.a_supports[0][:2]
         assert p[i0, j0] == p[i1, j1] == y[0, 0] ** 2
@@ -132,8 +136,8 @@ class TestDecodeLos:
         assert est.candidate_count == SMALL.m * SMALL.n_t
         # global product argmax
         prod = np.ones((SMALL.m, SMALL.n_t))
-        for l, y in enumerate(ms.y):
-            prod *= probability_matrix(y, plan, l)
+        for rnd, y in zip(plan.rounds, ms.y):
+            prod *= score_matrix(y, rnd)
         truth = np.unravel_index(np.argmax(prod), prod.shape)
         assert (est.i_star, est.j_star) == truth
 
@@ -161,6 +165,9 @@ class TestDecodeLos:
         with pytest.raises(ThresholdTooHighError) as exc:
             decode_los(ms, plan, 1e9)
         assert exc.value.max_observed > 0
+        assert exc.value.max_observed == max(
+            score_matrix(y, rnd).max() for rnd, y in zip(plan.rounds, ms.y)
+        )
 
     def test_determinism(self):
         plan = build_scan_plan(SMALL, 4, 3, rng=16)

@@ -153,6 +153,16 @@ class TestTrials:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert _worker_count() == 64
 
+    @pytest.mark.parametrize("scenario", ["los", "nlos"])
+    def test_trial_with_nothing_above_threshold_decodes_ungated(self, scenario):
+        # at -20 dB with one round on this grid some trials leave every
+        # measurement below the detector threshold
+        cfg = ExperimentConfig(array=SMALL, q=4, l=1, scenario=scenario, seed=1)
+        records = [run_trial(cfg, t) for t in range(40)]
+        ungated = [r for r in records if r.estimate.detector_threshold == 0.0]
+        assert ungated
+        assert all(r.estimate.candidate_count == SMALL.m * SMALL.n_t for r in ungated)
+
     def test_nlos_scenario_runs(self):
         cfg = ExperimentConfig(
             array=SMALL, q=4, l=4, scenario="nlos", snr_db=-5.0, trials=3,
