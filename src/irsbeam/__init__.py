@@ -13,7 +13,6 @@ from .channel import (
     CascadeChannel,
     PathSet,
     assemble_channels,
-    channel_from_lambda,
     exhaustive_search,
     sample_paths,
 )

@@ -52,14 +52,18 @@ class PathSet:
 class CascadeChannel:
     """Cascade channel H = diag(h_r^H) G with its beamspace image.
 
-    `lam` is the unitary beamspace transform of `h`; `strongest` is the
-    0-based (row, col) index of the largest |lam| entry, ties broken by
-    lowest row then lowest column.
+    `u` (M x P) and `b` (N_t x P) are the rank-P factors, h = u b^H; the
+    full-CSI reference beams are computed from them. `lam` is the unitary
+    beamspace transform of `h`; `strongest` is the 0-based (row, col)
+    index of the largest |lam| entry, ties broken by lowest row then
+    lowest column.
     """
 
     h: np.ndarray
     lam: np.ndarray
     strongest: tuple[int, int]
+    u: np.ndarray = field(repr=False)
+    b: np.ndarray = field(repr=False)
     cfg: ArrayConfig = field(repr=False)
 
 
@@ -132,19 +136,12 @@ def assemble_channels(
         * bs_irs.gains
         * np.sqrt(n_t * m / bs_irs.path_count)
     )
-    b_h = ula_response(bs_irs.bs_aod, cfg).conj().T
+    b = ula_response(bs_irs.bs_aod, cfg)
+    b_h = b.conj().T
     lam = (cascade_dictionary(cfg).conj().T @ u) @ (b_h @ dft_dictionary(n_t))
-    return CascadeChannel(h=u @ b_h, lam=lam, strongest=_argmax_2d(np.abs(lam)), cfg=cfg)
-
-
-def channel_from_lambda(lam: np.ndarray, cfg: ArrayConfig) -> CascadeChannel:
-    """Wrap an explicit beamspace matrix (used for planted-support studies)."""
-    if lam.shape != (cfg.m, cfg.n_t):
-        raise InvalidDimensionError(
-            f"beamspace matrix must be {cfg.m} x {cfg.n_t}, got {lam.shape}"
-        )
-    h = cascade_dictionary(cfg) @ lam @ dft_dictionary(cfg.n_t).conj().T
-    return CascadeChannel(h=h, lam=lam, strongest=_argmax_2d(np.abs(lam)), cfg=cfg)
+    return CascadeChannel(
+        h=u @ b_h, lam=lam, strongest=_argmax_2d(np.abs(lam)), u=u, b=b, cfg=cfg
+    )
 
 
 def noisy_magnitude(

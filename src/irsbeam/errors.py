@@ -23,3 +23,7 @@ class ThresholdTooHighError(RuntimeError):
         )
         self.max_observed = max_observed
 
+    def __reduce__(self):
+        # args holds the formatted message, not the constructor argument
+        return type(self), (self.max_observed,)
+

@@ -113,38 +113,33 @@ def snr_to_sigma(h: np.ndarray, snr_db: float) -> float:
     return float(fro / math.sqrt(n_t * m * 10.0 ** (snr_db / 10.0)))
 
 
-def optimal_beams(h: np.ndarray):
-    """Full-CSI reference beams: constant-modulus v, unit-norm f.
+def optimal_beams(u: np.ndarray, b: np.ndarray):
+    """Full-CSI reference beams for h = u b^H: constant-modulus v (M),
+    unit-norm f (N_t).
 
-    Alternating maximization of |v^H h f|: f is matched to v^H h, v
-    phase-aligns h f. Initialized from the dominant right singular
-    direction (power iteration); the objective is non-decreasing.
+    Alternating maximization of |v^H h f| on the rank-P factors (u is
+    M x P, b is N_t x P), with f = b x kept in the span of b: v
+    phase-aligns h f = u (b^H b) x, then f is matched to v^H h, so
+    x = w / ||b w|| with w = u^H v and the objective is ||b w||. The
+    start is the dominant right singular direction of h, b x with x the
+    top eigenvector of the P x P matrix (u^H u)(b^H b). The objective is
+    non-decreasing; the stopping rule is relative, so it ignores scale.
     """
-    m, n_t = h.shape
-    f = np.ones(n_t, dtype=complex) / math.sqrt(n_t)
-    gram = h.conj().T @ h
-    for _ in range(50):
-        nxt = gram @ f
-        nrm = np.linalg.norm(nxt)
-        if nrm == 0:
-            break
-        f = nxt / nrm
+    gram = b.conj().T @ b
+    vals, vecs = np.linalg.eig((u.conj().T @ u) @ gram)
+    x = vecs[:, np.argmax(vals.real)]
     obj = 0.0
-    v = np.ones(m, dtype=complex)
     for _ in range(BGR_MAX_ITERS):
-        hf = h @ f
-        v = np.exp(1j * np.angle(hf))
-        vh = h.conj().T @ v
-        nrm = np.linalg.norm(vh)
+        v = np.exp(1j * np.angle(u @ (gram @ x)))
+        w = u.conj().T @ v
+        nrm = np.linalg.norm(b @ w)
         if nrm == 0:
             break
-        f = vh / nrm
-        new_obj = abs(np.vdot(v, h @ f))
-        if new_obj - obj <= BGR_TOL * max(obj, 1.0):
-            obj = new_obj
+        x = w / nrm
+        if nrm - obj <= BGR_TOL * obj:
             break
-        obj = new_obj
-    return v, f
+        obj = nrm
+    return v, b @ x
 
 
 def bgr(ch: CascadeChannel, estimate: AlignmentEstimate) -> float:
@@ -152,12 +147,12 @@ def bgr(ch: CascadeChannel, estimate: AlignmentEstimate) -> float:
 
     Grid pair (i, j), v = sqrt(M) barD_R[:, i] and f = D[:, j], has gain
     |v^H H f|^2 = M |lam[i, j]|^2. The reference is the larger of the
-    alternating maximizer's gain and the best grid pair's, so it
-    dominates every grid pair even when the ascent stops at a local
-    maximum.
+    alternating maximizer's gain, computed from the channel's rank-P
+    factors `u` and `b`, and the best grid pair's, so it dominates every
+    grid pair even when the ascent stops at a local maximum.
     """
-    v_opt, f_opt = optimal_beams(ch.h)
-    opt_gain = abs(np.vdot(v_opt, ch.h @ f_opt)) ** 2
+    v_opt, f_opt = optimal_beams(ch.u, ch.b)
+    opt_gain = abs(np.vdot(ch.u.conj().T @ v_opt, ch.b.conj().T @ f_opt)) ** 2
     m, lam = ch.cfg.m, ch.lam
     opt_gain = max(opt_gain, m * abs(lam[ch.strongest]) ** 2)
     return m * abs(lam[estimate.i_star, estimate.j_star]) ** 2 / opt_gain

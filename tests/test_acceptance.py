@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from irsbeam.arrays import ArrayConfig, cascade_dictionary, dft_dictionary
-from irsbeam.channel import channel_from_lambda, exhaustive_search
+from irsbeam.channel import exhaustive_search
 from irsbeam.codebook import build_scan_plan, effective_support, optimize_constant_modulus
 from irsbeam.decoder import decode_los, decode_nlos, synthesize_measurements
 from irsbeam.harness import (
@@ -23,6 +23,8 @@ from irsbeam.harness import (
     sweep,
 )
 from irsbeam.theory import PlanProbe, g_exact, p_lower_los, p_lower_nlos, p_nm_round
+
+from helpers import channel_from_lambda
 
 PAPER = ArrayConfig(n_t=128, m_y=16, m_z=16, r=4)
 WIDE = ArrayConfig(n_t=128, m_y=16, m_z=16, r=8)

@@ -13,11 +13,12 @@ from irsbeam.arrays import (
 from irsbeam.channel import (
     PathSet,
     assemble_channels,
-    channel_from_lambda,
     exhaustive_search,
     sample_paths,
 )
 from irsbeam.errors import InvalidDimensionError
+
+from helpers import channel_from_lambda
 
 CFG = ArrayConfig(n_t=8, m_y=4, m_z=4, r=2)
 

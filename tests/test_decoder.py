@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,6 +170,14 @@ class TestDecodeLos:
         assert exc.value.max_observed == max(
             score_matrix(y, rnd).max() for rnd, y in zip(plan.rounds, ms.y)
         )
+
+    def test_threshold_error_survives_pickling(self):
+        # a pooled caller receives the worker's exception through pickle
+        err = ThresholdTooHighError(3.5)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is ThresholdTooHighError
+        assert back.max_observed == 3.5
+        assert str(back) == str(err)
 
     def test_determinism(self):
         plan = build_scan_plan(SMALL, 4, 3, rng=16)
