@@ -3,7 +3,8 @@
 One probability-product decoder scores every beamspace entry by the
 product of its bins' squared measurements over a set of rounds: all
 rounds for LOS channels, only the no-multiton (NM) rounds for NLOS
-channels.
+channels. A decode in which no entry clears the detector gate returns
+the same decoder's result at threshold 0.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ import numpy as np
 
 from .channel import AlignmentEstimate, noisy_magnitude
 from .codebook import ScanPlan
-from .errors import InvalidDimensionError, InvalidParameterError, ThresholdTooHighError
+from .errors import InvalidDimensionError, InvalidParameterError
 
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """L nonnegative U x V matrices, one per scanning round."""
+    """L finite, nonnegative U x V matrices, one per scanning round."""
 
     y: tuple[np.ndarray, ...]
     plan: ScanPlan
@@ -30,8 +31,9 @@ class MeasurementSet:
         for y_l, rnd in zip(self.y, self.plan.rounds):
             if y_l.shape != (rnd.u, rnd.v):
                 raise InvalidDimensionError(f"round matrix must be {rnd.u} x {rnd.v}")
-            if np.any(y_l < 0):
-                raise InvalidParameterError("magnitude measurements must be nonnegative")
+            # a NaN fails both comparisons
+            if not (y_l.min() >= 0 and y_l.max() < np.inf):
+                raise InvalidParameterError("measurements must be finite and nonnegative")
 
 
 def synthesize_measurements(
@@ -63,6 +65,11 @@ def _decode(
     product), which neither underflows nor overflows. A candidate whose
     product is 0 (log -inf) still beats every non-candidate; ties go to
     the lowest row, then column.
+
+    With no candidate the result is the decode at epsilon 0 over every
+    round (every entry a candidate; for NLOS every round NM), not over the
+    given rounds: a constant-modulus bin may own no rows, so an empty
+    candidate set does not imply that every round was selected.
     """
     eps_sq = epsilon**2
     score = np.zeros((plan.cfg.m, plan.cfg.n_t))
@@ -78,11 +85,8 @@ def _decode(
         score += log_y[:, rnd.col_bin][rnd.row_bin]
     n_candidates = int(mask.sum())
     if n_candidates == 0:
-        # the largest squared measurement (y >= 0); in an ideal-sparse
-        # round every bin scores some entry, so it is the largest score
-        raise ThresholdTooHighError(
-            max(float(measurements.y[l].max()) for l in rounds) ** 2
-        )
+        every = tuple(range(plan.l))
+        return _decode(measurements, plan, 0.0, every, None if nm_rounds is None else every)
     score[~mask] = -np.inf
     best = int(np.argmax(score))
     if score.flat[best] == -np.inf:

@@ -26,7 +26,7 @@ from .decoder import (
     rayleigh_threshold,
     synthesize_measurements,
 )
-from .errors import InvalidParameterError, ThresholdTooHighError
+from .errors import InvalidParameterError
 
 WORKERS_ENV = "IRSBEAM_WORKERS"
 
@@ -105,12 +105,22 @@ class TrialRecord:
 
 
 def snr_to_sigma(h: np.ndarray, snr_db: float) -> float:
-    """Noise std for SNR = ||H||_F^2 / (N_t * M * sigma^2) in dB."""
-    fro = np.linalg.norm(h)
-    if fro <= 0:
-        raise InvalidParameterError("channel must be nonzero to set an SNR")
+    """Noise std for SNR = ||H||_F^2 / (N_t * M * sigma^2) in dB.
+
+    Where the plain norm may under- or overflow it is taken of |h| scaled
+    by an exact power of two, so sigma scales with h over the float range.
+    """
     m, n_t = h.shape
-    return float(fro / math.sqrt(n_t * m * 10.0 ** (snr_db / 10.0)))
+    den = math.sqrt(n_t * m * 10.0 ** (snr_db / 10.0))
+    with np.errstate(over="ignore"):
+        fro = np.linalg.norm(h)
+    if 2.0**-400 <= fro <= 2.0**400:
+        return float(fro / den)
+    peak = np.abs(h).max()
+    if not 0 < peak < np.inf:
+        raise InvalidParameterError("channel must be finite and nonzero to set an SNR")
+    e = int(np.frexp(peak)[1])
+    return float(np.ldexp(np.linalg.norm(np.ldexp(np.abs(h), -e)) / den, e))
 
 
 def optimal_beams(u: np.ndarray, b: np.ndarray):
@@ -183,8 +193,7 @@ def _score(
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
-    """Sample a channel, scan it, decode, score success and BGR. A trial
-    with no measurement above the detector threshold decodes ungated."""
+    """Sample a channel, scan it, decode, score success and BGR."""
     rng = trial_rng(cfg.seed, trial_index)
     ch, sigma = _sample_channel(cfg, rng)
     plan = build_scan_plan(cfg.array, cfg.q, cfg.l, cfg.mode, rng)
@@ -195,11 +204,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
         epsilon = 1e-9 * max(float(y.max()) for y in measurements.y)
 
     decode = decode_los if cfg.scenario == "los" else decode_nlos
-    try:
-        estimate = decode(measurements, plan, epsilon)
-    except ThresholdTooHighError:
-        estimate = decode(measurements, plan, 0.0)
-    return _score(cfg, ch, estimate)
+    return _score(cfg, ch, decode(measurements, plan, epsilon))
 
 
 def run_baseline_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:

@@ -50,8 +50,7 @@ def p_lower_los(probe: PlanProbe) -> float:
     """Lower bound on single-dominant-entry recovery after l rounds."""
     if probe.l == 0:
         return 0.0
-    p = _p_single(probe.q, probe.l, probe.m) * _p_single(probe.r, probe.l, probe.n_t)
-    return min(max(p, 0.0), 1.0)
+    return _p_single(probe.q, probe.l, probe.m) * _p_single(probe.r, probe.l, probe.n_t)
 
 
 def _log_comb(n: int, k: int) -> float:
@@ -108,22 +107,17 @@ def p_lower_nlos(probe: PlanProbe) -> float:
 
 
 def min_rounds(q: int, m: int, p1: float) -> int:
-    """Smallest round count with _p_single(q, L, m) >= p1.
+    """Smallest round count L >= 1 with _p_single(q, L, m) >= p1.
 
-    The closed-form bound log(m-1) + log(1/(1-p1)) over log((m-1)/(q-1))
-    is sufficient but not tight, so the result is verified by direct
-    evaluation and tightened to the true minimum.
+    _p_single rises with L toward 1, so an upward search from L = 1
+    finds the minimum; the closed-form log(m-1) + log(1/(1-p1)) over
+    log((m-1)/(q-1)) bounds its length.
     """
     if not 0 < p1 < 1:
         raise InvalidParameterError("p1 must lie in (0, 1)")
     if not 1 <= q < m:
         raise InvalidParameterError("need 1 <= q < m")
-    if q == 1:
-        return 1
-    raw = (math.log(m - 1) + math.log(1.0 / (1.0 - p1))) / math.log((m - 1) / (q - 1))
-    l = max(1, math.ceil(raw))
-    while l > 1 and _p_single(q, l - 1, m) >= p1:
-        l -= 1
+    l = 1
     while _p_single(q, l, m) < p1:
         l += 1
     return l

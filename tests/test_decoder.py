@@ -1,12 +1,16 @@
-import pickle
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irsbeam.arrays import ArrayConfig
-from irsbeam.codebook import IDEAL_SPARSE, ScanPlan, build_scan_plan, encode_round
+from irsbeam.codebook import (
+    CONSTANT_MODULUS,
+    IDEAL_SPARSE,
+    ScanPlan,
+    build_scan_plan,
+    encode_round,
+)
 from irsbeam.decoder import (
     MeasurementSet,
     classify_nulltons,
@@ -16,11 +20,7 @@ from irsbeam.decoder import (
     select_nm_rounds,
     synthesize_measurements,
 )
-from irsbeam.errors import (
-    InvalidDimensionError,
-    InvalidParameterError,
-    ThresholdTooHighError,
-)
+from irsbeam.errors import InvalidDimensionError, InvalidParameterError
 
 SMALL = ArrayConfig(n_t=16, m_y=4, m_z=4, r=4)
 
@@ -161,23 +161,14 @@ class TestDecodeLos:
         assert est1.nm_rounds == est2.nm_rounds
 
     def test_threshold_too_high(self):
+        # nothing clears the gate: the result is the decode at epsilon 0
         plan = build_scan_plan(SMALL, 4, 2, rng=15)
         lam = planted_lam(SMALL.m, SMALL.n_t, {(0, 0): 1.0})
         ms = synthesize_measurements(lam, plan, 0.0)
-        with pytest.raises(ThresholdTooHighError) as exc:
-            decode_los(ms, plan, 1e9)
-        assert exc.value.max_observed > 0
-        assert exc.value.max_observed == max(
-            score_matrix(y, rnd).max() for rnd, y in zip(plan.rounds, ms.y)
-        )
-
-    def test_threshold_error_survives_pickling(self):
-        # a pooled caller receives the worker's exception through pickle
-        err = ThresholdTooHighError(3.5)
-        back = pickle.loads(pickle.dumps(err))
-        assert type(back) is ThresholdTooHighError
-        assert back.max_observed == 3.5
-        assert str(back) == str(err)
+        est = decode_los(ms, plan, 1e9)
+        assert est == decode_los(ms, plan, 0.0)
+        assert est.candidate_count == SMALL.m * SMALL.n_t
+        assert est.detector_threshold == 0.0
 
     def test_determinism(self):
         plan = build_scan_plan(SMALL, 4, 3, rng=16)
@@ -323,3 +314,68 @@ class TestMeasurementSet:
         rnd = plan.rounds[0]
         with pytest.raises(InvalidParameterError):
             MeasurementSet(y=(-np.ones((rnd.u, rnd.v)),), plan=plan)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        plan = build_scan_plan(SMALL, 4, 2, rng=25)
+        ys = [np.ones((rnd.u, rnd.v)) for rnd in plan.rounds]
+        ys[1][0, 0] = bad
+        with pytest.raises(InvalidParameterError, match="finite"):
+            MeasurementSet(y=tuple(ys), plan=plan)
+
+
+def _assert_ungated_is_epsilon_zero(plan, seed):
+    rng = np.random.default_rng(seed)
+    shape = (plan.cfg.m, plan.cfg.n_t)
+    lam = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ms = synthesize_measurements(lam, plan, 0.5, rng)
+    above_all = 2.0 * max(float(y.max()) for y in ms.y) + 1.0
+    for decode in (decode_los, decode_nlos):
+        est = decode(ms, plan, above_all)
+        assert est == decode(ms, plan, 0.0)
+        assert est.detector_threshold == 0.0
+        assert est.candidate_count == plan.cfg.m * plan.cfg.n_t
+        assert est.nm_rounds in (None, tuple(range(plan.l)))
+
+
+class TestUngatedFallback:
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.integers(1, 4), st.integers(1, 4), st.integers(1, 8),
+        st.data(), st.integers(1, 4), st.integers(0, 2**32 - 1),
+    )
+    def test_ideal_sparse_matches_epsilon_zero(self, m_y, m_z, n_t, data, l, seed):
+        m = m_y * m_z
+        r = data.draw(st.sampled_from([d for d in range(1, n_t + 1) if n_t % d == 0]))
+        q = data.draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+        plan = build_scan_plan(ArrayConfig(n_t=n_t, m_y=m_y, m_z=m_z, r=r), q, l, rng=seed)
+        _assert_ungated_is_epsilon_zero(plan, seed)
+
+    def test_golden_constant_modulus_matches_epsilon_zero(self):
+        # the plan pinned in test_golden.py, whose effective supports overlap
+        plan = build_scan_plan(
+            ArrayConfig(n_t=8, m_y=4, m_z=4, r=2), 8, 2, CONSTANT_MODULUS, rng=6
+        )
+        for seed in range(5):
+            _assert_ungated_is_epsilon_zero(plan, seed)
+
+    def test_nlos_fallback_decodes_every_round(self):
+        # round 0 repeats one beam, so every row goes to bin 0 and bin 1
+        # owns none. Only bin 1 clears the gate there, which makes round 0
+        # the sole NM round and leaves it with no candidate: the fallback
+        # must then decode over both rounds, not over the NM subset
+        cfg = ArrayConfig(n_t=4, m_y=2, m_z=2, r=2)
+        halves = np.array([[0, 1], [2, 3]])
+        beams = np.exp(1j * np.pi * np.outer(np.arange(4), [0, 1]))
+        rounds = tuple(
+            encode_round(cfg, halves, halves, CONSTANT_MODULUS, cm_beams=beams[:, b])
+            for b in ([0, 0], [0, 1])
+        )
+        plan = ScanPlan(cfg=cfg, q=2, mode=CONSTANT_MODULUS, seed=None, rounds=rounds)
+        assert not np.any(rounds[0].row_bin == 1)
+        ms = MeasurementSet(y=(np.array([[0.1, 0.2], [5.0, 6.0]]),
+                               np.array([[0.3, 0.1], [0.2, 4.0]])), plan=plan)
+        assert select_nm_rounds([classify_nulltons(y, 1.0) for y in ms.y]) == (0,)
+        est = decode_nlos(ms, plan, 1.0)
+        assert est == decode_nlos(ms, plan, 0.0)
+        assert est.nm_rounds == (0, 1)

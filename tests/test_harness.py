@@ -53,6 +53,20 @@ class TestSnrCalibration:
         with pytest.raises(InvalidParameterError):
             snr_to_sigma(np.zeros((4, 4)), 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_channel_rejected(self, bad):
+        with pytest.raises(InvalidParameterError):
+            snr_to_sigma(np.full((4, 4), bad), 0.0)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(-300, 300), st.floats(-40.0, 40.0))
+    def test_sigma_scales_with_channel(self, k, snr):
+        # no under- or overflow anywhere in the float range
+        rng = np.random.default_rng(3)
+        h = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+        expected = 10.0**k * snr_to_sigma(h, snr)
+        assert snr_to_sigma(10.0**k * h, snr) == pytest.approx(expected, rel=1e-12)
+
 
 class TestOptimalBeams:
     def test_rank_one_reaches_full_gain(self):

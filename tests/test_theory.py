@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from irsbeam.errors import InvalidParameterError
 from irsbeam.theory import (
     PlanProbe,
+    _p_single,
     g_exact,
     min_rounds,
     p_lower_los,
@@ -193,6 +194,15 @@ class TestPlanning:
             assert axis(l) >= target
             if l > 1:
                 assert axis(l - 1) < target
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(2, 300), st.data(), st.floats(0.01, 0.999999))
+    def test_min_rounds_is_tight_property(self, m, data, p1):
+        q = data.draw(st.integers(1, m - 1))
+        l = min_rounds(q, m, p1)
+        assert l >= 1 and _p_single(q, l, m) >= p1
+        if l > 1:
+            assert _p_single(q, l - 1, m) < p1
 
     def test_sample_complexity_consistency(self):
         probe = PlanProbe(m=256, n_t=128, q=32, r=4, l=1)
