@@ -14,7 +14,7 @@ from .arrays import (
     ula_response,
     upa_response,
 )
-from .errors import InvalidDimensionError
+from .errors import InvalidDimensionError, InvalidParameterError
 
 # Angle sectors used when sampling path geometry: azimuth away from
 # endfire, elevation away from the UPA poles.
@@ -149,7 +149,11 @@ def noisy_magnitude(
 ) -> np.ndarray:
     """|z + N| with N circular complex Gaussian of variance sigma**2 per
     entry (real parts drawn first, then imaginary); |z| when sigma is 0."""
+    if not 0 <= sigma < np.inf:
+        raise InvalidParameterError(f"sigma must be finite and >= 0, got {sigma}")
     if sigma > 0:
+        if rng is None:
+            raise InvalidParameterError("sigma > 0 needs an rng to draw the noise")
         z = z + (
             rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape)
         ) * sigma / np.sqrt(2.0)

@@ -95,10 +95,6 @@ class ScanPlan:
     def l(self) -> int:
         return len(self.rounds)
 
-    @property
-    def total_measurements(self) -> int:
-        return sum(r.u * r.v for r in self.rounds)
-
 
 def _random_partition(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """A uniformly random split of {0..n-1} into n/size sorted rows."""
@@ -251,19 +247,6 @@ def check_round_shape(cfg: ArrayConfig, q: int, mode: str) -> None:
         raise InvalidParameterError(f"unknown plan mode {mode!r}")
 
 
-def build_round(
-    cfg: ArrayConfig,
-    q: int,
-    rng: np.random.Generator,
-    mode: str = IDEAL_SPARSE,
-) -> RoundEncoding:
-    """One uniformly random full-coverage round of U x V measurements."""
-    check_round_shape(cfg, q, mode)
-    c_design = _random_partition(cfg.m, q, rng)
-    a_supports = _random_partition(cfg.n_t, cfg.r, rng)
-    return encode_round(cfg, c_design, a_supports, mode)
-
-
 def build_scan_plan(
     cfg: ArrayConfig,
     q: int,
@@ -271,13 +254,19 @@ def build_scan_plan(
     mode: str = IDEAL_SPARSE,
     rng: np.random.Generator | int | np.integer | None = None,
 ) -> ScanPlan:
-    """L independently randomized rounds; total budget T = U*V*L."""
+    """L independently randomized rounds; total budget T = U*V*L. Each
+    round splits {0..M-1} into q-sets, then {0..N_t-1} into R-sets."""
     if l < 1:
         raise InvalidParameterError("at least one round is required")
+    check_round_shape(cfg, q, mode)
     seed = int(rng) if isinstance(rng, (int, np.integer)) else None
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    rounds = tuple(build_round(cfg, q, rng, mode) for _ in range(l))
+    rounds = tuple(
+        encode_round(cfg, _random_partition(cfg.m, q, rng),
+                     _random_partition(cfg.n_t, cfg.r, rng), mode)
+        for _ in range(l)
+    )
     return ScanPlan(cfg=cfg, q=q, mode=mode, seed=seed, rounds=rounds)
 
 

@@ -26,8 +26,8 @@ class MeasurementSet:
     plan: ScanPlan
 
     def __post_init__(self):
-        if len(self.y) != self.plan.l:
-            raise InvalidDimensionError("one measurement matrix per plan round required")
+        if not self.y or len(self.y) != self.plan.l:
+            raise InvalidDimensionError("a non-empty plan and one matrix per round required")
         for y_l, rnd in zip(self.y, self.plan.rounds):
             if y_l.shape != (rnd.u, rnd.v):
                 raise InvalidDimensionError(f"round matrix must be {rnd.u} x {rnd.v}")
@@ -54,39 +54,39 @@ def _decode(
     measurements: MeasurementSet,
     plan: ScanPlan,
     epsilon: float,
-    rounds: range | tuple[int, ...],
-    nm_rounds: tuple[int, ...] | None,
+    nm_rounds: tuple[int, ...] | None = None,
 ) -> AlignmentEstimate:
-    """Probability-product decoding over the given rounds.
+    """Probability-product decoding over the NM rounds (None: every round).
 
-    Candidates are the entries whose squared score reaches epsilon**2 in
-    at least one round. Among them the product of squared scores is
-    maximized through the sum of log magnitudes (half the log of the
-    product), which neither underflows nor overflows. A candidate whose
+    Candidates are the entries with a bin reading y >= epsilon in at least
+    one of those rounds, the magnitude test the NM count uses. Among them
+    the product of squared scores is maximized through the sum of log
+    magnitudes, which neither underflows nor overflows. A candidate whose
     product is 0 (log -inf) still beats every non-candidate; ties go to
     the lowest row, then column.
 
     With no candidate the result is the decode at epsilon 0 over every
     round (every entry a candidate; for NLOS every round NM), not over the
-    given rounds: a constant-modulus bin may own no rows, so an empty
+    NM rounds: a constant-modulus bin may own no rows, so an empty
     candidate set does not imply that every round was selected.
     """
-    eps_sq = epsilon**2
+    if plan is not measurements.plan:
+        raise InvalidParameterError("decode with the plan the measurements were taken with")
     score = np.zeros((plan.cfg.m, plan.cfg.n_t))
     mask = np.zeros(score.shape, dtype=bool)
-    for l in rounds:
+    for l in (range(plan.l) if nm_rounds is None else nm_rounds):
         rnd = plan.rounds[l]
         y = measurements.y[l]
         with np.errstate(divide="ignore"):
             log_y = np.log(y)
         # gather columns (U x N_t), then whole rows: several times faster
         # than one np.ix_ gather, and the result is C-contiguous
-        mask |= (y**2 >= eps_sq)[:, rnd.col_bin][rnd.row_bin]
+        mask |= (y >= epsilon)[:, rnd.col_bin][rnd.row_bin]
         score += log_y[:, rnd.col_bin][rnd.row_bin]
     n_candidates = int(mask.sum())
     if n_candidates == 0:
-        every = tuple(range(plan.l))
-        return _decode(measurements, plan, 0.0, every, None if nm_rounds is None else every)
+        every = None if nm_rounds is None else tuple(range(plan.l))
+        return _decode(measurements, plan, 0.0, every)
     score[~mask] = -np.inf
     best = int(np.argmax(score))
     if score.flat[best] == -np.inf:
@@ -103,23 +103,10 @@ def decode_los(
 ) -> AlignmentEstimate:
     """Probability-product ML decoding over all rounds.
 
-    epsilon is the detector threshold in the magnitude domain; the
-    candidate gate operates on squared scores, hence epsilon**2.
+    epsilon is the detector threshold: an entry is a candidate when one
+    of its bin readings has y >= epsilon. `plan` is measurements.plan.
     """
-    return _decode(measurements, plan, epsilon, range(plan.l), None)
-
-
-def classify_nulltons(y_l: np.ndarray, epsilon: float) -> int:
-    """Count measurements accepted as noise-only (y < epsilon)."""
-    return int(np.count_nonzero(y_l < epsilon))
-
-
-def select_nm_rounds(counts: list[int]) -> tuple[int, ...]:
-    """All rounds whose nullton count attains the minimum."""
-    if not counts:
-        raise InvalidParameterError("at least one round count is required")
-    lo = min(counts)
-    return tuple(l for l, c in enumerate(counts) if c == lo)
+    return _decode(measurements, plan, epsilon)
 
 
 def decode_nlos(
@@ -127,12 +114,12 @@ def decode_nlos(
 ) -> AlignmentEstimate:
     """NM-round-restricted probability-product decoding.
 
-    Rounds with the fewest sub-threshold measurements are taken as
-    multiton-free; only those contribute probability factors.
+    Rounds with the fewest nulltons (readings y < epsilon) are taken as
+    multiton-free (NM); only those contribute probability factors.
     """
-    counts = [classify_nulltons(y_l, epsilon) for y_l in measurements.y]
-    nm = select_nm_rounds(counts)
-    return _decode(measurements, plan, epsilon, nm, nm)
+    counts = [np.count_nonzero(y < epsilon) for y in measurements.y]
+    nm = tuple(l for l, c in enumerate(counts) if c == min(counts))
+    return _decode(measurements, plan, epsilon, nm)
 
 
 def rayleigh_threshold(sigma: float, p_fa: float = 0.1) -> float:

@@ -133,8 +133,10 @@ def optimal_beams(u: np.ndarray, b: np.ndarray):
     x = w / ||b w|| with w = u^H v and the objective is ||b w||. The
     start is the dominant right singular direction of h, b x with x the
     top eigenvector of the P x P matrix (u^H u)(b^H b). The objective is
-    non-decreasing; the stopping rule is relative, so it ignores scale.
+    non-decreasing. u and b are first scaled to unit peak by exact powers
+    of two and the stopping rule is relative, so the beams ignore scale.
     """
+    u, b = (a * np.ldexp(1.0, -np.frexp(np.abs(a).max())[1]) for a in (u, b))
     gram = b.conj().T @ b
     vals, vecs = np.linalg.eig((u.conj().T @ u) @ gram)
     x = vecs[:, np.argmax(vals.real)]
@@ -159,13 +161,14 @@ def bgr(ch: CascadeChannel, estimate: AlignmentEstimate) -> float:
     |v^H H f|^2 = M |lam[i, j]|^2. The reference is the larger of the
     alternating maximizer's gain, computed from the channel's rank-P
     factors `u` and `b`, and the best grid pair's, so it dominates every
-    grid pair even when the ascent stops at a local maximum.
+    grid pair even when the ascent stops at a local maximum. The ratio is
+    taken of amplitudes and then squared, so no gain under- or overflows.
     """
     v_opt, f_opt = optimal_beams(ch.u, ch.b)
-    opt_gain = abs(np.vdot(ch.u.conj().T @ v_opt, ch.b.conj().T @ f_opt)) ** 2
-    m, lam = ch.cfg.m, ch.lam
-    opt_gain = max(opt_gain, m * abs(lam[ch.strongest]) ** 2)
-    return m * abs(lam[estimate.i_star, estimate.j_star]) ** 2 / opt_gain
+    opt_amp = abs(np.vdot(ch.u.conj().T @ v_opt, ch.b.conj().T @ f_opt))
+    root_m, lam = math.sqrt(ch.cfg.m), ch.lam
+    opt_amp = max(opt_amp, root_m * abs(lam[ch.strongest]))
+    return (root_m * abs(lam[estimate.i_star, estimate.j_star]) / opt_amp) ** 2
 
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
@@ -218,11 +221,14 @@ def _worker_count() -> int:
     env = os.environ.get(WORKERS_ENV)
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
+            workers = 0
+        if workers < 1:
             raise InvalidParameterError(
-                f"{WORKERS_ENV} must be an integer, got {env!r}"
-            ) from None
+                f"{WORKERS_ENV} must be an integer >= 1, got {env!r}"
+            )
+        return workers
     if hasattr(os, "sched_getaffinity"):
         # os.cpu_count() also counts CPUs outside the process's affinity mask
         return len(os.sched_getaffinity(0))

@@ -14,9 +14,12 @@ from irsbeam.channel import (
     PathSet,
     assemble_channels,
     exhaustive_search,
+    noisy_magnitude,
     sample_paths,
 )
-from irsbeam.errors import InvalidDimensionError
+from irsbeam.codebook import build_scan_plan
+from irsbeam.decoder import synthesize_measurements
+from irsbeam.errors import InvalidDimensionError, InvalidParameterError
 
 from helpers import channel_from_lambda
 
@@ -254,3 +257,23 @@ class TestExhaustive:
         )
         # success ~ Binomial(4000, 1/16): expect 250, allow 4 sigma
         assert abs(hits - 250) < 4 * np.sqrt(4000 * (1 / 16) * (15 / 16))
+
+
+class TestNoisyMagnitude:
+    @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
+    def test_bad_sigma_rejected(self, sigma):
+        rng = np.random.default_rng(41)
+        ch = channel_from_lambda(np.eye(4, dtype=complex), ArrayConfig(n_t=4, m_y=2, m_z=2, r=1))
+        plan = build_scan_plan(ch.cfg, 2, 1, rng=0)
+        calls = (
+            lambda: noisy_magnitude(np.ones(3), sigma, rng),
+            lambda: synthesize_measurements(ch.lam, plan, sigma, rng),
+            lambda: exhaustive_search(ch, sigma, rng),
+        )
+        for call in calls:
+            with pytest.raises(InvalidParameterError, match="sigma"):
+                call()
+
+    def test_noise_without_rng_rejected(self):
+        with pytest.raises(InvalidParameterError, match="rng"):
+            noisy_magnitude(np.ones(3), 0.5, None)

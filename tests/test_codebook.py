@@ -11,7 +11,6 @@ from irsbeam.arrays import ArrayConfig, cascade_dictionary
 from irsbeam.codebook import (
     CONSTANT_MODULUS,
     IDEAL_SPARSE,
-    build_round,
     build_scan_plan,
     effective_support,
     optimize_constant_modulus,
@@ -19,6 +18,7 @@ from irsbeam.codebook import (
     plan_to_json,
 )
 from irsbeam.errors import InvalidParameterError
+from irsbeam.harness import ExperimentConfig
 
 CFG = ArrayConfig(n_t=128, m_y=16, m_z=16, r=4)
 SMALL = ArrayConfig(n_t=8, m_y=2, m_z=2, r=2)
@@ -33,31 +33,31 @@ def assert_partition(supports, n, size):
 
 class TestBuildRound:
     def test_small_partition(self):
-        rnd = build_round(SMALL, 2, np.random.default_rng(0))
+        rnd = build_scan_plan(SMALL, 2, 1, rng=np.random.default_rng(0)).rounds[0]
         assert_partition(rnd.c_supports, 4, 2)
         assert_partition(rnd.a_supports, 8, 2)
 
     def test_paper_scale_partition(self):
-        rnd = build_round(CFG, 32, np.random.default_rng(1))
+        rnd = build_scan_plan(CFG, 32, 1, rng=np.random.default_rng(1)).rounds[0]
         assert rnd.u == 8
         assert_partition(rnd.c_supports, 256, 32)
 
     def test_independent_streams_differ(self):
-        a = build_round(CFG, 32, np.random.default_rng(2))
-        b = build_round(CFG, 32, np.random.default_rng(3))
+        a = build_scan_plan(CFG, 32, 1, rng=np.random.default_rng(2)).rounds[0]
+        b = build_scan_plan(CFG, 32, 1, rng=np.random.default_rng(3)).rounds[0]
         assert any(
             not np.array_equal(x, y) for x, y in zip(a.c_supports, b.c_supports)
         )
 
     def test_divisibility_errors(self):
         with pytest.raises(InvalidParameterError):
-            build_round(CFG, 33, np.random.default_rng(0))
+            build_scan_plan(CFG, 33, 1, rng=np.random.default_rng(0))
         bad = ArrayConfig(n_t=10, m_y=2, m_z=2, r=3)
         with pytest.raises(InvalidParameterError):
-            build_round(bad, 2, np.random.default_rng(0))
+            build_scan_plan(bad, 2, 1, rng=np.random.default_rng(0))
 
     def test_ideal_amplitudes_and_norms(self):
-        rnd = build_round(SMALL, 2, np.random.default_rng(4))
+        rnd = build_scan_plan(SMALL, 2, 1, rng=np.random.default_rng(4)).rounds[0]
         m, q = SMALL.m, 2
         for mat, supports, amp in ((rnd.c_mat, rnd.c_design, np.sqrt(m / q)),
                                    (rnd.a_mat, rnd.a_supports, 1 / np.sqrt(SMALL.r))):
@@ -70,7 +70,7 @@ class TestBuildRound:
             assert np.linalg.norm(rnd.f_beams[:, v]) == pytest.approx(1.0)
 
     def test_c_columns_orthogonal(self):
-        rnd = build_round(CFG, 32, np.random.default_rng(5))
+        rnd = build_scan_plan(CFG, 32, 1, rng=np.random.default_rng(5)).rounds[0]
         gram = rnd.c_mat.conj().T @ rnd.c_mat
         off = gram - np.diag(np.diag(gram))
         assert np.abs(off).max() < 1e-12
@@ -80,7 +80,7 @@ class TestBuildRound:
     @settings(deadline=None, max_examples=15)
     @given(st.sampled_from([1, 2, 4, 8, 16, 32]))
     def test_partition_property(self, q):
-        rnd = build_round(CFG, q, np.random.default_rng(99))
+        rnd = build_scan_plan(CFG, q, 1, rng=np.random.default_rng(99)).rounds[0]
         assert_partition(rnd.c_supports, CFG.m, q)
         # every beamspace entry is sensed exactly once per round
         for i in range(0, CFG.m, 37):
@@ -195,11 +195,13 @@ class TestConstantModulusJson:
 class TestScanPlan:
     def test_budget_paper_q32(self):
         plan = build_scan_plan(CFG, 32, 4, rng=0)
-        assert plan.total_measurements == 8 * 32 * 4 == 1024
+        assert sum(r.u * r.v for r in plan.rounds) == 8 * 32 * 4 == 1024
+        assert ExperimentConfig(array=CFG, q=32, l=4).budget == 1024
 
     def test_budget_paper_q16(self):
         plan = build_scan_plan(CFG, 16, 4, rng=0)
-        assert plan.total_measurements == 16 * 32 * 4 == 2048
+        assert sum(r.u * r.v for r in plan.rounds) == 16 * 32 * 4 == 2048
+        assert ExperimentConfig(array=CFG, q=16, l=4).budget == 2048
 
     def test_single_round_plan(self):
         plan = build_scan_plan(SMALL, 2, 1, rng=0)
@@ -377,7 +379,7 @@ class TestConstantModulus:
 
 class TestEffectiveSupport:
     def test_ideal_sparse_input_recovers_design(self):
-        rnd = build_round(SMALL, 2, np.random.default_rng(6))
+        rnd = build_scan_plan(SMALL, 2, 1, rng=np.random.default_rng(6)).rounds[0]
         bar = cascade_dictionary(SMALL)
         for u, sup in enumerate(rnd.c_supports):
             got = effective_support(rnd.v_beams[:, u], 2, bar)

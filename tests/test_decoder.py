@@ -13,11 +13,9 @@ from irsbeam.codebook import (
 )
 from irsbeam.decoder import (
     MeasurementSet,
-    classify_nulltons,
     decode_los,
     decode_nlos,
     rayleigh_threshold,
-    select_nm_rounds,
     synthesize_measurements,
 )
 from irsbeam.errors import InvalidDimensionError, InvalidParameterError
@@ -144,7 +142,7 @@ class TestDecodeLos:
         assert (est.i_star, est.j_star) == truth
 
     @settings(deadline=None, max_examples=60)
-    @given(st.integers(-150, 150), st.sampled_from([decode_los, decode_nlos]))
+    @given(st.integers(-300, 300), st.sampled_from([decode_los, decode_nlos]))
     def test_scaling_invariance(self, k, decode):
         # scaling lam and sigma together scales every measurement and the
         # threshold by the same factor, which must not move the decision
@@ -200,11 +198,21 @@ class TestNulltons:
             )
             eps = 0.5 * smallest_singleton
             if len(bins) == k and smallest_singleton > 0:
-                uv = rnd.u * rnd.v
-                assert classify_nulltons(ms.y[0], eps) == uv - k
+                # a reference round with exactly U*V - k nulltons ties with
+                # round 0, so both are NM, only if round 0 counts as many
+                ref = np.zeros((rnd.u, rnd.v))
+                ref.flat[:k] = smallest_singleton
+                twice = ScanPlan(cfg=SMALL, q=4, mode=IDEAL_SPARSE, seed=None,
+                                 rounds=(rnd, rnd))
+                pair = MeasurementSet(y=(ms.y[0], ref), plan=twice)
+                assert decode_nlos(pair, twice, eps).nm_rounds == (0, 1)
 
     def test_epsilon_zero_counts_nothing(self):
-        assert classify_nulltons(np.zeros((3, 3)), 0.0) == 0
+        # at epsilon 0 no reading is a nullton, so every round is NM
+        plan = build_scan_plan(SMALL, 4, 3, rng=0)
+        rnd = plan.rounds[0]
+        zeros = MeasurementSet(y=(np.zeros((rnd.u, rnd.v)),) * 3, plan=plan)
+        assert decode_nlos(zeros, plan, 0.0).nm_rounds == (0, 1, 2)
 
     def test_false_alarm_calibration(self):
         rng = np.random.default_rng(19)
@@ -224,16 +232,31 @@ class TestNulltons:
             rayleigh_threshold(0.5, p_fa)
 
 
+def nm_rounds_for_counts(counts):
+    """decode_nlos's NM rounds when round l has counts[l] nulltons."""
+    cfg = ArrayConfig(n_t=16, m_y=4, m_z=4, r=2)  # 8 x 8 readings per round
+    plan = build_scan_plan(cfg, 2, len(counts), rng=0)
+    ys = []
+    for c in counts:
+        y = np.ones((8, 8))
+        y.flat[:c] = 0.0
+        ys.append(y)
+    return decode_nlos(MeasurementSet(y=tuple(ys), plan=plan), plan, 0.5).nm_rounds
+
+
 class TestNmSelection:
     def test_example_counts(self):
-        assert select_nm_rounds([60, 60, 61, 63]) == (0, 1)
+        assert nm_rounds_for_counts([60, 60, 61, 63]) == (0, 1)
 
     def test_all_equal(self):
-        assert select_nm_rounds([5, 5, 5]) == (0, 1, 2)
+        assert nm_rounds_for_counts([5, 5, 5]) == (0, 1, 2)
 
     def test_no_counts_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            select_nm_rounds([])
+        # a plan without rounds yields no counts: its measurement set is
+        # rejected before any decode
+        empty = ScanPlan(cfg=SMALL, q=4, mode=IDEAL_SPARSE, seed=None, rounds=())
+        with pytest.raises(InvalidDimensionError):
+            MeasurementSet(y=(), plan=empty)
 
     def test_selected_rounds_match_ground_truth(self):
         arr = ArrayConfig(n_t=128, m_y=16, m_z=16, r=4)
@@ -247,8 +270,7 @@ class TestNmSelection:
             plan = build_scan_plan(arr, 32, 5, rng=rng)
             ms = synthesize_measurements(lam, plan, 0.0)
             eps = 1e-6 * max(y.max() for y in ms.y)
-            counts = [classify_nulltons(y, eps) for y in ms.y]
-            got = set(select_nm_rounds(counts))
+            got = set(decode_nlos(ms, plan, eps).nm_rounds)
             truth = set()
             for l, rnd in enumerate(plan.rounds):
                 bins = {
@@ -294,6 +316,19 @@ class TestDecodeNlos:
         ms = synthesize_measurements(lam, plan, 0.3, np.random.default_rng(23))
         eps = rayleigh_threshold(0.3)
         assert decode_nlos(ms, plan, eps) == decode_nlos(ms, plan, eps)
+
+
+class TestPlanMismatch:
+    @pytest.mark.parametrize("decode", [decode_los, decode_nlos])
+    @pytest.mark.parametrize("q, l", [(8, 2), (4, 3)], ids=["other-q", "more-rounds"])
+    def test_other_plan_rejected(self, decode, q, l):
+        # readings decode only with the plan they were taken with, not with
+        # one of other bins (wrong index) or of more rounds (IndexError)
+        plan = build_scan_plan(SMALL, 4, 2, rng=30)
+        lam = planted_lam(SMALL.m, SMALL.n_t, {(3, 5): 1.0})
+        ms = synthesize_measurements(lam, plan, 0.0)
+        with pytest.raises(InvalidParameterError, match="plan"):
+            decode(ms, build_scan_plan(SMALL, q, l, rng=31), 1e-9)
 
 
 class TestMeasurementSet:
@@ -375,7 +410,8 @@ class TestUngatedFallback:
         assert not np.any(rounds[0].row_bin == 1)
         ms = MeasurementSet(y=(np.array([[0.1, 0.2], [5.0, 6.0]]),
                                np.array([[0.3, 0.1], [0.2, 4.0]])), plan=plan)
-        assert select_nm_rounds([classify_nulltons(y, 1.0) for y in ms.y]) == (0,)
+        # nulltons (y < 1) per round: round 0 alone has the fewest
+        assert [np.count_nonzero(y < 1.0) for y in ms.y] == [2, 3]
         est = decode_nlos(ms, plan, 1.0)
         assert est == decode_nlos(ms, plan, 0.0)
         assert est.nm_rounds == (0, 1)

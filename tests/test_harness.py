@@ -177,7 +177,7 @@ def test_bgr_matches_dense_oracle(drawn):
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_channels(), st.integers(-100, 100))
+@given(small_channels(), st.integers(-300, 300))
 def test_bgr_ignores_channel_scale(drawn, k):
     # every path gain times 10**(k/2) scales the channel by 10**k; the
     # strongest entry is scored, whose magnitude carries no cancellation
@@ -228,6 +228,12 @@ class TestTrials:
 
     def test_non_integer_worker_count_rejected(self, monkeypatch):
         monkeypatch.setenv("IRSBEAM_WORKERS", "two")
+        with pytest.raises(InvalidParameterError, match="IRSBEAM_WORKERS"):
+            run_trials(SMALL_CFG)
+
+    @pytest.mark.parametrize("env", ["0", "-3"])
+    def test_worker_count_below_one_rejected(self, monkeypatch, env):
+        monkeypatch.setenv("IRSBEAM_WORKERS", env)
         with pytest.raises(InvalidParameterError, match="IRSBEAM_WORKERS"):
             run_trials(SMALL_CFG)
 
