@@ -38,15 +38,17 @@ class RoundEncoding:
     c_design (U x q) splits {0..M-1} into the IRS beams' design sets,
     a_supports (V x R) splits {0..N_t-1} into the precoders' supports.
     c_supports (U x q) are the rows each IRS beam senses: its design set,
-    or for a constant-modulus beam its effective support; those may
-    overlap or leave rows out, so they need not partition. row_bin/col_bin
+    or for a constant-modulus beam the q rows of its column of |c_mat|
+    with the largest entries; those may overlap or leave rows out, so
+    they need not partition. row_bin/col_bin
     are the inverse maps used by the decoder (row i is sensed by IRS bin
     row_bin[i], column j by precoder col_bin[j]). A round measures
     |c_mat^H Lambda a_mat + N|. The physical beams v_beams/f_beams are
     built on first read, except a constant-modulus round's solved cm_beams
     (M x U). cm_converged (U,) says which of the solves that built this
-    round converged before CM_MAX_ITERS steps; it is None in an
-    ideal-sparse round and in a round decoded from stored beams.
+    round converged before CM_MAX_ITERS steps and cm_iters (U,) how many
+    steps each took; both are None in an ideal-sparse round and in a
+    round decoded from stored beams.
     """
 
     cfg: ArrayConfig
@@ -59,6 +61,7 @@ class RoundEncoding:
     a_mat: np.ndarray = field(repr=False)
     cm_beams: np.ndarray | None = field(default=None, repr=False)
     cm_converged: np.ndarray | None = field(default=None, repr=False)
+    cm_iters: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def u(self) -> int:
@@ -111,6 +114,84 @@ def _project_unit(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _ascend(pt: np.ndarray) -> list[CMResult]:
+    """optimize_constant_modulus on B design sets in lockstep.
+
+    `pt` (B x q x M) stacks each set's p^T (p is M x q), and is
+    overwritten as the batch shrinks. Each beam keeps its own step
+    length, backtracking, objective history and stop flag, and leaves
+    the batch once it stops, so it takes exactly the steps it would take
+    alone. For that every product is one gemv per slice on p or p^H in
+    the caller's layout (slice.T and slice.conj()): a contiguous copy
+    would change the kernel and the low bits, and conjugating a product
+    in place of its matrix flips the signs of zeros.
+    """
+    b, _, m = pt.shape
+    ph = pt.conj()
+    results: list[CMResult] = [None] * b
+    slot = np.arange(b)  # the beam each row of the active batch holds
+    objs = np.zeros((b, CM_MAX_ITERS + 1))
+    s = pt.sum(axis=1)
+    v = np.where(np.abs(s) > 0, np.exp(1j * np.angle(s)), 1.0 + 0j)
+
+    # inner = p^H v and den = 1 + |inner|^2, kept in step with v
+    inner = (ph @ v[..., None])[..., 0]
+    den = 1.0 + np.abs(inner) ** 2
+    objs[:, 0] = last = np.log2(den).sum(axis=1)
+    step = np.full(b, CM_STEP0 * m)
+    for it in range(1, CM_MAX_ITERS + 1):
+        k = len(slot)
+        # Wirtinger gradient of the objective w.r.t. conj(v)
+        egrad = (pt[:k].transpose(0, 2, 1) @ (inner / den)[..., None])[..., 0]
+        rgrad = egrad - np.real(egrad * np.conj(v)) * v
+        # a beam whose gradient has zero squared norm takes no step
+        searching = (rgrad.view(float) ** 2).sum(axis=1) != 0
+        new = last.copy()
+        trial = step  # halved in place while a beam searches
+        for _ in range(30):
+            cand = v + trial[:, None] * rgrad
+            cand = cand / np.abs(cand)  # |cand_i| >= 1: rgrad_i is tangent to v_i
+            cand_inner = (ph[:k] @ cand[..., None])[..., 0]
+            cand_den = 1.0 + np.abs(cand_inner) ** 2
+            obj = np.log2(cand_den).sum(axis=1)
+            hit = searching & (obj > last)
+            if hit.all():  # every beam accepts this trial, none an earlier one
+                v, inner, den, new = cand, cand_inner, cand_den, obj
+                break
+            if hit.any():
+                for x, y in ((v, cand), (inner, cand_inner), (den, cand_den)):
+                    np.copyto(x, y, where=hit[:, None])
+                np.copyto(new, obj, where=hit)
+                searching ^= hit
+                if not searching.any():
+                    break
+            np.multiply(trial, 0.5, out=trial, where=searching)
+        objs[slot, it] = new
+        # a beam that took no step kept new == last and has converged
+        accepted = new > last
+        converged = ~accepted | (new - last < CM_TOL * np.maximum(1.0, np.abs(last)))
+        stop = converged | (it == CM_MAX_ITERS)
+        for i in np.flatnonzero(stop):
+            results[slot[i]] = CMResult(
+                v=_project_unit(v[i]),
+                objectives=objs[slot[i], : it + accepted[i]].copy(),
+                converged=bool(converged[i]),
+            )
+        step, last = trial * 2.0, new
+        if stop.any():
+            keep = np.flatnonzero(~stop)
+            # move the running sets forward in place: copying the
+            # compacted stacks would hold both copies at once
+            for dst, src in enumerate(keep):
+                pt[dst], ph[dst] = pt[src], ph[src]
+            slot, v, inner, den, step, last = (
+                x[keep] for x in (slot, v, inner, den, step, last)
+            )
+            if not len(slot):
+                break
+    return results
+
+
 def optimize_constant_modulus(selected: np.ndarray) -> CMResult:
     """Maximize sum_q log2(1 + |v^H p_q|^2) over unit-modulus v.
 
@@ -122,58 +203,8 @@ def optimize_constant_modulus(selected: np.ndarray) -> CMResult:
     after CM_MAX_ITERS steps or once a step gains less than CM_TOL
     relative.
     """
-    p = np.asarray(selected)
-    # the conj().T layout picks BLAS's gemv kernel; a contiguous copy
-    # would change the beams in their low bits
-    ph = p.conj().T
-    m = p.shape[0]
-    s = p.sum(axis=1)
-    v = np.where(np.abs(s) > 0, np.exp(1j * np.angle(s)), 1.0 + 0j)
-
-    # inner = ph @ v and den = 1 + |inner|^2, kept in step with v
-    inner = ph @ v
-    den = 1.0 + np.abs(inner) ** 2
-    objs = [float(np.sum(np.log2(den)))]
-    converged = False
-    step = CM_STEP0 * m
-    for _ in range(CM_MAX_ITERS):
-        # Wirtinger gradient of the objective w.r.t. conj(v).
-        egrad = p @ (inner / den)
-        rgrad = egrad - np.real(egrad * np.conj(v)) * v
-        gnorm = np.linalg.norm(rgrad)
-        if gnorm == 0:
-            converged = True
-            break
-        accepted = False
-        trial_step = step
-        for _ in range(30):
-            cand = v + trial_step * rgrad
-            cand = cand / np.abs(cand)  # |cand_i| >= 1: rgrad_i is tangent to v_i
-            cand_inner = ph @ cand
-            cand_den = 1.0 + np.abs(cand_inner) ** 2
-            obj = float(np.sum(np.log2(cand_den)))
-            if obj > objs[-1]:
-                accepted = True
-                break
-            trial_step *= 0.5
-        if not accepted:
-            converged = True
-            break
-        v, inner, den = cand, cand_inner, cand_den
-        step = trial_step * 2.0
-        objs.append(obj)
-        if obj - objs[-2] < CM_TOL * max(1.0, abs(objs[-2])):
-            converged = True
-            break
-    return CMResult(v=_project_unit(v), objectives=np.array(objs), converged=converged)
-
-
-def effective_support(v: np.ndarray, q: int, bar_d: np.ndarray) -> np.ndarray:
-    """Indices of the q largest |barD_R^H v| entries, lowest index on ties."""
-    c = np.abs(bar_d.conj().T @ v)
-    # stable sort on (-magnitude, index) gives lowest-index tie-breaks
-    order = np.argsort(-c, kind="stable")
-    return np.sort(order[:q])
+    # a batch of one never shrinks, so `selected` is left as it is
+    return _ascend(np.asarray(selected).T[None])[0]
 
 
 def _assign_bins(c_mat: np.ndarray, supports: np.ndarray) -> np.ndarray:
@@ -202,14 +233,15 @@ def encode_round(
     c_design (U x q) splits {0..M-1}, a_supports (V x R) splits
     {0..N_t-1}. Ideal-sparse beams put amplitude sqrt(M/q) exactly on
     their design set, precoders 1/sqrt(R) on their support;
-    constant-modulus beams sense their effective supports. They are
-    solved per design set unless cm_beams (M x U) from an earlier solve
-    are given.
+    constant-modulus beams sense their effective supports. Unless
+    cm_beams (M x U) from an earlier solve are given, the round's U
+    design sets are solved together, each beam exactly as
+    optimize_constant_modulus solves it alone.
     """
     (u, q), v = c_design.shape, len(a_supports)
     a_mat = np.zeros((cfg.n_t, v), dtype=complex)
     a_mat[a_supports, np.arange(v)[:, None]] = float(1.0 / np.sqrt(cfg.r))
-    cm_converged = None
+    cm_converged = cm_iters = None
     if mode == IDEAL_SPARSE:
         c_supports, cm_beams = c_design, None
         c_mat = np.zeros((cfg.m, u), dtype=complex)
@@ -217,11 +249,19 @@ def encode_round(
     else:
         bar_d = cascade_dictionary(cfg)
         if cm_beams is None:
-            solved = [optimize_constant_modulus(bar_d[:, sup]) for sup in c_design]
+            # one batch per round; slice u of barD^T[c_design] is
+            # barD[:, c_design[u]].T in that matrix's layout
+            solved = _ascend(bar_d.T[c_design])
             cm_beams = np.stack([res.v for res in solved], axis=1)
             cm_converged = np.array([res.converged for res in solved])
-        c_mat = bar_d.conj().T @ cm_beams
-        c_supports = np.array([effective_support(b, q, bar_d) for b in cm_beams.T])
+            cm_iters = np.array([len(res.objectives) - 1 for res in solved])
+        bar_h = bar_d.conj().T
+        c_mat = bar_h @ cm_beams
+        # Each beam senses the q rows it reaches most strongly, lowest
+        # index first on ties. Ranked by one gemv per beam, not by the
+        # gemm's c_mat: their low bits differ and flip exact ties.
+        order = np.argsort(-np.abs(bar_h @ cm_beams.T[..., None])[..., 0], axis=1, kind="stable")
+        c_supports = np.sort(order[:, :q], axis=1)
     return RoundEncoding(
         cfg=cfg,
         c_design=c_design,
@@ -233,6 +273,7 @@ def encode_round(
         a_mat=a_mat,
         cm_beams=cm_beams,
         cm_converged=cm_converged,
+        cm_iters=cm_iters,
     )
 
 

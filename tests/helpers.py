@@ -1,5 +1,5 @@
 """Channels built directly from a beamspace matrix, for planted-support
-studies."""
+studies, and the per-beam effective support of a constant-modulus beam."""
 
 import numpy as np
 
@@ -16,3 +16,12 @@ def channel_from_lambda(lam: np.ndarray, cfg: ArrayConfig) -> CascadeChannel:
     return CascadeChannel(
         h=u @ b.conj().T, lam=lam, strongest=(int(i), int(j)), u=u, b=b, cfg=cfg
     )
+
+
+def effective_support(v: np.ndarray, q: int, bar_d: np.ndarray) -> np.ndarray:
+    """Indices of the q largest |barD_R^H v| entries, lowest index on ties:
+    the support of one beam, computed from that beam alone."""
+    c = np.abs(bar_d.conj().T @ v)
+    # stable sort on (-magnitude, index) gives lowest-index tie-breaks
+    order = np.argsort(-c, kind="stable")
+    return np.sort(order[:q])

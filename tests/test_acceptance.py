@@ -12,7 +12,7 @@ import pytest
 
 from irsbeam.arrays import ArrayConfig, cascade_dictionary, dft_dictionary
 from irsbeam.channel import exhaustive_search
-from irsbeam.codebook import build_scan_plan, effective_support, optimize_constant_modulus
+from irsbeam.codebook import build_scan_plan, optimize_constant_modulus
 from irsbeam.decoder import decode_los, decode_nlos, synthesize_measurements
 from irsbeam.harness import (
     ExperimentConfig,

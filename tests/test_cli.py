@@ -3,8 +3,9 @@ import json
 import pytest
 
 from irsbeam import harness
+from irsbeam.arrays import cascade_dictionary
 from irsbeam.cli import main
-from irsbeam.codebook import build_scan_plan, plan_from_json
+from irsbeam.codebook import build_scan_plan, optimize_constant_modulus, plan_from_json
 from irsbeam.config import parse_config
 from irsbeam.errors import InvalidParameterError
 from irsbeam.harness import CSV_HEADER
@@ -157,10 +158,16 @@ class TestPlanCommand:
         assert main(["plan", "--config", str(cm), "--out", str(tmp_path / "plan.json")]) == 0
         cfg = parse_config(str(cm))
         plan = build_scan_plan(cfg.array, cfg.q, cfg.l, cfg.mode, cfg.seed)
-        total = sum(r.u for r in plan.rounds)
-        stalled = total - sum(int(r.cm_converged.sum()) for r in plan.rounds)
+        bar = cascade_dictionary(cfg.array)
+        solves = [optimize_constant_modulus(bar[:, sup])
+                  for r in plan.rounds for sup in r.c_design]
+        stalled = sum(not s.converged for s in solves)
+        iters = [len(s.objectives) - 1 for s in solves]
         err = capsys.readouterr().err
-        assert err == f"{stalled} of {total} constant-modulus beams stopped at max_iters\n"
+        assert err == (
+            f"{stalled} of {len(solves)} constant-modulus beams stopped at max_iters\n"
+            f"solver iterations per beam: mean {sum(iters) / len(iters):.1f}, max {max(iters)}\n"
+        )
 
     def test_ideal_sparse_plan_writes_nothing_to_stderr(self, config_path, capsys):
         assert main(["plan", "--config", config_path]) == 0

@@ -12,13 +12,14 @@ from irsbeam.codebook import (
     CONSTANT_MODULUS,
     IDEAL_SPARSE,
     build_scan_plan,
-    effective_support,
     optimize_constant_modulus,
     plan_from_json,
     plan_to_json,
 )
 from irsbeam.errors import InvalidParameterError
 from irsbeam.harness import ExperimentConfig
+
+from helpers import effective_support
 
 CFG = ArrayConfig(n_t=128, m_y=16, m_z=16, r=4)
 SMALL = ArrayConfig(n_t=8, m_y=2, m_z=2, r=2)
@@ -124,6 +125,40 @@ class TestPlanProperties:
                 np.testing.assert_array_equal(getattr(rnd, name), getattr(again, name))
 
 
+def assert_rounds_match_solo_solves(plan):
+    """Each round's beams, flags and iteration counts equal those of
+    optimize_constant_modulus run alone on each of its design sets."""
+    bar = cascade_dictionary(plan.cfg)
+    for rnd in plan.rounds:
+        for u, sup in enumerate(rnd.c_design):
+            alone = optimize_constant_modulus(bar[:, sup])
+            assert np.array_equal(rnd.v_beams[:, u], alone.v)
+            assert rnd.cm_converged[u] == alone.converged
+            assert rnd.cm_iters[u] == len(alone.objectives) - 1
+
+
+class TestRoundSolve:
+    @settings(deadline=None, max_examples=40)
+    @given(small_geometries())
+    def test_rounds_equal_per_set_solves(self, geometry):
+        cfg, q, l, seed = geometry
+        plan = build_scan_plan(cfg, q, min(l, 2), CONSTANT_MODULUS, rng=seed)
+        assert_rounds_match_solo_solves(plan)
+
+    @settings(deadline=None, max_examples=40)
+    @given(small_geometries())
+    def test_supports_and_bins_equal_per_beam_oracle(self, geometry):
+        cfg, q, l, seed = geometry
+        bar = cascade_dictionary(cfg)
+        for rnd in build_scan_plan(cfg, q, min(l, 2), CONSTANT_MODULUS, rng=seed).rounds:
+            sups = np.array([effective_support(b, q, bar) for b in rnd.v_beams.T])
+            np.testing.assert_array_equal(rnd.c_supports, sups)
+            claims = [np.flatnonzero((sups == i).any(axis=1)) for i in range(cfg.m)]
+            bins = [c[0] if len(c) == 1 else np.argmax(np.abs(rnd.c_mat[i]))
+                    for i, c in enumerate(claims)]
+            np.testing.assert_array_equal(rnd.row_bin, bins)
+
+
 class TestConstantModulusJson:
     @settings(deadline=None, max_examples=25)
     @given(small_geometries())
@@ -136,20 +171,18 @@ class TestConstantModulusJson:
             raise AssertionError("plan_from_json ran the solver")
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(codebook, "optimize_constant_modulus", no_solve)
+            mp.setattr(codebook, "_ascend", no_solve)
             back = plan_from_json(text)
         for rnd, again in zip(plan.rounds, back.rounds, strict=True):
             for name in ("v_beams", "c_mat", "c_supports", "row_bin"):
                 np.testing.assert_array_equal(getattr(rnd, name), getattr(again, name))
-            assert again.cm_converged is None  # only a fresh solve knows it
+            # only a fresh solve knows them
+            assert again.cm_converged is None and again.cm_iters is None
 
     def test_converged_flags_match_the_solver(self):
         plan = build_scan_plan(CFG, 16, 1, CONSTANT_MODULUS, rng=3)
-        rnd = plan.rounds[0]
-        bar = cascade_dictionary(CFG)
-        flags = [optimize_constant_modulus(bar[:, sup]).converged for sup in rnd.c_design]
-        assert rnd.cm_converged.tolist() == flags
-        assert not all(flags)  # some solves stop at max_iters at this size
+        assert_rounds_match_solo_solves(plan)
+        assert not all(plan.rounds[0].cm_converged)  # some stop at max_iters here
 
     def test_ideal_sparse_rounds_store_no_beams(self):
         plan = build_scan_plan(SMALL, 2, 2, rng=11)
