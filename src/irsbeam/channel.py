@@ -99,7 +99,7 @@ def sample_paths(
     if path_count < 1:
         raise InvalidDimensionError("path_count must be >= 1")
     if not np.isfinite(rician_db):
-        raise InvalidDimensionError("rician_db must be finite")
+        raise InvalidParameterError("rician_db must be finite")
     kappa = 10.0 ** (rician_db / 10.0)
     gains = np.empty(path_count, dtype=complex)
     if path_count == 1:
@@ -138,7 +138,9 @@ def assemble_channels(
     )
     b = ula_response(bs_irs.bs_aod, cfg)
     b_h = b.conj().T
-    lam = (cascade_dictionary(cfg).conj().T @ u) @ (b_h @ dft_dictionary(n_t))
+    # barD^H u without a conjugated copy of barD; the same bits
+    bar_h_u = (cascade_dictionary(cfg).T @ u.conj()).conj()
+    lam = bar_h_u @ (b_h @ dft_dictionary(n_t))
     return CascadeChannel(
         h=u @ b_h, lam=lam, strongest=_argmax_2d(np.abs(lam)), u=u, b=b, cfg=cfg
     )

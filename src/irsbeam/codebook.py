@@ -43,12 +43,14 @@ class RoundEncoding:
     they need not partition. row_bin/col_bin
     are the inverse maps used by the decoder (row i is sensed by IRS bin
     row_bin[i], column j by precoder col_bin[j]). A round measures
-    |c_mat^H Lambda a_mat + N|. The physical beams v_beams/f_beams are
-    built on first read, except a constant-modulus round's solved cm_beams
-    (M x U). cm_converged (U,) says which of the solves that built this
-    round converged before CM_MAX_ITERS steps and cm_iters (U,) how many
-    steps each took; both are None in an ideal-sparse round and in a
-    round decoded from stored beams.
+    |c_mat^H Lambda a_mat + N|, taken as bin sums of Lambda (see
+    synthesize_measurements). The beamspace coefficients c_mat (M x U)
+    and a_mat (N_t x V) and the physical beams v_beams/f_beams are built
+    on first read; only a constant-modulus round's solved cm_beams
+    (M x U) are stored. cm_converged (U,) says which of the solves that
+    built this round converged before CM_MAX_ITERS steps and cm_iters
+    (U,) how many steps each took; both are None in an ideal-sparse
+    round and in a round decoded from stored beams.
     """
 
     cfg: ArrayConfig
@@ -57,8 +59,6 @@ class RoundEncoding:
     c_supports: np.ndarray
     row_bin: np.ndarray
     col_bin: np.ndarray
-    c_mat: np.ndarray = field(repr=False)
-    a_mat: np.ndarray = field(repr=False)
     cm_beams: np.ndarray | None = field(default=None, repr=False)
     cm_converged: np.ndarray | None = field(default=None, repr=False)
     cm_iters: np.ndarray | None = field(default=None, repr=False)
@@ -70,6 +70,20 @@ class RoundEncoding:
     @property
     def v(self) -> int:
         return self.a_supports.shape[0]
+
+    @cached_property
+    def c_mat(self) -> np.ndarray:
+        """Beamspace IRS coefficients, M x U: sqrt(M/q) on each design
+        set, or barD^H cm_beams for constant-modulus beams."""
+        if self.cm_beams is not None:
+            return cascade_dictionary(self.cfg).conj().T @ self.cm_beams
+        q = self.c_design.shape[1]
+        return _sparse_matrix(self.cfg.m, self.c_design, np.sqrt(self.cfg.m / q))
+
+    @cached_property
+    def a_mat(self) -> np.ndarray:
+        """Beamspace precoder coefficients, N_t x V: 1/sqrt(R) on each support."""
+        return _sparse_matrix(self.cfg.n_t, self.a_supports, 1.0 / np.sqrt(self.cfg.r))
 
     @cached_property
     def v_beams(self) -> np.ndarray:
@@ -207,17 +221,26 @@ def optimize_constant_modulus(selected: np.ndarray) -> CMResult:
     return _ascend(np.asarray(selected).T[None])[0]
 
 
-def _assign_bins(c_mat: np.ndarray, supports: np.ndarray) -> np.ndarray:
-    """Map each row index to the bin (row of `supports`) that claims it.
+def _sparse_matrix(n: int, supports: np.ndarray, amp: float) -> np.ndarray:
+    """n x len(supports): column k holds amp on the rows supports[k]."""
+    mat = np.zeros((n, len(supports)), dtype=complex)
+    mat[supports, np.arange(len(supports))[:, None]] = float(amp)
+    return mat
 
-    Effective supports of optimized beams need not partition the grid;
+
+def _assign_bins(n: int, supports: np.ndarray, c_mat: np.ndarray | None = None) -> np.ndarray:
+    """Map each index in {0..n-1} to the bin (row of `supports`) that claims it.
+
+    Supports that partition the range are inverted. Effective supports of
+    optimized beams (given with their c_mat) need not partition the grid;
     contested or orphaned indices go to the bin sensing them most strongly.
     """
-    owner = np.full(c_mat.shape[0], -1, dtype=int)
+    owner = np.empty(n, dtype=int)
     owner[supports] = np.arange(len(supports))[:, None]
-    contested = np.bincount(supports.ravel(), minlength=len(owner)) != 1
-    if np.any(contested):
-        owner[contested] = np.argmax(np.abs(c_mat[contested]), axis=1)
+    if c_mat is not None:
+        contested = np.bincount(supports.ravel(), minlength=n) != 1
+        if np.any(contested):
+            owner[contested] = np.argmax(np.abs(c_mat[contested]), axis=1)
     return owner
 
 
@@ -228,7 +251,7 @@ def encode_round(
     mode: str,
     cm_beams: np.ndarray | None = None,
 ) -> RoundEncoding:
-    """Coefficients and bin maps of one round given its partitions.
+    """One round given its partitions, with its bin maps.
 
     c_design (U x q) splits {0..M-1}, a_supports (V x R) splits
     {0..N_t-1}. Ideal-sparse beams put amplitude sqrt(M/q) exactly on
@@ -238,14 +261,10 @@ def encode_round(
     design sets are solved together, each beam exactly as
     optimize_constant_modulus solves it alone.
     """
-    (u, q), v = c_design.shape, len(a_supports)
-    a_mat = np.zeros((cfg.n_t, v), dtype=complex)
-    a_mat[a_supports, np.arange(v)[:, None]] = float(1.0 / np.sqrt(cfg.r))
     cm_converged = cm_iters = None
     if mode == IDEAL_SPARSE:
         c_supports, cm_beams = c_design, None
-        c_mat = np.zeros((cfg.m, u), dtype=complex)
-        c_mat[c_design, np.arange(u)[:, None]] = float(np.sqrt(cfg.m / q))
+        row_bin = _assign_bins(cfg.m, c_design)
     else:
         bar_d = cascade_dictionary(cfg)
         if cm_beams is None:
@@ -256,21 +275,19 @@ def encode_round(
             cm_converged = np.array([res.converged for res in solved])
             cm_iters = np.array([len(res.objectives) - 1 for res in solved])
         bar_h = bar_d.conj().T
-        c_mat = bar_h @ cm_beams
         # Each beam senses the q rows it reaches most strongly, lowest
         # index first on ties. Ranked by one gemv per beam, not by the
         # gemm's c_mat: their low bits differ and flip exact ties.
         order = np.argsort(-np.abs(bar_h @ cm_beams.T[..., None])[..., 0], axis=1, kind="stable")
-        c_supports = np.sort(order[:, :q], axis=1)
+        c_supports = np.sort(order[:, : c_design.shape[1]], axis=1)
+        row_bin = _assign_bins(cfg.m, c_supports, bar_h @ cm_beams)
     return RoundEncoding(
         cfg=cfg,
         c_design=c_design,
         a_supports=a_supports,
         c_supports=c_supports,
-        row_bin=_assign_bins(c_mat, c_supports),
-        col_bin=_assign_bins(a_mat, a_supports),
-        c_mat=c_mat,
-        a_mat=a_mat,
+        row_bin=row_bin,
+        col_bin=_assign_bins(cfg.n_t, a_supports),
         cm_beams=cm_beams,
         cm_converged=cm_converged,
         cm_iters=cm_iters,

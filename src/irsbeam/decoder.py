@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import AlignmentEstimate, noisy_magnitude
-from .codebook import ScanPlan
+from .codebook import RoundEncoding, ScanPlan
 from .errors import InvalidDimensionError, InvalidParameterError
 
 
@@ -36,16 +36,39 @@ class MeasurementSet:
                 raise InvalidParameterError("measurements must be finite and nonnegative")
 
 
+def _round_readings(lam: np.ndarray, rnd: RoundEncoding) -> np.ndarray:
+    """c_mat^H Lambda a_mat as bin sums of Lambda, U x V.
+
+    An ideal-sparse row bin sums the rows of its design set, scaled by
+    sqrt(M/q); a constant-modulus beam reads c_mat^H Lambda. Then each
+    precoder sums the columns of its support, scaled by 1/sqrt(R).
+    """
+    (u, q), (v, r) = rnd.c_design.shape, rnd.a_supports.shape
+    scale = 1.0 / np.sqrt(r)
+    if rnd.cm_beams is None:
+        rows = lam.take(rnd.c_design.ravel(), axis=0).reshape(u, q, -1).sum(axis=1)
+        scale *= np.sqrt(rnd.cfg.m / q)
+    else:
+        rows = rnd.c_mat.conj().T @ lam
+    z = rows.take(rnd.a_supports.T.ravel(), axis=1).reshape(u, r, v).sum(axis=1)
+    z *= scale
+    return z
+
+
 def synthesize_measurements(
     lam: np.ndarray,
     plan: ScanPlan,
     sigma: float,
     rng: np.random.Generator | None = None,
 ) -> MeasurementSet:
-    """Y_l = |C_l^H Lambda A_l + N_l| for every round of the plan."""
+    """Y_l = |C_l^H Lambda A_l + N_l| for every round of the plan.
+
+    The noiseless readings are bin sums of Lambda, not matrix products:
+    an ideal-sparse round reads no dense c_mat or a_mat, so it never
+    builds them.
+    """
     ys = tuple(
-        noisy_magnitude(rnd.c_mat.conj().T @ lam @ rnd.a_mat, sigma, rng)
-        for rnd in plan.rounds
+        noisy_magnitude(_round_readings(lam, rnd), sigma, rng) for rnd in plan.rounds
     )
     return MeasurementSet(y=ys, plan=plan)
 
@@ -83,11 +106,11 @@ def _decode(
         # than one np.ix_ gather, and the result is C-contiguous
         mask |= (y >= epsilon)[:, rnd.col_bin][rnd.row_bin]
         score += log_y[:, rnd.col_bin][rnd.row_bin]
-    n_candidates = int(mask.sum())
+    n_candidates = int(np.count_nonzero(mask))
     if n_candidates == 0:
         every = None if nm_rounds is None else tuple(range(plan.l))
         return _decode(measurements, plan, 0.0, every)
-    score[~mask] = -np.inf
+    np.copyto(score, -np.inf, where=~mask)
     best = int(np.argmax(score))
     if score.flat[best] == -np.inf:
         best = int(np.argmax(mask))

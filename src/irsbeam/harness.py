@@ -107,20 +107,24 @@ class TrialRecord:
 def snr_to_sigma(h: np.ndarray, snr_db: float) -> float:
     """Noise std for SNR = ||H||_F^2 / (N_t * M * sigma^2) in dB.
 
-    Where the plain norm may under- or overflow it is taken of |h| scaled
-    by an exact power of two, so sigma scales with h over the float range.
+    The sum of squares runs over the real and imaginary parts in one
+    unthreaded einsum, so sigma does not depend on the BLAS thread count.
+    Where it may under- or overflow it is taken of h scaled by an exact
+    power of two, so sigma scales with h over the float range.
     """
     m, n_t = h.shape
     den = math.sqrt(n_t * m * 10.0 ** (snr_db / 10.0))
+    x = np.ascontiguousarray(h, dtype=complex).reshape(-1).view(float)
     with np.errstate(over="ignore"):
-        fro = np.linalg.norm(h)
+        fro = math.sqrt(np.einsum("i,i", x, x))
     if 2.0**-400 <= fro <= 2.0**400:
-        return float(fro / den)
-    peak = np.abs(h).max()
+        return fro / den
+    peak = np.abs(x).max()
     if not 0 < peak < np.inf:
         raise InvalidParameterError("channel must be finite and nonzero to set an SNR")
     e = int(np.frexp(peak)[1])
-    return float(np.ldexp(np.linalg.norm(np.ldexp(np.abs(h), -e)) / den, e))
+    x = np.ldexp(x, -e)
+    return float(np.ldexp(math.sqrt(np.einsum("i,i", x, x)) / den, e))
 
 
 def optimal_beams(u: np.ndarray, b: np.ndarray):

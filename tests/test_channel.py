@@ -129,7 +129,7 @@ class TestSamplePaths:
         rng = np.random.default_rng(0)
         with pytest.raises(InvalidDimensionError):
             sample_paths(0, 0.0, rng)
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(InvalidParameterError):
             sample_paths(2, np.inf, rng)
 
 

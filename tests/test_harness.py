@@ -1,12 +1,17 @@
 import math
 import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import irsbeam
 from irsbeam.arrays import ArrayConfig, cascade_dictionary, dft_dictionary
 from irsbeam.channel import assemble_channels, sample_paths
 from irsbeam.config import parse_config_text
@@ -36,6 +41,24 @@ from helpers import channel_from_lambda
 
 SMALL = ArrayConfig(n_t=16, m_y=4, m_z=4, r=4)
 SMALL_CFG = ExperimentConfig(array=SMALL, q=4, l=3, trials=4, seed=7)
+# the acceptance-size point: N_t=128, M=16x16, Q=16, R=8, L=7
+ACCEPTANCE_CFG = ExperimentConfig(
+    array=ArrayConfig(n_t=128, m_y=16, m_z=16, r=8), q=16, l=7, seed=77
+)
+
+# Prints every field of seeded LOS and NLOS records at -30 dB, exactly.
+RECORDS_SCRIPT = """
+from dataclasses import replace
+from irsbeam.arrays import ArrayConfig
+from irsbeam.harness import ExperimentConfig, run_trial
+base = ExperimentConfig(array=ArrayConfig(n_t=128, m_y=16, m_z=16, r=8),
+                        q=16, l=7, snr_db=-30.0, seed=77)
+for scenario in ("los", "nlos"):
+    cfg = replace(base, scenario=scenario)
+    for t in range(40):
+        rec = run_trial(cfg, t)
+        print(repr(rec), repr(rec.estimate))
+"""
 
 
 class TestSnrCalibration:
@@ -254,6 +277,37 @@ class TestTrials:
         ungated = [r for r in records if r.estimate.detector_threshold == 0.0]
         assert ungated
         assert all(r.estimate.candidate_count == SMALL.m * SMALL.n_t for r in ungated)
+
+    def test_records_do_not_depend_on_blas_thread_count(self):
+        def records(threads: str) -> str:
+            src = str(Path(irsbeam.__file__).resolve().parents[1])
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+            return subprocess.run(
+                [sys.executable, "-c", RECORDS_SCRIPT], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout
+
+        one = records("1")
+        assert one.count("TrialRecord") == 80
+        assert records("2") == one
+
+    def test_warm_trial_peak_allocation_is_bounded(self):
+        # a trial that allocates less than this reuses the heap pages the
+        # previous trial freed instead of faulting in fresh ones
+        cfg = replace(ACCEPTANCE_CFG, snr_db=-20.0)
+        for t in range(3):  # build the dictionaries outside the traced trials
+            run_trial(cfg, t)
+        peaks = []
+        for t in range(3, 8):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                run_trial(cfg, t)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 1.8e6
 
     def test_nlos_scenario_runs(self):
         cfg = ExperimentConfig(
