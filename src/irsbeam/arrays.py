@@ -113,3 +113,16 @@ def cascade_dictionary(cfg: ArrayConfig) -> np.ndarray:
     """
     return _cascade_dictionary_cached(cfg.m_y, cfg.m_z)
 
+
+@lru_cache(maxsize=32)
+def cascade_factor_h(n: int) -> np.ndarray:
+    """Conjugate transpose of sqrt(n) * conj(D_n[:, 0]) * D_n, n x n.
+
+    The cascade dictionary is the Kronecker product of the factors of its
+    two axes, barD = F_{m_y} kron F_{m_z}, so barD^H applies as two small
+    products, one per axis, without building barD.
+    """
+    d = dft_dictionary(n)
+    f_h = (np.sqrt(n) * np.conj(d[:, :1]) * d).conj().T.copy()
+    f_h.setflags(write=False)
+    return f_h

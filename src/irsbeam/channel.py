@@ -9,7 +9,7 @@ import numpy as np
 
 from .arrays import (
     ArrayConfig,
-    cascade_dictionary,
+    cascade_factor_h,
     dft_dictionary,
     ula_response,
     upa_response,
@@ -123,11 +123,13 @@ def assemble_channels(
 
     G = sqrt(N_t*M/P) sum_p g_p a_p b_p^H, so h = U B^H with U (M x P) the
     IRS responses times the gains, the scale and conj(h_r), and B
-    (N_t x P) the BS responses; likewise lam = (barD^H U)(B^H D).
+    (N_t x P) the BS responses; likewise lam = (barD^H U)(B^H D). barD^H U
+    is taken through barD's Kronecker factors, so the M x M cascade
+    dictionary is neither built nor read.
     """
     if bs_irs.bs_aod is None:
         raise InvalidDimensionError("BS-IRS path set needs BS departure angles")
-    m, n_t = cfg.m, cfg.n_t
+    m, m_y, m_z, n_t = cfg.m, cfg.m_y, cfg.m_z, cfg.n_t
     h_r = upa_response(irs_user.azimuth, irs_user.elevation, cfg) @ irs_user.gains
     h_r *= np.sqrt(m / irs_user.path_count)
     u = (
@@ -138,8 +140,10 @@ def assemble_channels(
     )
     b = ula_response(bs_irs.bs_aod, cfg)
     b_h = b.conj().T
-    # barD^H u without a conjugated copy of barD; the same bits
-    bar_h_u = (cascade_dictionary(cfg).T @ u.conj()).conj()
+    # barD^H = F_{m_y}^H kron F_{m_z}^H acts on each path's column of u,
+    # laid out m_y x m_z, as F_{m_y}^H W F_{m_z}^H^T
+    w = u.T.reshape(-1, m_y, m_z)
+    bar_h_u = (cascade_factor_h(m_y) @ w @ cascade_factor_h(m_z).T).reshape(-1, m).T
     lam = bar_h_u @ (b_h @ dft_dictionary(n_t))
     return CascadeChannel(
         h=u @ b_h, lam=lam, strongest=_argmax_2d(np.abs(lam)), u=u, b=b, cfg=cfg
@@ -150,15 +154,23 @@ def noisy_magnitude(
     z: np.ndarray, sigma: float, rng: np.random.Generator | None
 ) -> np.ndarray:
     """|z + N| with N circular complex Gaussian of variance sigma**2 per
-    entry (real parts drawn first, then imaginary); |z| when sigma is 0."""
+    entry; |z| when sigma is 0.
+
+    z is a matrix or a stack of matrices. Each matrix in turn draws its
+    real parts, then its imaginary parts, so a stack draws the stream
+    that its matrices would draw one by one.
+    """
     if not 0 <= sigma < np.inf:
         raise InvalidParameterError(f"sigma must be finite and >= 0, got {sigma}")
     if sigma > 0:
         if rng is None:
             raise InvalidParameterError("sigma > 0 needs an rng to draw the noise")
-        z = z + (
-            rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape)
-        ) * sigma / np.sqrt(2.0)
+        noise = rng.standard_normal(z.shape[:-2] + (2,) + z.shape[-2:])
+        # the roundings of complex (re + 1j im) * sigma / sqrt(2): numpy
+        # divides a complex by a real through the real's reciprocal
+        noise *= sigma
+        noise *= 1.0 / np.sqrt(2.0)
+        z = z + (noise[..., 0, :, :] + 1j * noise[..., 1, :, :])
     return np.abs(z)
 
 

@@ -20,24 +20,34 @@ from .errors import InvalidDimensionError, InvalidParameterError
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """L finite, nonnegative U x V matrices, one per scanning round."""
+    """L finite, nonnegative U x V matrices, one per scanning round.
 
-    y: tuple[np.ndarray, ...]
+    `y` is given as a sequence of U x V matrices or as one L x U x V
+    array, and kept as that array; it iterates and indexes by round.
+    """
+
+    y: np.ndarray
     plan: ScanPlan
 
     def __post_init__(self):
-        if not self.y or len(self.y) != self.plan.l:
+        plan = self.plan
+        if not plan.rounds or len(self.y) != plan.l:
             raise InvalidDimensionError("a non-empty plan and one matrix per round required")
-        for y_l, rnd in zip(self.y, self.plan.rounds):
-            if y_l.shape != (rnd.u, rnd.v):
-                raise InvalidDimensionError(f"round matrix must be {rnd.u} x {rnd.v}")
-            # a NaN fails both comparisons
-            if not (y_l.min() >= 0 and y_l.max() < np.inf):
-                raise InvalidParameterError("measurements must be finite and nonnegative")
+        rnd = plan.rounds[0]
+        if any(np.shape(y_l) != (rnd.u, rnd.v) for y_l in self.y):
+            raise InvalidDimensionError(f"round matrix must be {rnd.u} x {rnd.v}")
+        y = np.asarray(self.y, dtype=float)
+        # a NaN fails both comparisons
+        if not (y.min() >= 0 and y.max() < np.inf):
+            raise InvalidParameterError("measurements must be finite and nonnegative")
+        object.__setattr__(self, "y", y)
 
 
-def _round_readings(lam: np.ndarray, rnd: RoundEncoding) -> np.ndarray:
-    """c_mat^H Lambda a_mat as bin sums of Lambda, U x V.
+def _round_readings(
+    lam: np.ndarray, rnd: RoundEncoding, out: np.ndarray | None = None
+) -> np.ndarray:
+    """c_mat^H Lambda a_mat as bin sums of Lambda, U x V, written to `out`
+    when given.
 
     An ideal-sparse row bin sums the rows of its design set, scaled by
     sqrt(M/q); a constant-modulus beam reads c_mat^H Lambda. Then each
@@ -50,7 +60,7 @@ def _round_readings(lam: np.ndarray, rnd: RoundEncoding) -> np.ndarray:
         scale *= np.sqrt(rnd.cfg.m / q)
     else:
         rows = rnd.c_mat.conj().T @ lam
-    z = rows.take(rnd.a_supports.T.ravel(), axis=1).reshape(u, r, v).sum(axis=1)
+    z = rows.take(rnd.a_supports.T.ravel(), axis=1).reshape(u, r, v).sum(axis=1, out=out)
     z *= scale
     return z
 
@@ -65,12 +75,14 @@ def synthesize_measurements(
 
     The noiseless readings are bin sums of Lambda, not matrix products:
     an ideal-sparse round reads no dense c_mat or a_mat, so it never
-    builds them.
+    builds them. The rounds' readings fill one L x U x V stack, which is
+    noised in one draw, round by round in the order of the rounds.
     """
-    ys = tuple(
-        noisy_magnitude(_round_readings(lam, rnd), sigma, rng) for rnd in plan.rounds
-    )
-    return MeasurementSet(y=ys, plan=plan)
+    cfg = plan.cfg
+    z = np.empty((plan.l, cfg.m // plan.q, cfg.n_t // cfg.r), dtype=complex)
+    for z_l, rnd in zip(z, plan.rounds):
+        _round_readings(lam, rnd, out=z_l)
+    return MeasurementSet(y=noisy_magnitude(z, sigma, rng), plan=plan)
 
 
 def _decode(
@@ -95,22 +107,25 @@ def _decode(
     """
     if plan is not measurements.plan:
         raise InvalidParameterError("decode with the plan the measurements were taken with")
-    score = np.zeros((plan.cfg.m, plan.cfg.n_t))
-    mask = np.zeros(score.shape, dtype=bool)
-    for l in (range(plan.l) if nm_rounds is None else nm_rounds):
+    with np.errstate(divide="ignore"):
+        log_y = np.log(measurements.y)
+    gate = measurements.y >= epsilon
+    shape = (plan.cfg.m, plan.cfg.n_t)
+    score, mask = np.zeros(shape), np.zeros(shape, dtype=bool)
+    log_buf, gate_buf = np.empty(shape), np.empty(shape, dtype=bool)
+    for l in range(plan.l) if nm_rounds is None else nm_rounds:
         rnd = plan.rounds[l]
-        y = measurements.y[l]
-        with np.errstate(divide="ignore"):
-            log_y = np.log(y)
-        # gather columns (U x N_t), then whole rows: several times faster
-        # than one np.ix_ gather, and the result is C-contiguous
-        mask |= (y >= epsilon)[:, rnd.col_bin][rnd.row_bin]
-        score += log_y[:, rnd.col_bin][rnd.row_bin]
+        # gather columns (U x N_t), then whole rows into the reused M x N_t
+        # buffers; mode="clip" writes straight into them (bins are in range)
+        log_y[l].take(rnd.col_bin, axis=1).take(rnd.row_bin, axis=0, out=log_buf, mode="clip")
+        gate[l].take(rnd.col_bin, axis=1).take(rnd.row_bin, axis=0, out=gate_buf, mode="clip")
+        score += log_buf
+        mask |= gate_buf
     n_candidates = int(np.count_nonzero(mask))
     if n_candidates == 0:
         every = None if nm_rounds is None else tuple(range(plan.l))
         return _decode(measurements, plan, 0.0, every)
-    np.copyto(score, -np.inf, where=~mask)
+    np.copyto(score, -np.inf, where=np.logical_not(mask, out=gate_buf))
     best = int(np.argmax(score))
     if score.flat[best] == -np.inf:
         best = int(np.argmax(mask))
@@ -140,8 +155,8 @@ def decode_nlos(
     Rounds with the fewest nulltons (readings y < epsilon) are taken as
     multiton-free (NM); only those contribute probability factors.
     """
-    counts = [np.count_nonzero(y < epsilon) for y in measurements.y]
-    nm = tuple(l for l, c in enumerate(counts) if c == min(counts))
+    counts = np.count_nonzero(measurements.y < epsilon, axis=(1, 2))
+    nm = tuple(np.flatnonzero(counts == counts.min()).tolist())
     return _decode(measurements, plan, epsilon, nm)
 
 

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import csv
+import ctypes
+import glob
 import io
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,6 +32,10 @@ from .decoder import (
 from .errors import InvalidParameterError
 
 WORKERS_ENV = "IRSBEAM_WORKERS"
+
+# Thread-count setters of the OpenBLAS that numpy wheels bundle: the
+# scipy-openblas build of numpy 2, then the build of numpy 1.x.
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_")
 
 # Full-CSI reference beams: alternating-step cap and relative objective
 # gain below which the alternation stops.
@@ -208,7 +215,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
     if sigma > 0:
         epsilon = rayleigh_threshold(sigma, cfg.p_fa)
     else:
-        epsilon = 1e-9 * max(float(y.max()) for y in measurements.y)
+        epsilon = 1e-9 * float(measurements.y.max())
 
     decode = decode_los if cfg.scenario == "los" else decode_nlos
     return _score(cfg, ch, decode(measurements, plan, epsilon))
@@ -239,17 +246,43 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
+def _one_blas_thread() -> None:
+    """Pool initializer: one BLAS thread per worker, so a pool of one
+    worker per core does not oversubscribe the cores. Changes nothing when
+    numpy's bundled OpenBLAS is not found."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for name in _BLAS_SETTERS:
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return
+
+
+def _trial_pool(workers: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
+
+
 def run_trials(
-    cfg: ExperimentConfig, runner=run_trial, workers: int | None = None
+    cfg: ExperimentConfig,
+    runner=run_trial,
+    workers: int | None = None,
+    pool: ProcessPoolExecutor | None = None,
 ) -> list[TrialRecord]:
+    """Records of trials 0..cfg.trials-1: serially for one worker, else in
+    `pool`, an open pool of `workers` processes, or in a pool opened for
+    this call."""
     if workers is None:
         workers = _worker_count()
-    indices = range(cfg.trials)
     if workers <= 1:
-        return [runner(cfg, t) for t in indices]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, cfg.trials // (8 * workers))
-        return list(pool.map(runner, [cfg] * cfg.trials, indices, chunksize=chunk))
+        return [runner(cfg, t) for t in range(cfg.trials)]
+    if pool is None:
+        with _trial_pool(workers) as pool:
+            return run_trials(cfg, runner, workers, pool)
+    chunk = max(1, cfg.trials // (8 * workers))
+    return list(pool.map(runner, [cfg] * cfg.trials, range(cfg.trials), chunksize=chunk))
 
 
 @dataclass(frozen=True)
@@ -326,12 +359,16 @@ def sweep_points(cfg: ExperimentConfig, axis: str) -> list[tuple[str, float, Exp
 
 
 def sweep(cfg: ExperimentConfig, axis: str, workers: int | None = None) -> list[SweepRow]:
-    """Aggregate success rate and BGR along one sweep axis."""
-    rows = []
-    for sweep_var, value, point_cfg in sweep_points(cfg, axis):
-        records = run_trials(point_cfg, workers=workers)
-        rows.append(aggregate(records, sweep_var, value, cfg.seed))
-    return rows
+    """Aggregate success rate and BGR along one sweep axis, every point
+    run in one process pool."""
+    points = sweep_points(cfg, axis)
+    if workers is None:
+        workers = _worker_count()
+    with _trial_pool(workers) if workers > 1 else nullcontext() as pool:
+        return [
+            aggregate(run_trials(point_cfg, workers=workers, pool=pool), sweep_var, value, cfg.seed)
+            for sweep_var, value, point_cfg in points
+        ]
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:

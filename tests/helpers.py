@@ -1,10 +1,12 @@
 """Channels built directly from a beamspace matrix, for planted-support
-studies, and the per-beam effective support of a constant-modulus beam."""
+studies, the per-beam effective support of a constant-modulus beam, and
+round-by-round noisy readings."""
 
 import numpy as np
 
 from irsbeam.arrays import ArrayConfig, cascade_dictionary, dft_dictionary
 from irsbeam.channel import CascadeChannel
+from irsbeam.decoder import _round_readings
 
 
 def channel_from_lambda(lam: np.ndarray, cfg: ArrayConfig) -> CascadeChannel:
@@ -25,3 +27,21 @@ def effective_support(v: np.ndarray, q: int, bar_d: np.ndarray) -> np.ndarray:
     # stable sort on (-magnitude, index) gives lowest-index tie-breaks
     order = np.argsort(-c, kind="stable")
     return np.sort(order[:q])
+
+
+def noisy_magnitude_per_matrix(z: np.ndarray, sigma: float, rng) -> np.ndarray:
+    """|z + N| for one matrix z: all real parts drawn, then all imaginary."""
+    if sigma > 0:
+        z = z + (
+            rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape)
+        ) * sigma / np.sqrt(2.0)
+    return np.abs(z)
+
+
+def readings_per_round(lam: np.ndarray, plan, sigma: float, rng) -> list[np.ndarray]:
+    """The noisy readings of each round in turn, each drawing its own noise:
+    the values and random stream the stacked synthesis must keep."""
+    return [
+        noisy_magnitude_per_matrix(_round_readings(lam, rnd), sigma, rng)
+        for rnd in plan.rounds
+    ]

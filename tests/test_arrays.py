@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from irsbeam.arrays import (
     ArrayConfig,
     cascade_dictionary,
+    cascade_factor_h,
     dft_dictionary,
     steering_vector,
     ula_response,
@@ -144,6 +145,14 @@ def test_cascade_dictionary_unitary_property(m_y, m_z):
     cfg = ArrayConfig(n_t=1, m_y=m_y, m_z=m_z, r=1)
     bar = cascade_dictionary(cfg)
     assert np.abs(bar.conj().T @ bar - np.eye(cfg.m)).max() < 1e-10
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.sampled_from([1, 2, 3, 4, 8]), st.sampled_from([1, 2, 3, 4, 8]))
+def test_cascade_dictionary_is_kron_of_axis_factors(m_y, m_z):
+    cfg = ArrayConfig(n_t=1, m_y=m_y, m_z=m_z, r=1)
+    kron_h = np.kron(cascade_factor_h(m_y), cascade_factor_h(m_z))
+    assert np.abs(kron_h - cascade_dictionary(cfg).conj().T).max() < 1e-14
 
 
 def test_array_config_validation():

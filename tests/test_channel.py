@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irsbeam.arrays import (
@@ -21,7 +21,7 @@ from irsbeam.codebook import build_scan_plan
 from irsbeam.decoder import synthesize_measurements
 from irsbeam.errors import InvalidDimensionError, InvalidParameterError
 
-from helpers import channel_from_lambda
+from helpers import channel_from_lambda, noisy_magnitude_per_matrix
 
 CFG = ArrayConfig(n_t=8, m_y=4, m_z=4, r=2)
 
@@ -57,18 +57,30 @@ def per_path_cascade(bs_irs, irs_user, cfg):
     return np.conj(h_r)[:, None] * g
 
 
+# (m_y, m_z). barD^H u is taken per axis on u laid out m_y x m_z, so a
+# reshape-order slip shows only where m_y != m_z: draw such arrays, and
+# 1 x n and n x 1 ones, on purpose.
+irs_shapes = st.one_of(
+    st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    st.tuples(st.integers(1, 5), st.integers(1, 5)).filter(lambda s: s[0] != s[1]),
+    st.tuples(st.just(1), st.integers(2, 8)),
+    st.tuples(st.integers(2, 8), st.just(1)),
+)
+
 small_cascades = st.tuples(
-    st.integers(1, 4),  # m_y
-    st.integers(1, 4),  # m_z
+    irs_shapes,
     st.integers(1, 8),  # n_t
     st.integers(1, 4),  # BS-IRS paths
     st.integers(1, 4),  # IRS-user paths
     st.integers(0, 2**32 - 1),  # seed
-)
+).map(lambda c: (*c[0], *c[1:]))
 
 
 @settings(deadline=None, max_examples=60)
 @given(small_cascades)
+@example((2, 3, 4, 2, 2, 1))
+@example((1, 6, 3, 3, 1, 2))
+@example((6, 1, 3, 1, 3, 3))
 def test_assemble_matches_per_path_oracle(case):
     m_y, m_z, n_t, p, pp, seed = case
     cfg = ArrayConfig(n_t=n_t, m_y=m_y, m_z=m_z, r=1)
@@ -260,6 +272,19 @@ class TestExhaustive:
 
 
 class TestNoisyMagnitude:
+    @pytest.mark.parametrize("sigma", [0.0, 0.05, 3.0])
+    def test_exhaustive_readings_keep_their_stream(self, sigma):
+        # the grid scan's M x N_t readings draw all real parts, then all
+        # imaginary ones, as before the stacked draw
+        cfg = ArrayConfig(n_t=8, m_y=2, m_z=4, r=2)
+        rng = np.random.default_rng(43)
+        lam = rng.standard_normal((cfg.m, cfg.n_t)) + 1j * rng.standard_normal((cfg.m, cfg.n_t))
+        z = np.sqrt(cfg.m) * lam
+        want = noisy_magnitude_per_matrix(z, sigma, np.random.default_rng(44))
+        assert np.array_equal(noisy_magnitude(z, sigma, np.random.default_rng(44)), want)
+        est = exhaustive_search(channel_from_lambda(lam, cfg), sigma, np.random.default_rng(44))
+        assert (est.i_star, est.j_star) == np.unravel_index(np.argmax(want), want.shape)
+
     @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
     def test_bad_sigma_rejected(self, sigma):
         rng = np.random.default_rng(41)

@@ -20,6 +20,8 @@ from irsbeam.decoder import (
 )
 from irsbeam.errors import InvalidDimensionError, InvalidParameterError
 
+from helpers import readings_per_round
+
 SMALL = ArrayConfig(n_t=16, m_y=4, m_z=4, r=4)
 
 
@@ -350,6 +352,36 @@ class TestMeasurementSet:
         with pytest.raises(InvalidParameterError):
             MeasurementSet(y=(-np.ones((rnd.u, rnd.v)),), plan=plan)
 
+    def test_rejects_ragged_rounds(self):
+        plan = build_scan_plan(SMALL, 4, 2, rng=24)
+        rnd = plan.rounds[0]
+        ys = (np.zeros((rnd.u, rnd.v)), np.zeros((rnd.u, rnd.v + 1)))
+        with pytest.raises(InvalidDimensionError, match=f"{rnd.u} x {rnd.v}"):
+            MeasurementSet(y=ys, plan=plan)
+
+    @pytest.mark.parametrize("extra", [(0, 0, 1), (0, 1, 0), (1, 0, 0)])
+    def test_rejects_wrong_stack_shape(self, extra):
+        plan = build_scan_plan(SMALL, 4, 2, rng=24)
+        rnd = plan.rounds[0]
+        shape = np.add((plan.l, rnd.u, rnd.v), extra)
+        with pytest.raises(InvalidDimensionError):
+            MeasurementSet(y=np.zeros(shape), plan=plan)
+
+    def test_rejects_one_matrix_for_every_round(self):
+        plan = build_scan_plan(SMALL, 4, 4, rng=24)
+        rnd = plan.rounds[0]
+        assert rnd.u == plan.l
+        with pytest.raises(InvalidDimensionError):
+            MeasurementSet(y=np.zeros((rnd.u, rnd.v)), plan=plan)
+
+    def test_sequence_becomes_stack(self):
+        plan = build_scan_plan(SMALL, 4, 2, rng=24)
+        rnd = plan.rounds[0]
+        ys = [np.full((rnd.u, rnd.v), float(l)) for l in range(plan.l)]
+        ms = MeasurementSet(y=ys, plan=plan)
+        assert ms.y.shape == (plan.l, rnd.u, rnd.v)
+        assert all(np.array_equal(a, b) for a, b in zip(ms.y, ys))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
         plan = build_scan_plan(SMALL, 4, 2, rng=25)
@@ -357,6 +389,48 @@ class TestMeasurementSet:
         ys[1][0, 0] = bad
         with pytest.raises(InvalidParameterError, match="finite"):
             MeasurementSet(y=tuple(ys), plan=plan)
+
+
+# the constant-modulus plan pinned in test_golden.py
+GOLDEN_CM_PLAN = build_scan_plan(
+    ArrayConfig(n_t=8, m_y=4, m_z=4, r=2), 8, 2, CONSTANT_MODULUS, rng=6
+)
+
+
+class TestStackedSynthesis:
+    """All rounds noised in one draw read and draw exactly what the rounds
+    did one by one, each drawing its own real, then imaginary parts."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([None, -30.0, -10.0, 0.0, 20.0]),
+        st.booleans(),
+    )
+    def test_matches_per_round_oracle(self, seed, snr_db, cm):
+        plan = GOLDEN_CM_PLAN if cm else build_scan_plan(SMALL, 4, 3, rng=seed)
+        rng = np.random.default_rng(seed)
+        shape = (plan.cfg.m, plan.cfg.n_t)
+        lam = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        sigma = 0.0 if snr_db is None else 10.0 ** (-snr_db / 20.0)
+        rng_stack, rng_rounds = (np.random.default_rng(seed + 1) for _ in range(2))
+        got = synthesize_measurements(lam, plan, sigma, rng_stack)
+        want = readings_per_round(lam, plan, sigma, rng_rounds)
+        assert got.y.shape == (plan.l, *want[0].shape)
+        assert all(np.array_equal(a, b) for a, b in zip(got.y, want))
+        # the stream goes on from the same state
+        assert rng_stack.bit_generator.state == rng_rounds.bit_generator.state
+
+    @pytest.mark.parametrize("snr_db", [None, -20.0])
+    def test_matches_per_round_oracle_at_acceptance_size(self, snr_db):
+        cfg = ArrayConfig(n_t=128, m_y=16, m_z=16, r=8)
+        rng = np.random.default_rng(5)
+        plan = build_scan_plan(cfg, 16, 7, rng=rng)
+        lam = rng.standard_normal((cfg.m, cfg.n_t)) + 1j * rng.standard_normal((cfg.m, cfg.n_t))
+        sigma = 0.0 if snr_db is None else 10.0 ** (-snr_db / 20.0)
+        got = synthesize_measurements(lam, plan, sigma, np.random.default_rng(6))
+        want = readings_per_round(lam, plan, sigma, np.random.default_rng(6))
+        assert all(np.array_equal(a, b) for a, b in zip(got.y, want))
 
 
 def _assert_ungated_is_epsilon_zero(plan, seed):
@@ -387,12 +461,9 @@ class TestUngatedFallback:
         _assert_ungated_is_epsilon_zero(plan, seed)
 
     def test_golden_constant_modulus_matches_epsilon_zero(self):
-        # the plan pinned in test_golden.py, whose effective supports overlap
-        plan = build_scan_plan(
-            ArrayConfig(n_t=8, m_y=4, m_z=4, r=2), 8, 2, CONSTANT_MODULUS, rng=6
-        )
+        # the golden plan's effective supports overlap
         for seed in range(5):
-            _assert_ungated_is_epsilon_zero(plan, seed)
+            _assert_ungated_is_epsilon_zero(GOLDEN_CM_PLAN, seed)
 
     def test_nlos_fallback_decodes_every_round(self):
         # round 0 repeats one beam, so every row goes to bin 0 and bin 1

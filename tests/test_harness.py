@@ -1,3 +1,5 @@
+import ctypes
+import glob
 import math
 import os
 import subprocess
@@ -12,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import irsbeam
-from irsbeam.arrays import ArrayConfig, cascade_dictionary, dft_dictionary
+from irsbeam import harness
+from irsbeam.arrays import (
+    ArrayConfig,
+    _cascade_dictionary_cached,
+    cascade_dictionary,
+    dft_dictionary,
+)
 from irsbeam.channel import assemble_channels, sample_paths
 from irsbeam.config import parse_config_text
 from irsbeam.decoder import AlignmentEstimate
@@ -45,6 +53,28 @@ SMALL_CFG = ExperimentConfig(array=SMALL, q=4, l=3, trials=4, seed=7)
 ACCEPTANCE_CFG = ExperimentConfig(
     array=ArrayConfig(n_t=128, m_y=16, m_z=16, r=8), q=16, l=7, seed=77
 )
+
+
+
+def _openblas_threads():
+    """(getter, setter) of numpy's bundled OpenBLAS thread count, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for prefix in ("scipy_openblas", "openblas"):
+            get, put = f"{prefix}_get_num_threads64_", f"{prefix}_set_num_threads64_"
+            if hasattr(lib, get) and hasattr(lib, put):
+                get, put = getattr(lib, get), getattr(lib, put)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _blas_threads_runner(cfg, t):
+    """A trial runner that reports its worker's BLAS thread count."""
+    return _openblas_threads()[0]()
+
 
 # Prints every field of seeded LOS and NLOS records at -30 dB, exactly.
 RECORDS_SCRIPT = """
@@ -249,6 +279,36 @@ class TestTrials:
         assert all(0.0 < r.bgr <= 1.0 for r in serial)
         assert run_trials(cfg, workers=2) == serial
 
+    def test_pool_workers_run_one_blas_thread(self):
+        blas = _openblas_threads()
+        if blas is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        get, put = blas
+        before = get()
+        put(2)  # forked workers inherit two threads; the initializer sets one
+        try:
+            counts = run_trials(replace(SMALL_CFG, trials=4), _blas_threads_runner, workers=2)
+            assert get() == 2  # the caller's count is left as it was
+        finally:
+            put(before)
+        assert counts == [1] * 4
+
+    def test_sweep_runs_every_point_in_one_pool(self, monkeypatch):
+        opened = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        cfg = ExperimentConfig(array=SMALL, q=4, l=2, snr_sweep=(-10.0, 0.0, 10.0),
+                               trials=3, seed=22, compute_bgr=False)
+        pooled = sweep(cfg, "snr", workers=2)
+        assert len(opened) == 1
+        assert rows_to_csv(sweep(cfg, "snr", workers=1)) == rows_to_csv(pooled)
+        assert len(opened) == 1  # one worker runs without a pool
+
     def test_non_integer_worker_count_rejected(self, monkeypatch):
         monkeypatch.setenv("IRSBEAM_WORKERS", "two")
         with pytest.raises(InvalidParameterError, match="IRSBEAM_WORKERS"):
@@ -308,6 +368,12 @@ class TestTrials:
             finally:
                 tracemalloc.stop()
         assert max(peaks) <= 1.8e6
+
+    @pytest.mark.parametrize("scenario", ["los", "nlos"])
+    def test_ideal_sparse_trial_builds_no_cascade_dictionary(self, scenario):
+        _cascade_dictionary_cached.cache_clear()
+        run_trial(replace(ACCEPTANCE_CFG, scenario=scenario, snr_db=-20.0), 0)
+        assert _cascade_dictionary_cached.cache_info().currsize == 0
 
     def test_nlos_scenario_runs(self):
         cfg = ExperimentConfig(
