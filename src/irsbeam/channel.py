@@ -84,6 +84,19 @@ def _argmax_2d(a: np.ndarray) -> tuple[int, int]:
     return int(i), int(j)
 
 
+def db_to_power(db: float, name: str) -> float:
+    """The power ratio 10^(db/10) of a dB value. InvalidParameterError
+    unless it is a positive finite float: db finite and in about
+    (-3240, 3082.5] dB, outside which the ratio rounds to 0 or overflows."""
+    try:
+        power = 10.0 ** (float(db) / 10.0)
+    except OverflowError:
+        power = np.inf
+    if not 0 < power < np.inf:
+        raise InvalidParameterError(f"{name} must be the dB of a finite positive power, got {db}")
+    return power
+
+
 def sample_paths(
     path_count: int,
     rician_db: float,
@@ -98,9 +111,7 @@ def sample_paths(
     """
     if path_count < 1:
         raise InvalidDimensionError("path_count must be >= 1")
-    if not np.isfinite(rician_db):
-        raise InvalidParameterError("rician_db must be finite")
-    kappa = 10.0 ** (rician_db / 10.0)
+    kappa = db_to_power(rician_db, "rician_db")
     gains = np.empty(path_count, dtype=complex)
     if path_count == 1:
         los_power = 1.0

@@ -38,19 +38,18 @@ class RoundEncoding:
     c_design (U x q) splits {0..M-1} into the IRS beams' design sets,
     a_supports (V x R) splits {0..N_t-1} into the precoders' supports.
     c_supports (U x q) are the rows each IRS beam senses: its design set,
-    or for a constant-modulus beam the q rows of its column of |c_mat|
-    with the largest entries; those may overlap or leave rows out, so
-    they need not partition. row_bin/col_bin
-    are the inverse maps used by the decoder (row i is sensed by IRS bin
-    row_bin[i], column j by precoder col_bin[j]). A round measures
-    |c_mat^H Lambda a_mat + N|, taken as bin sums of Lambda (see
-    synthesize_measurements). The beamspace coefficients c_mat (M x U)
-    and a_mat (N_t x V) and the physical beams v_beams/f_beams are built
-    on first read; only a constant-modulus round's solved cm_beams
-    (M x U) are stored. cm_converged (U,) says which of the solves that
-    built this round converged before CM_MAX_ITERS steps and cm_iters
-    (U,) how many steps each took; both are None in an ideal-sparse
-    round and in a round decoded from stored beams.
+    or for a constant-modulus beam its effective support, the q rows of
+    |barD^H v| with the largest entries; those may overlap or leave rows
+    out, so they need not partition. row_bin/col_bin are the inverse maps
+    used by the decoder (row i is sensed by IRS bin row_bin[i], column j
+    by precoder col_bin[j]). A round's readings are taken as bin sums of
+    Lambda (see synthesize_measurements). Only a constant-modulus round's
+    solved cm_beams (M x U) are stored; the physical beams v_beams and
+    f_beams are sums of dictionary columns, built on first read.
+    cm_converged (U,) says which of the solves that built this round
+    converged before CM_MAX_ITERS steps and cm_iters (U,) how many steps
+    each took; both are None in an ideal-sparse round and in a round
+    decoded from stored beams.
     """
 
     cfg: ArrayConfig
@@ -72,30 +71,18 @@ class RoundEncoding:
         return self.a_supports.shape[0]
 
     @cached_property
-    def c_mat(self) -> np.ndarray:
-        """Beamspace IRS coefficients, M x U: sqrt(M/q) on each design
-        set, or barD^H cm_beams for constant-modulus beams."""
-        if self.cm_beams is not None:
-            return cascade_dictionary(self.cfg).conj().T @ self.cm_beams
-        q = self.c_design.shape[1]
-        return _sparse_matrix(self.cfg.m, self.c_design, np.sqrt(self.cfg.m / q))
-
-    @cached_property
-    def a_mat(self) -> np.ndarray:
-        """Beamspace precoder coefficients, N_t x V: 1/sqrt(R) on each support."""
-        return _sparse_matrix(self.cfg.n_t, self.a_supports, 1.0 / np.sqrt(self.cfg.r))
-
-    @cached_property
     def v_beams(self) -> np.ndarray:
-        """IRS reflect beams, M x U."""
+        """IRS reflect beams, M x U: sqrt(M/q) times the sum of the
+        cascade dictionary's columns on each design set, or cm_beams."""
         if self.cm_beams is not None:
             return self.cm_beams
-        return cascade_dictionary(self.cfg) @ self.c_mat
+        q = self.c_design.shape[1]
+        return np.sqrt(self.cfg.m / q) * cascade_dictionary(self.cfg)[:, self.c_design].sum(axis=2)
 
     @cached_property
     def f_beams(self) -> np.ndarray:
-        """BS precoders, N_t x V."""
-        return dft_dictionary(self.cfg.n_t) @ self.a_mat
+        """BS precoders, N_t x V: the DFT columns of each support over sqrt(R)."""
+        return dft_dictionary(self.cfg.n_t)[:, self.a_supports].sum(axis=2) / np.sqrt(self.cfg.r)
 
 
 @dataclass(frozen=True)
@@ -221,26 +208,20 @@ def optimize_constant_modulus(selected: np.ndarray) -> CMResult:
     return _ascend(np.asarray(selected).T[None])[0]
 
 
-def _sparse_matrix(n: int, supports: np.ndarray, amp: float) -> np.ndarray:
-    """n x len(supports): column k holds amp on the rows supports[k]."""
-    mat = np.zeros((n, len(supports)), dtype=complex)
-    mat[supports, np.arange(len(supports))[:, None]] = float(amp)
-    return mat
-
-
-def _assign_bins(n: int, supports: np.ndarray, c_mat: np.ndarray | None = None) -> np.ndarray:
+def _assign_bins(n: int, supports: np.ndarray, image: np.ndarray | None = None) -> np.ndarray:
     """Map each index in {0..n-1} to the bin (row of `supports`) that claims it.
 
     Supports that partition the range are inverted. Effective supports of
-    optimized beams (given with their c_mat) need not partition the grid;
-    contested or orphaned indices go to the bin sensing them most strongly.
+    optimized beams (given with their beamspace image barD^H v, n x U)
+    need not partition the grid; contested or orphaned indices go to the
+    bin sensing them most strongly.
     """
     owner = np.empty(n, dtype=int)
     owner[supports] = np.arange(len(supports))[:, None]
-    if c_mat is not None:
+    if image is not None:
         contested = np.bincount(supports.ravel(), minlength=n) != 1
         if np.any(contested):
-            owner[contested] = np.argmax(np.abs(c_mat[contested]), axis=1)
+            owner[contested] = np.argmax(np.abs(image[contested]), axis=1)
     return owner
 
 
@@ -277,7 +258,7 @@ def encode_round(
         bar_h = bar_d.conj().T
         # Each beam senses the q rows it reaches most strongly, lowest
         # index first on ties. Ranked by one gemv per beam, not by the
-        # gemm's c_mat: their low bits differ and flip exact ties.
+        # gemm barD^H cm_beams: their low bits differ and flip exact ties.
         order = np.argsort(-np.abs(bar_h @ cm_beams.T[..., None])[..., 0], axis=1, kind="stable")
         c_supports = np.sort(order[:, : c_design.shape[1]], axis=1)
         row_bin = _assign_bins(cfg.m, c_supports, bar_h @ cm_beams)

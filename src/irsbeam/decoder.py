@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arrays import cascade_dictionary
 from .channel import AlignmentEstimate, noisy_magnitude
 from .codebook import RoundEncoding, ScanPlan
 from .errors import InvalidDimensionError, InvalidParameterError
@@ -46,12 +47,12 @@ class MeasurementSet:
 def _round_readings(
     lam: np.ndarray, rnd: RoundEncoding, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """c_mat^H Lambda a_mat as bin sums of Lambda, U x V, written to `out`
-    when given.
+    """The beams' noiseless readings as bin sums of Lambda, U x V, written
+    to `out` when given.
 
     An ideal-sparse row bin sums the rows of its design set, scaled by
-    sqrt(M/q); a constant-modulus beam reads c_mat^H Lambda. Then each
-    precoder sums the columns of its support, scaled by 1/sqrt(R).
+    sqrt(M/q); a constant-modulus beam v reads (barD^H v)^H Lambda. Then
+    each precoder sums the columns of its support, scaled by 1/sqrt(R).
     """
     (u, q), (v, r) = rnd.c_design.shape, rnd.a_supports.shape
     scale = 1.0 / np.sqrt(r)
@@ -59,7 +60,8 @@ def _round_readings(
         rows = lam.take(rnd.c_design.ravel(), axis=0).reshape(u, q, -1).sum(axis=1)
         scale *= np.sqrt(rnd.cfg.m / q)
     else:
-        rows = rnd.c_mat.conj().T @ lam
+        # the image encode_round bins by; another product order moves the low bits
+        rows = (cascade_dictionary(rnd.cfg).conj().T @ rnd.cm_beams).conj().T @ lam
     z = rows.take(rnd.a_supports.T.ravel(), axis=1).reshape(u, r, v).sum(axis=1, out=out)
     z *= scale
     return z
@@ -73,10 +75,10 @@ def synthesize_measurements(
 ) -> MeasurementSet:
     """Y_l = |C_l^H Lambda A_l + N_l| for every round of the plan.
 
-    The noiseless readings are bin sums of Lambda, not matrix products:
-    an ideal-sparse round reads no dense c_mat or a_mat, so it never
-    builds them. The rounds' readings fill one L x U x V stack, which is
-    noised in one draw, round by round in the order of the rounds.
+    C_l = barD^H v_beams and A_l = D^H f_beams are the beams' beamspace
+    images. The noiseless readings are bin sums of Lambda, not matrix
+    products, so an ideal-sparse round builds neither. The rounds'
+    readings fill one L x U x V stack, noised in one draw, round by round.
     """
     cfg = plan.cfg
     z = np.empty((plan.l, cfg.m // plan.q, cfg.n_t // cfg.r), dtype=complex)

@@ -9,7 +9,6 @@ import io
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,6 +18,7 @@ from .channel import (
     AlignmentEstimate,
     CascadeChannel,
     assemble_channels,
+    db_to_power,
     exhaustive_search,
     sample_paths,
 )
@@ -86,11 +86,10 @@ class ExperimentConfig:
             raise InvalidParameterError("p_fa must lie in (0, 1)")
         if self.paths_bs_irs < 1 or self.paths_irs_user < 1:
             raise InvalidParameterError("path counts must be >= 1")
-        if not all(map(math.isfinite, (self.rician_bs_irs_db, self.irs_user_rician_db))):
-            raise InvalidParameterError("Rician factors must be finite")
-        snrs = self.snr_sweep if self.snr_db is None else (self.snr_db, *self.snr_sweep)
-        if not all(map(math.isfinite, snrs)):
-            raise InvalidParameterError("snr_db and every snr_sweep entry must be finite")
+        for db in (self.rician_bs_irs_db, self.irs_user_rician_db):
+            db_to_power(db, "Rician factor")
+        for db in self.snr_sweep if self.snr_db is None else (self.snr_db, *self.snr_sweep):
+            db_to_power(db, "snr_db or snr_sweep entry")
 
     @property
     def irs_user_rician_db(self) -> float:
@@ -120,7 +119,7 @@ def snr_to_sigma(h: np.ndarray, snr_db: float) -> float:
     power of two, so sigma scales with h over the float range.
     """
     m, n_t = h.shape
-    den = math.sqrt(n_t * m * 10.0 ** (snr_db / 10.0))
+    den = math.sqrt(n_t * m * db_to_power(snr_db, "snr_db"))
     x = np.ascontiguousarray(h, dtype=complex).reshape(-1).view(float)
     with np.errstate(over="ignore"):
         fro = math.sqrt(np.einsum("i,i", x, x))
@@ -261,28 +260,22 @@ def _one_blas_thread() -> None:
                 return
 
 
-def _trial_pool(workers: int) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
-
-
-def run_trials(
-    cfg: ExperimentConfig,
-    runner=run_trial,
-    workers: int | None = None,
-    pool: ProcessPoolExecutor | None = None,
-) -> list[TrialRecord]:
-    """Records of trials 0..cfg.trials-1: serially for one worker, else in
-    `pool`, an open pool of `workers` processes, or in a pool opened for
-    this call."""
-    if workers is None:
-        workers = _worker_count()
+def _run_configs(cfgs, runner, workers: int | None) -> list[list[TrialRecord]]:
+    """Records of trials 0..cfg.trials-1 of each config in turn: serially
+    for one worker, else in one pool of `workers` processes."""
+    workers = _worker_count() if workers is None else workers
     if workers <= 1:
-        return [runner(cfg, t) for t in range(cfg.trials)]
-    if pool is None:
-        with _trial_pool(workers) as pool:
-            return run_trials(cfg, runner, workers, pool)
-    chunk = max(1, cfg.trials // (8 * workers))
-    return list(pool.map(runner, [cfg] * cfg.trials, range(cfg.trials), chunksize=chunk))
+        return [[runner(cfg, t) for t in range(cfg.trials)] for cfg in cfgs]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+        return [list(pool.map(runner, [cfg] * cfg.trials, range(cfg.trials),
+                              chunksize=max(1, cfg.trials // (8 * workers)))) for cfg in cfgs]
+
+
+def run_trials(cfg: ExperimentConfig, runner=run_trial,
+               workers: int | None = None) -> list[TrialRecord]:
+    """Records of trials 0..cfg.trials-1: serially for one worker, else in
+    a pool of `workers` processes opened for this call."""
+    return _run_configs([cfg], runner, workers)[0]
 
 
 @dataclass(frozen=True)
@@ -362,13 +355,9 @@ def sweep(cfg: ExperimentConfig, axis: str, workers: int | None = None) -> list[
     """Aggregate success rate and BGR along one sweep axis, every point
     run in one process pool."""
     points = sweep_points(cfg, axis)
-    if workers is None:
-        workers = _worker_count()
-    with _trial_pool(workers) if workers > 1 else nullcontext() as pool:
-        return [
-            aggregate(run_trials(point_cfg, workers=workers, pool=pool), sweep_var, value, cfg.seed)
-            for sweep_var, value, point_cfg in points
-        ]
+    records = _run_configs([point_cfg for _, _, point_cfg in points], run_trial, workers)
+    return [aggregate(recs, var, value, cfg.seed)
+            for (var, value, _), recs in zip(points, records)]
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:

@@ -1,6 +1,7 @@
 """Channels built directly from a beamspace matrix, for planted-support
-studies, the per-beam effective support of a constant-modulus beam, and
-round-by-round noisy readings."""
+studies, the dense beamspace coefficients of ideal-sparse beams, the
+per-beam effective support of a constant-modulus beam, and round-by-round
+noisy readings."""
 
 import numpy as np
 
@@ -18,6 +19,16 @@ def channel_from_lambda(lam: np.ndarray, cfg: ArrayConfig) -> CascadeChannel:
     return CascadeChannel(
         h=u @ b.conj().T, lam=lam, strongest=(int(i), int(j)), u=u, b=b, cfg=cfg
     )
+
+
+def sparse_amplitudes(n: int, supports: np.ndarray, amp: float) -> np.ndarray:
+    """Dense n x len(supports) beamspace coefficients: column k holds amp
+    on the rows supports[k] and 0 elsewhere. An ideal-sparse round's beams
+    are the dictionaries times these: barD @ (c_design, sqrt(M/q)) and
+    D @ (a_supports, 1/sqrt(R))."""
+    mat = np.zeros((n, len(supports)), dtype=complex)
+    mat[supports, np.arange(len(supports))[:, None]] = amp
+    return mat
 
 
 def effective_support(v: np.ndarray, q: int, bar_d: np.ndarray) -> np.ndarray:

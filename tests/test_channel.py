@@ -143,6 +143,10 @@ class TestSamplePaths:
             sample_paths(0, 0.0, rng)
         with pytest.raises(InvalidParameterError):
             sample_paths(2, np.inf, rng)
+        # 10^(x/10) overflows above ~3082.5 dB and is 0 below ~-3240 dB
+        for db in (4000.0, -4000.0):
+            with pytest.raises(InvalidParameterError, match="rician_db"):
+                sample_paths(2, db, rng)
 
 
 class TestAssemble:

@@ -118,21 +118,14 @@ class TestSweepCommand:
         monkeypatch.setenv("IRSBEAM_WORKERS", "1")
         with open(config_path, "a") as fh:
             fh.write("m_sweep = 16, 32\n")
-        bin_sizes = []
-        run_trials = harness.run_trials
-
-        def spy(cfg, **kwargs):
-            bin_sizes.append((cfg.array.m, cfg.q))
-            return run_trials(cfg, **kwargs)
-
-        monkeypatch.setattr(harness, "run_trials", spy)
         rc = main(["sweep", "--config", config_path, "--axis", "M"])
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
         assert [l.split(",")[:3] for l in lines[1:]] == [["M", "16", "4"], ["M", "32", "4"]]
         # U = M/q stays at 4, so q scales with M
-        assert bin_sizes == [(16, 4), (32, 8)]
+        points = harness.sweep_points(parse_config(config_path), "M")
+        assert [(p.array.m, p.q) for _, _, p in points] == [(16, 4), (32, 8)]
 
     def test_bad_axis_rejected(self, config_path):
         with pytest.raises(SystemExit):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irsbeam import codebook
-from irsbeam.arrays import ArrayConfig, cascade_dictionary
+from irsbeam.arrays import ArrayConfig, cascade_dictionary, dft_dictionary
 from irsbeam.codebook import (
     CONSTANT_MODULUS,
     IDEAL_SPARSE,
@@ -19,7 +19,7 @@ from irsbeam.codebook import (
 from irsbeam.errors import InvalidParameterError
 from irsbeam.harness import ExperimentConfig
 
-from helpers import effective_support
+from helpers import effective_support, sparse_amplitudes
 
 CFG = ArrayConfig(n_t=128, m_y=16, m_z=16, r=4)
 SMALL = ArrayConfig(n_t=8, m_y=2, m_z=2, r=2)
@@ -60,11 +60,14 @@ class TestBuildRound:
     def test_ideal_amplitudes_and_norms(self):
         rnd = build_scan_plan(SMALL, 2, 1, rng=np.random.default_rng(4)).rounds[0]
         m, q = SMALL.m, 2
-        for mat, supports, amp in ((rnd.c_mat, rnd.c_design, np.sqrt(m / q)),
-                                   (rnd.a_mat, rnd.a_supports, 1 / np.sqrt(SMALL.r))):
-            for k, sup in enumerate(supports):
-                np.testing.assert_array_equal(mat[sup, k], amp)
-            assert np.count_nonzero(mat) == supports.size
+        for beams, dic, supports, amp in (
+            (rnd.v_beams, cascade_dictionary(SMALL), rnd.c_design, np.sqrt(m / q)),
+            (rnd.f_beams, dft_dictionary(SMALL.n_t), rnd.a_supports, 1 / np.sqrt(SMALL.r)),
+        ):
+            coeffs = sparse_amplitudes(len(dic), supports, amp)
+            np.testing.assert_allclose(beams, dic @ coeffs, rtol=0, atol=1e-12)
+            # the beamspace image: amp on each support, 0 elsewhere
+            np.testing.assert_allclose(dic.conj().T @ beams, coeffs, rtol=0, atol=1e-12)
         for u in range(rnd.u):
             assert np.linalg.norm(rnd.v_beams[:, u]) ** 2 == pytest.approx(m)
         for v in range(rnd.v):
@@ -72,11 +75,12 @@ class TestBuildRound:
 
     def test_c_columns_orthogonal(self):
         rnd = build_scan_plan(CFG, 32, 1, rng=np.random.default_rng(5)).rounds[0]
-        gram = rnd.c_mat.conj().T @ rnd.c_mat
-        off = gram - np.diag(np.diag(gram))
-        assert np.abs(off).max() < 1e-12
-        gram_a = rnd.a_mat.conj().T @ rnd.a_mat
-        assert np.abs(gram_a - np.diag(np.diag(gram_a))).max() < 1e-12
+        # disjoint supports of a unitary dictionary: orthogonal beams of
+        # squared norm M (IRS) and 1 (BS)
+        for beams, norm2 in ((rnd.v_beams, CFG.m), (rnd.f_beams, 1.0)):
+            gram = beams.conj().T @ beams
+            np.testing.assert_allclose(gram, norm2 * np.eye(len(gram)),
+                                       rtol=0, atol=1e-12 * norm2)
 
     @settings(deadline=None, max_examples=15)
     @given(st.sampled_from([1, 2, 4, 8, 16, 32]))
@@ -121,7 +125,7 @@ class TestPlanProperties:
                 for k, sup in enumerate(parts):
                     assert np.all(bins[sup] == k)
             for name in ("c_design", "a_supports", "c_supports", "row_bin",
-                         "col_bin", "c_mat", "a_mat"):
+                         "col_bin", "v_beams", "f_beams"):
                 np.testing.assert_array_equal(getattr(rnd, name), getattr(again, name))
 
 
@@ -154,7 +158,9 @@ class TestRoundSolve:
             sups = np.array([effective_support(b, q, bar) for b in rnd.v_beams.T])
             np.testing.assert_array_equal(rnd.c_supports, sups)
             claims = [np.flatnonzero((sups == i).any(axis=1)) for i in range(cfg.m)]
-            bins = [c[0] if len(c) == 1 else np.argmax(np.abs(rnd.c_mat[i]))
+            # the product encode_round bins with
+            image = bar.conj().T @ rnd.v_beams
+            bins = [c[0] if len(c) == 1 else np.argmax(np.abs(image[i]))
                     for i, c in enumerate(claims)]
             np.testing.assert_array_equal(rnd.row_bin, bins)
 
@@ -174,7 +180,7 @@ class TestConstantModulusJson:
             mp.setattr(codebook, "_ascend", no_solve)
             back = plan_from_json(text)
         for rnd, again in zip(plan.rounds, back.rounds, strict=True):
-            for name in ("v_beams", "c_mat", "c_supports", "row_bin"):
+            for name in ("v_beams", "f_beams", "c_supports", "row_bin"):
                 np.testing.assert_array_equal(getattr(rnd, name), getattr(again, name))
             # only a fresh solve knows them
             assert again.cm_converged is None and again.cm_iters is None
@@ -295,8 +301,7 @@ class TestPlanJson:
         back = plan_from_json(json.dumps(doc))
         for r1, r2 in zip(plan.rounds, back.rounds):
             np.testing.assert_array_equal(r1.v_beams, r2.v_beams)
-            np.testing.assert_array_equal(r1.c_mat, r2.c_mat)
-            np.testing.assert_array_equal(r1.a_mat, r2.a_mat)
+            np.testing.assert_array_equal(r1.f_beams, r2.f_beams)
 
     @pytest.mark.parametrize("corrupt", [
         lambda d: d.pop("q"),

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irsbeam.arrays import ArrayConfig
+from irsbeam.channel import assemble_channels, sample_paths
 from irsbeam.codebook import (
     CONSTANT_MODULUS,
     IDEAL_SPARSE,
@@ -431,6 +432,27 @@ class TestStackedSynthesis:
         got = synthesize_measurements(lam, plan, sigma, np.random.default_rng(6))
         want = readings_per_round(lam, plan, sigma, np.random.default_rng(6))
         assert all(np.array_equal(a, b) for a, b in zip(got.y, want))
+
+
+class TestReadingsAreBeamMeasurements:
+    """A round's noiseless readings are what its physical beams measure of
+    the channel, |v_beams^H h f_beams|, though they are taken as bin sums
+    of lam."""
+
+    @pytest.mark.parametrize("mode", [IDEAL_SPARSE, CONSTANT_MODULUS])
+    @pytest.mark.parametrize("cfg,q,l", [
+        (ArrayConfig(n_t=8, m_y=4, m_z=4, r=2), 8, 3),
+        (ArrayConfig(n_t=128, m_y=16, m_z=16, r=8), 16, 2),
+    ], ids=["4x4", "acceptance"])
+    def test_noiseless_readings_equal_beam_products(self, mode, cfg, q, l):
+        rng = np.random.default_rng(21)
+        ch = assemble_channels(
+            sample_paths(3, 5.0, rng, with_bs_aod=True), sample_paths(2, 0.0, rng), cfg
+        )
+        plan = build_scan_plan(cfg, q, l, mode, rng)
+        for y_l, rnd in zip(synthesize_measurements(ch.lam, plan, 0.0).y, plan.rounds):
+            want = np.abs(rnd.v_beams.conj().T @ ch.h @ rnd.f_beams)
+            assert np.abs(y_l - want).max() <= 1e-12 * want.max()
 
 
 def _assert_ungated_is_epsilon_zero(plan, seed):

@@ -102,6 +102,12 @@ class TestSnrCalibration:
             )
             assert back == pytest.approx(snr, abs=1e-12)
 
+    @pytest.mark.parametrize("snr", [4000.0, -4000.0, np.nan])
+    def test_snr_without_finite_power_rejected(self, snr):
+        # 10^(x/10) overflows above ~3082.5 dB and is 0 below ~-3240 dB
+        with pytest.raises(InvalidParameterError, match="snr_db"):
+            snr_to_sigma(np.ones((4, 4)), snr)
+
     def test_zero_channel_rejected(self):
         with pytest.raises(InvalidParameterError):
             snr_to_sigma(np.zeros((4, 4)), 0.0)
@@ -510,7 +516,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize("line", [
         "q = 3", "r = 3", "mode = cm", "l = 0", "t_sweep = 2, 0",
         "paths_bs_irs = 0", "paths_irs_user = 0", "rician_bs_irs_db = inf",
-        "rician_irs_user_db = nan", "seed = -1",
+        "rician_irs_user_db = nan", "seed = -1", "rician_bs_irs_db = 4000",
+        "rician_irs_user_db = 4000", "rician_irs_user_db = -4000",
     ])
     def test_value_every_trial_would_reject_fails_at_parse(self, line):
         with pytest.raises(InvalidParameterError):
@@ -519,6 +526,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("line", [
         "snr_db = nan", "snr_db = inf", "snr_db = -inf",
         "snr_sweep = -10, nan", "snr_sweep = inf", "snr_db = none\nsnr_sweep = 0, -inf",
+        "snr_db = 4000", "snr_db = -4000", "snr_sweep = -10, 4000",
     ])
     def test_non_finite_snr_fails_at_parse(self, line):
         with pytest.raises(InvalidParameterError, match="snr"):
@@ -526,6 +534,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("snr_db,snr_sweep", [
         (math.nan, ()), (math.inf, ()), (None, (0.0, math.nan)), (-20.0, (-math.inf,)),
+        (4000.0, ()), (-4000.0, ()), (None, (0.0, 4000.0)),
     ])
     def test_non_finite_snr_rejected_by_config(self, snr_db, snr_sweep):
         with pytest.raises(InvalidParameterError, match="snr"):
@@ -544,6 +553,11 @@ def _finite(**kw):
     return st.floats(allow_nan=False, allow_infinity=False, **kw)
 
 
+def _db():
+    """dB values a config accepts: 10^(x/10) must be positive and finite."""
+    return _finite(min_value=-3000.0, max_value=3000.0)
+
+
 @st.composite
 def config_fields(draw):
     """Valid field values for a config file, each key written or left to
@@ -559,8 +573,8 @@ def config_fields(draw):
         "l": draw(st.integers(1, 9)),
         "mode": draw(st.sampled_from(["ideal-sparse", "constant-modulus"])),
         "scenario": draw(st.sampled_from(["los", "nlos"])),
-        "snr_db": draw(st.none() | _finite()),
-        "snr_sweep": draw(st.lists(_finite(), min_size=1, max_size=4).map(tuple)),
+        "snr_db": draw(st.none() | _db()),
+        "snr_sweep": draw(st.lists(_db(), min_size=1, max_size=4).map(tuple)),
         "t_sweep": draw(st.lists(st.integers(1, 50), min_size=1, max_size=4).map(tuple)),
         "m_sweep": draw(st.lists(st.integers(1, 512), min_size=1, max_size=4).map(tuple)),
         "trials": draw(st.integers(1, 10**6)),
@@ -568,8 +582,8 @@ def config_fields(draw):
         "p_fa": draw(_finite(min_value=1e-9, max_value=1 - 1e-9)),
         "paths_bs_irs": draw(st.integers(1, 8)),
         "paths_irs_user": draw(st.integers(1, 8)),
-        "rician_bs_irs_db": draw(_finite()),
-        "rician_irs_user_db": draw(st.none() | _finite()),
+        "rician_bs_irs_db": draw(_db()),
+        "rician_irs_user_db": draw(st.none() | _db()),
         "output": draw(st.none() | st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True)
                        .filter(lambda s: s.lower() != "none")),
     }
