@@ -54,14 +54,17 @@ class CascadeChannel:
 
     `u` (M x P) and `b` (N_t x P) are the rank-P factors, h = u b^H; the
     full-CSI reference beams are computed from them. `lam` is the unitary
-    beamspace transform of `h`; `strongest` is the 0-based (row, col)
-    index of the largest |lam| entry, ties broken by lowest row then
-    lowest column.
+    beamspace transform of `h`, and `x` = barD^H u (M x P) and
+    `y` = b^H D (P x N_t) are its factors, lam = x y, from which a scan
+    reads its rounds. `strongest` is the 0-based (row, col) index of the
+    largest |lam| entry, ties broken by lowest row then lowest column.
     """
 
     h: np.ndarray
     lam: np.ndarray
     strongest: tuple[int, int]
+    x: np.ndarray = field(repr=False)
+    y: np.ndarray = field(repr=False)
     u: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
     cfg: ArrayConfig = field(repr=False)
@@ -134,9 +137,10 @@ def assemble_channels(
 
     G = sqrt(N_t*M/P) sum_p g_p a_p b_p^H, so h = U B^H with U (M x P) the
     IRS responses times the gains, the scale and conj(h_r), and B
-    (N_t x P) the BS responses; likewise lam = (barD^H U)(B^H D). barD^H U
-    is taken through barD's Kronecker factors, so the M x M cascade
-    dictionary is neither built nor read.
+    (N_t x P) the BS responses; likewise lam = X Y with X = barD^H U and
+    Y = B^H D, both kept on the channel. X is taken through barD's
+    Kronecker factors, so the M x M cascade dictionary is neither built
+    nor read.
     """
     if bs_irs.bs_aod is None:
         raise InvalidDimensionError("BS-IRS path set needs BS departure angles")
@@ -154,10 +158,12 @@ def assemble_channels(
     # barD^H = F_{m_y}^H kron F_{m_z}^H acts on each path's column of u,
     # laid out m_y x m_z, as F_{m_y}^H W F_{m_z}^H^T
     w = u.T.reshape(-1, m_y, m_z)
-    bar_h_u = (cascade_factor_h(m_y) @ w @ cascade_factor_h(m_z).T).reshape(-1, m).T
-    lam = bar_h_u @ (b_h @ dft_dictionary(n_t))
+    x = (cascade_factor_h(m_y) @ w @ cascade_factor_h(m_z).T).reshape(-1, m).T
+    y = b_h @ dft_dictionary(n_t)
+    lam = x @ y
     return CascadeChannel(
-        h=u @ b_h, lam=lam, strongest=_argmax_2d(np.abs(lam)), u=u, b=b, cfg=cfg
+        h=u @ b_h, lam=lam, strongest=_argmax_2d(np.abs(lam)),
+        x=x, y=y, u=u, b=b, cfg=cfg,
     )
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .arrays import cascade_dictionary
 from .channel import AlignmentEstimate, noisy_magnitude
-from .codebook import RoundEncoding, ScanPlan
+from .codebook import IDEAL_SPARSE, ScanPlan
 from .errors import InvalidDimensionError, InvalidParameterError
 
 
@@ -45,30 +45,53 @@ class MeasurementSet:
 
 
 def _round_readings(
-    lam: np.ndarray, rnd: RoundEncoding, out: np.ndarray | None = None
+    lam: np.ndarray | tuple[np.ndarray, np.ndarray], plan: ScanPlan
 ) -> np.ndarray:
-    """The beams' noiseless readings as bin sums of Lambda, U x V, written
-    to `out` when given.
+    """The noiseless readings of every round of the plan, L x U x V.
 
-    An ideal-sparse row bin sums the rows of its design set, scaled by
-    sqrt(M/q); a constant-modulus beam v reads (barD^H v)^H Lambda. Then
-    each precoder sums the columns of its support, scaled by 1/sqrt(R).
+    `lam` is Lambda (M x N_t) or its factor pair (X, Y), Lambda = X Y with
+    X M x P and Y P x N_t; Lambda alone is the pair (Lambda, I). First
+    each round's rows C^H X: an ideal-sparse row bin sums the rows of X in
+    its design set, scaled by sqrt(M/q); a constant-modulus beam v reads
+    (barD^H v)^H X. Each precoder then sums the columns of its support,
+    scaled by 1/sqrt(R). For Lambda these are columns of C^H Lambda,
+    summed round by round. For the pair they are columns of Y, summed for
+    all rounds in one gather, and the U x P rows times those P x V sums is
+    a sum of P outer products; nothing of size M x N_t is made.
     """
-    (u, q), (v, r) = rnd.c_design.shape, rnd.a_supports.shape
+    if not plan.rounds:
+        raise InvalidDimensionError("a plan with at least one round required")
+    x, y = lam if isinstance(lam, tuple) else (lam, None)
+    rounds, n = plan.rounds, plan.l
+    (u, q), (v, r) = rounds[0].c_design.shape, rounds[0].a_supports.shape
     scale = 1.0 / np.sqrt(r)
-    if rnd.cm_beams is None:
-        rows = lam.take(rnd.c_design.ravel(), axis=0).reshape(u, q, -1).sum(axis=1)
-        scale *= np.sqrt(rnd.cfg.m / q)
+    # round by round, so a dense Lambda is gathered one round at a time
+    rows = np.empty((n, u, x.shape[1]), dtype=complex)
+    if plan.mode == IDEAL_SPARSE:
+        for rows_l, rnd in zip(rows, rounds):
+            x.take(rnd.c_design.ravel(), axis=0).reshape(u, q, -1).sum(axis=1, out=rows_l)
+        scale *= np.sqrt(plan.cfg.m / q)
     else:
         # the image encode_round bins by; another product order moves the low bits
-        rows = (cascade_dictionary(rnd.cfg).conj().T @ rnd.cm_beams).conj().T @ lam
-    z = rows.take(rnd.a_supports.T.ravel(), axis=1).reshape(u, r, v).sum(axis=1, out=out)
+        bar_h = cascade_dictionary(plan.cfg).conj().T
+        for rows_l, rnd in zip(rows, rounds):
+            rows_l[...] = (bar_h @ rnd.cm_beams).conj().T @ x
+    cols = np.stack([rnd.a_supports.T for rnd in rounds])  # L x R x V
+    if y is None:
+        z = np.empty((n, u, v), dtype=complex)
+        for z_l, rows_l, cols_l in zip(z, rows, cols):
+            rows_l.take(cols_l.ravel(), axis=1).reshape(u, r, v).sum(axis=1, out=z_l)
+    else:
+        y_bins = y.take(cols.ravel(), axis=1).reshape(-1, n, r, v).sum(axis=2)
+        z = rows[..., :1] * y_bins[0, :, None]
+        for p in range(1, len(y_bins)):
+            z += rows[..., p:p + 1] * y_bins[p, :, None]
     z *= scale
     return z
 
 
 def synthesize_measurements(
-    lam: np.ndarray,
+    lam: np.ndarray | tuple[np.ndarray, np.ndarray],
     plan: ScanPlan,
     sigma: float,
     rng: np.random.Generator | None = None,
@@ -76,15 +99,13 @@ def synthesize_measurements(
     """Y_l = |C_l^H Lambda A_l + N_l| for every round of the plan.
 
     C_l = barD^H v_beams and A_l = D^H f_beams are the beams' beamspace
-    images. The noiseless readings are bin sums of Lambda, not matrix
-    products, so an ideal-sparse round builds neither. The rounds'
-    readings fill one L x U x V stack, noised in one draw, round by round.
+    images. `lam` is Lambda (M x N_t) or its rank-P factor pair (X, Y),
+    Lambda = X Y, as `CascadeChannel.x` and `.y`. The noiseless readings
+    are bin sums, not matrix products: of Lambda, or of X's rows times Y's
+    columns, (C_l^H X)(Y A_l). They form one L x U x V stack, noised in
+    one draw, round by round.
     """
-    cfg = plan.cfg
-    z = np.empty((plan.l, cfg.m // plan.q, cfg.n_t // cfg.r), dtype=complex)
-    for z_l, rnd in zip(z, plan.rounds):
-        _round_readings(lam, rnd, out=z_l)
-    return MeasurementSet(y=noisy_magnitude(z, sigma, rng), plan=plan)
+    return MeasurementSet(y=noisy_magnitude(_round_readings(lam, plan), sigma, rng), plan=plan)
 
 
 def _decode(

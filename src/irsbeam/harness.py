@@ -89,7 +89,7 @@ class ExperimentConfig:
         for db in (self.rician_bs_irs_db, self.irs_user_rician_db):
             db_to_power(db, "Rician factor")
         for db in self.snr_sweep if self.snr_db is None else (self.snr_db, *self.snr_sweep):
-            db_to_power(db, "snr_db or snr_sweep entry")
+            _noise_scale(self.array.m, self.array.n_t, db)
 
     @property
     def irs_user_rician_db(self) -> float:
@@ -110,6 +110,18 @@ class TrialRecord:
     estimate: AlignmentEstimate = field(repr=False)
 
 
+def _noise_scale(m: int, n_t: int, snr_db: float) -> float:
+    """sqrt(N_t * M * 10^(snr_db/10)), by which ||H||_F is divided to give
+    sigma; InvalidParameterError where it overflows, which would make
+    sigma 0, a noiseless scan at a finite SNR."""
+    den = math.sqrt(n_t * m * db_to_power(snr_db, "snr_db"))
+    if den == math.inf:
+        raise InvalidParameterError(
+            f"snr_db = {snr_db} is too high for N_t*M = {n_t * m}: the noise std rounds to 0"
+        )
+    return den
+
+
 def snr_to_sigma(h: np.ndarray, snr_db: float) -> float:
     """Noise std for SNR = ||H||_F^2 / (N_t * M * sigma^2) in dB.
 
@@ -117,20 +129,25 @@ def snr_to_sigma(h: np.ndarray, snr_db: float) -> float:
     unthreaded einsum, so sigma does not depend on the BLAS thread count.
     Where it may under- or overflow it is taken of h scaled by an exact
     power of two, so sigma scales with h over the float range.
+    InvalidParameterError unless sigma is positive and finite.
     """
     m, n_t = h.shape
-    den = math.sqrt(n_t * m * db_to_power(snr_db, "snr_db"))
+    den = _noise_scale(m, n_t, snr_db)
     x = np.ascontiguousarray(h, dtype=complex).reshape(-1).view(float)
     with np.errstate(over="ignore"):
         fro = math.sqrt(np.einsum("i,i", x, x))
     if 2.0**-400 <= fro <= 2.0**400:
-        return fro / den
-    peak = np.abs(x).max()
-    if not 0 < peak < np.inf:
-        raise InvalidParameterError("channel must be finite and nonzero to set an SNR")
-    e = int(np.frexp(peak)[1])
-    x = np.ldexp(x, -e)
-    return float(np.ldexp(math.sqrt(np.einsum("i,i", x, x)) / den, e))
+        sigma = fro / den
+    else:
+        peak = np.abs(x).max()
+        if not 0 < peak < np.inf:
+            raise InvalidParameterError("channel must be finite and nonzero to set an SNR")
+        e = int(np.frexp(peak)[1])
+        x = np.ldexp(x, -e)
+        sigma = float(np.ldexp(math.sqrt(np.einsum("i,i", x, x)) / den, e))
+    if not 0 < sigma < math.inf:
+        raise InvalidParameterError(f"snr_db = {snr_db} gives noise std {sigma} for this channel")
+    return sigma
 
 
 def optimal_beams(u: np.ndarray, b: np.ndarray):
@@ -210,7 +227,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
     rng = trial_rng(cfg.seed, trial_index)
     ch, sigma = _sample_channel(cfg, rng)
     plan = build_scan_plan(cfg.array, cfg.q, cfg.l, cfg.mode, rng)
-    measurements = synthesize_measurements(ch.lam, plan, sigma, rng)
+    measurements = synthesize_measurements((ch.x, ch.y), plan, sigma, rng)
     if sigma > 0:
         epsilon = rayleigh_threshold(sigma, cfg.p_fa)
     else:

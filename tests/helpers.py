@@ -7,17 +7,17 @@ import numpy as np
 
 from irsbeam.arrays import ArrayConfig, cascade_dictionary, dft_dictionary
 from irsbeam.channel import CascadeChannel
-from irsbeam.decoder import _round_readings
 
 
 def channel_from_lambda(lam: np.ndarray, cfg: ArrayConfig) -> CascadeChannel:
     """The cascade channel whose beamspace image is `lam`: factors
-    u = barD lam and b = D, so h = barD lam D^H."""
+    u = barD lam and b = D, so h = barD lam D^H, and lam = lam I."""
     u = cascade_dictionary(cfg) @ lam
     b = dft_dictionary(cfg.n_t)
     i, j = np.unravel_index(int(np.argmax(np.abs(lam))), lam.shape)
     return CascadeChannel(
-        h=u @ b.conj().T, lam=lam, strongest=(int(i), int(j)), u=u, b=b, cfg=cfg
+        h=u @ b.conj().T, lam=lam, strongest=(int(i), int(j)),
+        x=lam, y=np.eye(cfg.n_t, dtype=complex), u=u, b=b, cfg=cfg,
     )
 
 
@@ -49,10 +49,27 @@ def noisy_magnitude_per_matrix(z: np.ndarray, sigma: float, rng) -> np.ndarray:
     return np.abs(z)
 
 
+def round_readings(lam: np.ndarray, rnd) -> np.ndarray:
+    """One round's noiseless readings of a dense lam, U x V, as bin sums:
+    each IRS bin's rows of lam summed (times sqrt(M/q)), or a
+    constant-modulus beam's image times lam, then each precoder's columns
+    summed, all over sqrt(R)."""
+    (u, q), (v, r) = rnd.c_design.shape, rnd.a_supports.shape
+    scale = 1.0 / np.sqrt(r)
+    if rnd.cm_beams is None:
+        rows = lam.take(rnd.c_design.ravel(), axis=0).reshape(u, q, -1).sum(axis=1)
+        scale *= np.sqrt(rnd.cfg.m / q)
+    else:
+        rows = (cascade_dictionary(rnd.cfg).conj().T @ rnd.cm_beams).conj().T @ lam
+    z = rows.take(rnd.a_supports.T.ravel(), axis=1).reshape(u, r, v).sum(axis=1)
+    z *= scale
+    return z
+
+
 def readings_per_round(lam: np.ndarray, plan, sigma: float, rng) -> list[np.ndarray]:
     """The noisy readings of each round in turn, each drawing its own noise:
     the values and random stream the stacked synthesis must keep."""
     return [
-        noisy_magnitude_per_matrix(_round_readings(lam, rnd), sigma, rng)
+        noisy_magnitude_per_matrix(round_readings(lam, rnd), sigma, rng)
         for rnd in plan.rounds
     ]

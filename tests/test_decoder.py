@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -437,7 +439,7 @@ class TestStackedSynthesis:
 class TestReadingsAreBeamMeasurements:
     """A round's noiseless readings are what its physical beams measure of
     the channel, |v_beams^H h f_beams|, though they are taken as bin sums
-    of lam."""
+    of lam or of its factors x and y."""
 
     @pytest.mark.parametrize("mode", [IDEAL_SPARSE, CONSTANT_MODULUS])
     @pytest.mark.parametrize("cfg,q,l", [
@@ -450,9 +452,65 @@ class TestReadingsAreBeamMeasurements:
             sample_paths(3, 5.0, rng, with_bs_aod=True), sample_paths(2, 0.0, rng), cfg
         )
         plan = build_scan_plan(cfg, q, l, mode, rng)
-        for y_l, rnd in zip(synthesize_measurements(ch.lam, plan, 0.0).y, plan.rounds):
-            want = np.abs(rnd.v_beams.conj().T @ ch.h @ rnd.f_beams)
-            assert np.abs(y_l - want).max() <= 1e-12 * want.max()
+        for lam in (ch.lam, (ch.x, ch.y)):
+            for y_l, rnd in zip(synthesize_measurements(lam, plan, 0.0).y, plan.rounds):
+                want = np.abs(rnd.v_beams.conj().T @ ch.h @ rnd.f_beams)
+                assert np.abs(y_l - want).max() <= 1e-12 * want.max()
+
+
+@st.composite
+def factor_pairs(draw):
+    """A small array, a bin size, a plan mode and seed, and lam's factors
+    x (M x P) and y (P x N_t) for P in 1..4."""
+    m_y, m_z = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n_t = draw(st.sampled_from([1, 2, 4, 6, 8]))
+    m = m_y * m_z
+    cfg = ArrayConfig(
+        n_t=n_t, m_y=m_y, m_z=m_z,
+        r=draw(st.sampled_from([r for r in range(1, n_t + 1) if n_t % r == 0])),
+    )
+    q = draw(st.sampled_from([q for q in range(1, m + 1) if m % q == 0]))
+    mode = draw(st.sampled_from([IDEAL_SPARSE, CONSTANT_MODULUS]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.integers(1, 4))
+    x = rng.standard_normal((m, p)) + 1j * rng.standard_normal((m, p))
+    y = rng.standard_normal((p, n_t)) + 1j * rng.standard_normal((p, n_t))
+    plan = build_scan_plan(cfg, q, draw(st.integers(1, 3)), mode, rng)
+    return plan, x, y
+
+
+class TestFactorPairReadings:
+    """Reading a round from lam's factors (x, y) equals reading it from the
+    dense lam = x @ y, to rounding; the pair makes no M x N_t array."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(factor_pairs())
+    def test_pair_equals_dense_product(self, drawn):
+        plan, x, y = drawn
+        got = synthesize_measurements((x, y), plan, 0.0).y
+        want = synthesize_measurements(x @ y, plan, 0.0).y
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * want.max()
+
+    def test_pair_allocates_less_than_one_dense_matrix(self):
+        # one M x N_t complex array at the acceptance size is 512 KB
+        cfg = ArrayConfig(n_t=128, m_y=16, m_z=16, r=8)
+        rng = np.random.default_rng(8)
+        ch = assemble_channels(
+            sample_paths(2, 13.2, rng, with_bs_aod=True), sample_paths(2, 13.2, rng), cfg
+        )
+        plan = build_scan_plan(cfg, 16, 7, rng=rng)
+        sigma = 0.1 * np.abs(ch.lam).max()
+        synthesize_measurements((ch.x, ch.y), plan, sigma, rng)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            synthesize_measurements((ch.x, ch.y), plan, sigma, rng)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert ch.lam.nbytes == 512 * 1024
+        assert peak < 256 * 1024
 
 
 def _assert_ungated_is_epsilon_zero(plan, seed):

@@ -108,6 +108,21 @@ class TestSnrCalibration:
         with pytest.raises(InvalidParameterError, match="snr_db"):
             snr_to_sigma(np.ones((4, 4)), snr)
 
+    @pytest.mark.parametrize("snr", [3060.0, 3080.0, 3082.5])
+    def test_snr_whose_noise_std_rounds_to_zero_rejected(self, snr):
+        # N_t*M*10^(snr/10) overflows at N_t=128, 16x16, so sigma came
+        # back 0.0 and the trial ran noiseless
+        with pytest.raises(InvalidParameterError, match="snr_db"):
+            snr_to_sigma(np.ones((256, 128)), snr)
+
+    def test_sigma_that_underflows_rejected(self):
+        # sigma of about 1e-450 rounds to 0 through the rescaled branch
+        with pytest.raises(InvalidParameterError, match="snr_db"):
+            snr_to_sigma(np.full((4, 4), 1e-300), 3000.0)
+
+    def test_high_snr_below_the_bound_kept(self):
+        assert snr_to_sigma(np.ones((256, 128)), 3000.0) == 1e-150
+
     def test_zero_channel_rejected(self):
         with pytest.raises(InvalidParameterError):
             snr_to_sigma(np.zeros((4, 4)), 0.0)
@@ -375,6 +390,28 @@ class TestTrials:
                 tracemalloc.stop()
         assert max(peaks) <= 1.8e6
 
+    def test_records_equal_a_run_that_reads_the_dense_lam(self, monkeypatch):
+        # run_trial reads its rounds from lam's factors; the same trials
+        # read from the dense lam give the same records
+        cfgs = [replace(ACCEPTANCE_CFG, scenario=s, snr_db=-20.0) for s in ("los", "nlos")]
+        want = [run_trial(cfg, t) for cfg in cfgs for t in range(50)]
+        channels, forms = [], []
+        real_assemble, real_synthesize = harness.assemble_channels, harness.synthesize_measurements
+
+        def assemble(*args):
+            channels.append(real_assemble(*args))
+            return channels[-1]
+
+        def synthesize(lam, *args):
+            forms.append(type(lam))
+            return real_synthesize(channels[-1].lam, *args)
+
+        monkeypatch.setattr(harness, "assemble_channels", assemble)
+        monkeypatch.setattr(harness, "synthesize_measurements", synthesize)
+        got = [run_trial(cfg, t) for cfg in cfgs for t in range(50)]
+        assert forms == [tuple] * 100
+        assert got == want
+
     @pytest.mark.parametrize("scenario", ["los", "nlos"])
     def test_ideal_sparse_trial_builds_no_cascade_dictionary(self, scenario):
         _cascade_dictionary_cached.cache_clear()
@@ -539,6 +576,22 @@ class TestConfigParsing:
     def test_non_finite_snr_rejected_by_config(self, snr_db, snr_sweep):
         with pytest.raises(InvalidParameterError, match="snr"):
             ExperimentConfig(array=SMALL, q=4, l=2, snr_db=snr_db, snr_sweep=snr_sweep)
+
+    @pytest.mark.parametrize("snr_db,snr_sweep", [
+        (3080.0, ()), (None, (0.0, 3080.0)), (-20.0, (3060.0,)),
+    ])
+    def test_snr_whose_noise_std_rounds_to_zero_rejected_by_config(self, snr_db, snr_sweep):
+        # accepted on a 4x4 array with N_t=16, where N_t*M is 128 times smaller
+        small = ExperimentConfig(array=SMALL, q=4, l=2, snr_db=3050.0)
+        with pytest.raises(InvalidParameterError, match="snr_db"):
+            replace(ACCEPTANCE_CFG, snr_db=snr_db, snr_sweep=snr_sweep)
+        with pytest.raises(InvalidParameterError, match="snr_db"):
+            sweep_points(replace(small, m_sweep=(16, 4096)), "M")
+        assert replace(ACCEPTANCE_CFG, snr_db=3000.0).snr_db == 3000.0
+
+    def test_snr_whose_noise_std_rounds_to_zero_fails_at_parse(self):
+        with pytest.raises(InvalidParameterError, match="snr_db"):
+            parse_config_text("n_t = 128\nm_y = 16\nm_z = 16\nr = 8\nq = 16\nsnr_db = 3080")
 
     def test_nlos_default_rician(self):
         los = parse_config_text("scenario = los")
