@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidDimensionError
+from .errors import InvalidDimensionError, check_field_types
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,7 @@ class ArrayConfig:
     spacing_ratio: float = 0.5
 
     def __post_init__(self):
+        check_field_types(self, InvalidDimensionError)
         if self.n_t < 1 or self.m_y < 1 or self.m_z < 1:
             raise InvalidDimensionError(
                 f"array sizes must be >= 1, got n_t={self.n_t}, "

@@ -44,48 +44,35 @@ class MeasurementSet:
         object.__setattr__(self, "y", y)
 
 
-def _round_readings(
-    lam: np.ndarray | tuple[np.ndarray, np.ndarray], plan: ScanPlan
-) -> np.ndarray:
-    """The noiseless readings of every round of the plan, L x U x V.
+def _round_readings(x: np.ndarray, y: np.ndarray, plan: ScanPlan) -> np.ndarray:
+    """The noiseless readings of every round of the plan, L x U x V, of
+    Lambda = X Y with X M x P and Y P x N_t.
 
-    `lam` is Lambda (M x N_t) or its factor pair (X, Y), Lambda = X Y with
-    X M x P and Y P x N_t; Lambda alone is the pair (Lambda, I). First
-    each round's rows C^H X: an ideal-sparse row bin sums the rows of X in
+    Each round's rows C^H X: an ideal-sparse row bin sums the rows of X in
     its design set, scaled by sqrt(M/q); a constant-modulus beam v reads
-    (barD^H v)^H X. Each precoder then sums the columns of its support,
-    scaled by 1/sqrt(R). For Lambda these are columns of C^H Lambda,
-    summed round by round. For the pair they are columns of Y, summed for
-    all rounds in one gather, and the U x P rows times those P x V sums is
-    a sum of P outer products; nothing of size M x N_t is made.
+    (barD^H v)^H X. Each precoder sums the columns of Y in its support,
+    scaled by 1/sqrt(R), for all rounds in one gather. The U x P rows times
+    those P x V sums is a sum of P outer products; nothing of size
+    M x N_t is made.
     """
     if not plan.rounds:
         raise InvalidDimensionError("a plan with at least one round required")
-    x, y = lam if isinstance(lam, tuple) else (lam, None)
     rounds, n = plan.rounds, plan.l
     (u, q), (v, r) = rounds[0].c_design.shape, rounds[0].a_supports.shape
     scale = 1.0 / np.sqrt(r)
-    # round by round, so a dense Lambda is gathered one round at a time
-    rows = np.empty((n, u, x.shape[1]), dtype=complex)
     if plan.mode == IDEAL_SPARSE:
-        for rows_l, rnd in zip(rows, rounds):
-            x.take(rnd.c_design.ravel(), axis=0).reshape(u, q, -1).sum(axis=1, out=rows_l)
+        design = np.stack([rnd.c_design for rnd in rounds])  # L x U x q
+        rows = x.take(design.ravel(), axis=0).reshape(n, u, q, -1).sum(axis=2)
         scale *= np.sqrt(plan.cfg.m / q)
     else:
         # the image encode_round bins by; another product order moves the low bits
         bar_h = cascade_dictionary(plan.cfg).conj().T
-        for rows_l, rnd in zip(rows, rounds):
-            rows_l[...] = (bar_h @ rnd.cm_beams).conj().T @ x
+        rows = np.stack([(bar_h @ rnd.cm_beams).conj().T @ x for rnd in rounds])
     cols = np.stack([rnd.a_supports.T for rnd in rounds])  # L x R x V
-    if y is None:
-        z = np.empty((n, u, v), dtype=complex)
-        for z_l, rows_l, cols_l in zip(z, rows, cols):
-            rows_l.take(cols_l.ravel(), axis=1).reshape(u, r, v).sum(axis=1, out=z_l)
-    else:
-        y_bins = y.take(cols.ravel(), axis=1).reshape(-1, n, r, v).sum(axis=2)
-        z = rows[..., :1] * y_bins[0, :, None]
-        for p in range(1, len(y_bins)):
-            z += rows[..., p:p + 1] * y_bins[p, :, None]
+    y_bins = y.take(cols.ravel(), axis=1).reshape(-1, n, r, v).sum(axis=2)
+    z = rows[..., :1] * y_bins[0, :, None]
+    for p in range(1, len(y_bins)):
+        z += rows[..., p:p + 1] * y_bins[p, :, None]
     z *= scale
     return z
 
@@ -99,13 +86,14 @@ def synthesize_measurements(
     """Y_l = |C_l^H Lambda A_l + N_l| for every round of the plan.
 
     C_l = barD^H v_beams and A_l = D^H f_beams are the beams' beamspace
-    images. `lam` is Lambda (M x N_t) or its rank-P factor pair (X, Y),
-    Lambda = X Y, as `CascadeChannel.x` and `.y`. The noiseless readings
-    are bin sums, not matrix products: of Lambda, or of X's rows times Y's
-    columns, (C_l^H X)(Y A_l). They form one L x U x V stack, noised in
-    one draw, round by round.
+    images. `lam` is Lambda's rank-P factor pair (X, Y), Lambda = X Y, as
+    `CascadeChannel.x` and `.y`, or Lambda (M x N_t) itself, read as the
+    pair (Lambda, I). The noiseless readings are bin sums, not matrix
+    products: X's rows times Y's columns, (C_l^H X)(Y A_l). They form one
+    L x U x V stack, noised in one draw, round by round.
     """
-    return MeasurementSet(y=noisy_magnitude(_round_readings(lam, plan), sigma, rng), plan=plan)
+    x, y = lam if isinstance(lam, tuple) else (lam, np.eye(lam.shape[1]))
+    return MeasurementSet(y=noisy_magnitude(_round_readings(x, y, plan), sigma, rng), plan=plan)
 
 
 def _decode(

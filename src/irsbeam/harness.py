@@ -9,7 +9,7 @@ import io
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .decoder import (
     rayleigh_threshold,
     synthesize_measurements,
 )
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_field_types
 
 WORKERS_ENV = "IRSBEAM_WORKERS"
 
@@ -41,12 +41,6 @@ _BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads6
 # gain below which the alternation stops.
 BGR_MAX_ITERS = 100
 BGR_TOL = 1e-8
-
-CSV_HEADER = [
-    "sweep_var", "value", "trials", "success_rate", "stderr",
-    "mean_bgr", "bgr_stderr", "seed",
-]
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -73,6 +67,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # reject every value a trial would, before any worker starts
+        check_field_types(self, InvalidParameterError)
         check_round_shape(self.array, self.q, self.mode)
         if self.l < 1 or any(l < 1 for l in self.t_sweep):
             raise InvalidParameterError("l and every t_sweep entry must be >= 1")
@@ -312,6 +307,9 @@ class SweepRow:
             f"{self.success_rate:.6f}", f"{self.stderr:.6f}",
             f"{self.mean_bgr:.6f}", f"{self.bgr_stderr:.6f}", self.seed,
         ]
+
+
+CSV_HEADER = [f.name for f in fields(SweepRow)]
 
 
 def aggregate(records: list[TrialRecord], sweep_var: str, value, seed: int) -> SweepRow:

@@ -513,6 +513,29 @@ class TestFactorPairReadings:
         assert peak < 256 * 1024
 
 
+class TestDenseReadsAsPair:
+    """A dense lam is read as the pair (lam, I). Its readings equal the
+    per-round bin sums of lam bit for bit wherever a round has V >= 2
+    precoders. With one precoder (R = N_t) numpy sums a length-1 trailing
+    axis in another order, so the low bits may move, within 1e-12 of the
+    largest reading."""
+
+    # factor_pairs draws R = N_t, so V = 1, in about half its geometries
+    @settings(deadline=None, max_examples=120)
+    @given(factor_pairs(), st.sampled_from([0.0, 0.3]))
+    def test_matches_per_round_oracle_at_any_v(self, drawn, sigma):
+        plan, x, y = drawn
+        lam = x @ y
+        rng_stack, rng_rounds = (np.random.default_rng(plan.l) for _ in range(2))
+        got = synthesize_measurements(lam, plan, sigma, rng_stack).y
+        want = np.stack(readings_per_round(lam, plan, sigma, rng_rounds))
+        assert rng_stack.bit_generator.state == rng_rounds.bit_generator.state
+        if plan.cfg.n_t // plan.cfg.r >= 2:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-12 * want.max()
+
+
 def _assert_ungated_is_epsilon_zero(plan, seed):
     rng = np.random.default_rng(seed)
     shape = (plan.cfg.m, plan.cfg.n_t)

@@ -24,7 +24,7 @@ from irsbeam.arrays import (
 from irsbeam.channel import assemble_channels, sample_paths
 from irsbeam.config import parse_config_text
 from irsbeam.decoder import AlignmentEstimate
-from irsbeam.errors import InvalidParameterError
+from irsbeam.errors import InvalidDimensionError, InvalidParameterError
 from irsbeam.harness import (
     BGR_MAX_ITERS,
     BGR_TOL,
@@ -89,6 +89,37 @@ for scenario in ("los", "nlos"):
         rec = run_trial(cfg, t)
         print(repr(rec), repr(rec.estimate))
 """
+
+
+# a value of the wrong type for each field kind, with the error its
+# dataclass raises
+WRONG_FIELD_TYPES = [
+    (SMALL_CFG, "seed", 1.5, InvalidParameterError),
+    (SMALL_CFG, "seed", True, InvalidParameterError),
+    (SMALL_CFG, "q", 2.0, InvalidParameterError),
+    (SMALL_CFG, "l", 2.0, InvalidParameterError),
+    (SMALL_CFG, "paths_bs_irs", 2.0, InvalidParameterError),
+    (SMALL_CFG, "paths_irs_user", np.float64(2.0), InvalidParameterError),
+    (SMALL_CFG, "trials", 2.5, InvalidParameterError),
+    (SMALL_CFG, "t_sweep", (2, 2.0), InvalidParameterError),
+    (SMALL_CFG, "t_sweep", (True,), InvalidParameterError),
+    (SMALL_CFG, "m_sweep", (16.0,), InvalidParameterError),
+    (SMALL_CFG, "m_sweep", 16, InvalidParameterError),
+    (SMALL_CFG, "snr_db", "x", InvalidParameterError),
+    (SMALL_CFG, "snr_sweep", (0.0, "5"), InvalidParameterError),
+    (SMALL_CFG, "p_fa", "0.1", InvalidParameterError),
+    (SMALL_CFG, "rician_bs_irs_db", None, InvalidParameterError),
+    (SMALL_CFG, "rician_irs_user_db", "3", InvalidParameterError),
+    (SMALL_CFG, "mode", 1, InvalidParameterError),
+    (SMALL_CFG, "scenario", None, InvalidParameterError),
+    (SMALL_CFG, "output", 3, InvalidParameterError),
+    (SMALL_CFG, "compute_bgr", "no", InvalidParameterError),
+    (SMALL, "n_t", 8.0, InvalidDimensionError),
+    (SMALL, "r", True, InvalidDimensionError),
+    (SMALL, "m_y", "4", InvalidDimensionError),
+    (SMALL, "m_z", None, InvalidDimensionError),
+    (SMALL, "spacing_ratio", "0.5", InvalidDimensionError),
+]
 
 
 class TestSnrCalibration:
@@ -480,6 +511,13 @@ class TestSweeps:
         assert int(first[7]) == 21
 
 
+    def test_csv_header_is_the_documented_one(self):
+        # the sweep CSV header the README documents
+        assert rows_to_csv([]).splitlines() == [
+            "sweep_var,value,trials,success_rate,stderr,mean_bgr,bgr_stderr,seed"
+        ]
+
+
 class TestAggregate:
     def test_stderr_formula(self):
         recs = 3 * [TrialRecord(True, 0.5, None)] + [TrialRecord(False, 0.7, None)]
@@ -592,6 +630,22 @@ class TestConfigParsing:
     def test_snr_whose_noise_std_rounds_to_zero_fails_at_parse(self):
         with pytest.raises(InvalidParameterError, match="snr_db"):
             parse_config_text("n_t = 128\nm_y = 16\nm_z = 16\nr = 8\nq = 16\nsnr_db = 3080")
+
+    @pytest.mark.parametrize("base,key,value,error", WRONG_FIELD_TYPES, ids=[
+        f"{type(base).__name__}.{key}={value!r}" for base, key, value, _ in WRONG_FIELD_TYPES
+    ])
+    def test_wrong_field_type_rejected_at_construction(self, base, key, value, error):
+        with pytest.raises(error, match=key):
+            replace(base, **{key: value})
+
+    def test_numpy_scalars_accepted(self):
+        array = ArrayConfig(n_t=np.int64(16), m_y=np.int32(4), m_z=4, r=np.uint8(4),
+                            spacing_ratio=np.float32(0.5))
+        cfg = replace(SMALL_CFG, array=array, q=np.int64(4), l=np.int16(3),
+                      seed=np.uint32(7), snr_db=np.float32(-10.0), p_fa=np.float64(0.2),
+                      snr_sweep=(np.float64(0.0), 5), t_sweep=(np.int64(2),))
+        assert run_trial(cfg, 0) == run_trial(replace(
+            SMALL_CFG, q=4, l=3, seed=7, snr_db=float(np.float32(-10.0)), p_fa=0.2), 0)
 
     def test_nlos_default_rician(self):
         los = parse_config_text("scenario = los")
