@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from .arrays import ArrayConfig, cascade_dictionary, dft_dictionary
-from .errors import InvalidParameterError
+from .errors import InvalidDimensionError, InvalidParameterError
 
 IDEAL_SPARSE = "ideal-sparse"
 CONSTANT_MODULUS = "constant-modulus"
@@ -375,10 +375,10 @@ def plan_from_json(text: str) -> ScanPlan:
     Keys written by older versions (beta, gamma, c_supports) are ignored.
     Text that is not a JSON object, rounds that are not a list of objects,
     a seed that is not null or a non-negative integer, a missing key, a
-    non-integer size, a shape check_round_shape rejects, round sets that
-    do not partition the index ranges, a constant-modulus round without
-    valid stored beams, or stored beams in an ideal-sparse round raise
-    InvalidParameterError.
+    q that is not an integer, array fields ArrayConfig rejects, a shape
+    check_round_shape rejects, round sets that do not partition the index
+    ranges, a constant-modulus round without valid stored beams, or stored
+    beams in an ideal-sparse round raise InvalidParameterError.
     """
     try:
         doc = json.loads(text)
@@ -396,12 +396,12 @@ def plan_from_json(text: str) -> ScanPlan:
         raise InvalidParameterError(f"plan is missing key {exc}") from None
     if seed is not None and (type(seed) is not int or seed < 0):
         raise InvalidParameterError("plan seed must be null or a non-negative integer")
-    if type(q) is not int or any(
-        type(array[f.name]) not in ((int, float) if f.type == "float" else (int,))
-        for f in fields(ArrayConfig)
-    ):
-        raise InvalidParameterError("plan sizes must be integers, spacing_ratio a number")
-    cfg = ArrayConfig(**array)
+    if type(q) is not int:
+        raise InvalidParameterError("plan q must be an integer")
+    try:
+        cfg = ArrayConfig(**array)
+    except InvalidDimensionError as exc:
+        raise InvalidParameterError(f"plan array: {exc}") from None
     check_round_shape(cfg, q, mode)
     if not raw:
         raise InvalidParameterError("at least one round is required")

@@ -4,7 +4,10 @@ One probability-product decoder scores every beamspace entry by the
 product of its bins' squared measurements over a set of rounds: all
 rounds for LOS channels, only the no-multiton (NM) rounds for NLOS
 channels. A decode in which no entry clears the detector gate returns
-the same decoder's result at threshold 0.
+the same decoder's result at threshold 0. The decoder does not score
+the whole M x N_t grid: per-row and per-column bounds on the score,
+summed in the grid's round order, prune the search to a sub-grid that
+must hold the best entry, and the answer is bit-for-bit the full grid's.
 """
 
 from __future__ import annotations
@@ -96,6 +99,18 @@ def synthesize_measurements(
     return MeasurementSet(y=noisy_magnitude(_round_readings(x, y, plan), sigma, rng), plan=plan)
 
 
+# the number of set bits of every byte value
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _sum_rounds(parts: np.ndarray) -> np.ndarray:
+    """parts[0] + parts[1] + ..., added in round order from round 0."""
+    total = parts[0].copy()
+    for part in parts[1:]:
+        total += part
+    return total
+
+
 def _decode(
     measurements: MeasurementSet,
     plan: ScanPlan,
@@ -106,10 +121,25 @@ def _decode(
 
     Candidates are the entries with a bin reading y >= epsilon in at least
     one of those rounds, the magnitude test the NM count uses. Among them
-    the product of squared scores is maximized through the sum of log
-    magnitudes, which neither underflows nor overflows. A candidate whose
-    product is 0 (log -inf) still beats every non-candidate; ties go to
-    the lowest row, then column.
+    the product of squared readings is maximized through the score, the
+    sum of log magnitudes over the rounds, which neither underflows nor
+    overflows. A candidate whose product is 0 (log -inf) still beats every
+    non-candidate; ties go to the lowest row, then column.
+
+    Row i's bound sums, over the rounds, the largest log reading in its
+    row bin, and column j's bound the largest in its column bin. Bounds
+    and scores are summed in round order from round 0, and floating-point
+    addition is monotone, so no score exceeds its row's or its column's
+    bound. The seed score s* is the best candidate score in the
+    highest-bound row that holds a candidate. The best entry then lies in
+    the sub-grid of the candidate rows and the columns whose bounds reach
+    s*, usually a few rows and columns; exact ties, or a seed whose
+    candidates all score -inf, can keep up to all M x N_t. Its scores
+    are summed in the same order, so the entry, and every tie, is the one
+    an argmax over the full score grid picks. The candidate count comes
+    from each round's gate packed to bits over the columns, OR-ed over
+    the rounds and counted through a 256-entry byte table:
+    np.bitwise_count needs numpy 2, and the floor is 1.24.
 
     With no candidate the result is the decode at epsilon 0 over every
     round (every entry a candidate; for NLOS every round NM), not over the
@@ -118,29 +148,50 @@ def _decode(
     """
     if plan is not measurements.plan:
         raise InvalidParameterError("decode with the plan the measurements were taken with")
+    chosen = range(plan.l) if nm_rounds is None else nm_rounds
+    y = measurements.y if nm_rounds is None else measurements.y[list(nm_rounds)]
+    n, u, v = y.shape
     with np.errstate(divide="ignore"):
-        log_y = np.log(measurements.y)
-    gate = measurements.y >= epsilon
-    shape = (plan.cfg.m, plan.cfg.n_t)
-    score, mask = np.zeros(shape), np.zeros(shape, dtype=bool)
-    log_buf, gate_buf = np.empty(shape), np.empty(shape, dtype=bool)
-    for l in range(plan.l) if nm_rounds is None else nm_rounds:
-        rnd = plan.rounds[l]
-        # gather columns (U x N_t), then whole rows into the reused M x N_t
-        # buffers; mode="clip" writes straight into them (bins are in range)
-        log_y[l].take(rnd.col_bin, axis=1).take(rnd.row_bin, axis=0, out=log_buf, mode="clip")
-        gate[l].take(rnd.col_bin, axis=1).take(rnd.row_bin, axis=0, out=gate_buf, mode="clip")
-        score += log_buf
-        mask |= gate_buf
-    n_candidates = int(np.count_nonzero(mask))
+        log_y = np.log(y)
+    # entry (i, j) reads, in the k-th decoded round, row row_at[k, i] of
+    # the n*U rows of the readings and column col_bin[k, j] of that row
+    offsets = np.arange(n)[:, None]
+    row_at = np.array([plan.rounds[l].row_bin for l in chosen]) + offsets * u
+    col_bin = np.array([plan.rounds[l].col_bin for l in chosen])
+    col_at = col_bin + offsets * v
+
+    # each round's gate gathered over the columns and packed to bits over
+    # them (n x U x bytes), gathered over the rows (n x M x bytes), OR-ed
+    gate = (y >= epsilon).transpose(0, 2, 1).reshape(n * v, u).take(col_at, axis=0)
+    bits = np.packbits(np.ascontiguousarray(gate.transpose(0, 2, 1)), axis=-1)
+    cand = np.bitwise_or.reduce(bits.reshape(n * u, -1).take(row_at, axis=0), axis=0)
+    n_candidates = int(_POPCOUNT.take(cand).sum())
     if n_candidates == 0:
         every = None if nm_rounds is None else tuple(range(plan.l))
         return _decode(measurements, plan, 0.0, every)
-    np.copyto(score, -np.inf, where=np.logical_not(mask, out=gate_buf))
-    best = int(np.argmax(score))
-    if score.flat[best] == -np.inf:
-        best = int(np.argmax(mask))
-    i, j = np.unravel_index(best, score.shape)
+
+    def scores(rows, cols) -> np.ndarray:
+        return _sum_rounds(log_y.take(row_at[:, rows, None] * v + col_bin[:, None, cols]))
+
+    def candidates(rows) -> np.ndarray:
+        return np.unpackbits(cand[rows], axis=-1, count=plan.cfg.n_t).view(bool)
+
+    row_bound = _sum_rounds(log_y.max(axis=2).take(row_at))
+    col_bound = _sum_rounds(log_y.max(axis=1).take(col_at))
+    cand_rows = np.flatnonzero(cand.any(axis=1))
+    # the seed row as a one-element index array, so its scores keep a row axis
+    seed = cand_rows[[np.argmax(row_bound[cand_rows])]]
+    s_star = scores(seed, slice(None))[candidates(seed)].max()
+    rows = cand_rows[row_bound[cand_rows] >= s_star]
+    cols = np.flatnonzero(col_bound >= s_star)
+    sub = scores(rows, cols)
+    np.copyto(sub, -np.inf, where=~candidates(rows)[:, cols])
+    best = int(np.argmax(sub))
+    if sub.flat[best] == -np.inf:
+        i = cand_rows[0]
+        j = np.argmax(candidates(i))
+    else:
+        i, j = rows[best // len(cols)], cols[best % len(cols)]
     return AlignmentEstimate(
         i_star=int(i), j_star=int(j), candidate_count=n_candidates,
         nm_rounds=nm_rounds, detector_threshold=epsilon,

@@ -1,12 +1,12 @@
 """Channels built directly from a beamspace matrix, for planted-support
 studies, the dense beamspace coefficients of ideal-sparse beams, the
-per-beam effective support of a constant-modulus beam, and round-by-round
-noisy readings."""
+per-beam effective support of a constant-modulus beam, round-by-round
+noisy readings, and the full-grid decode the bound decode must equal."""
 
 import numpy as np
 
 from irsbeam.arrays import ArrayConfig, cascade_dictionary, dft_dictionary
-from irsbeam.channel import CascadeChannel
+from irsbeam.channel import AlignmentEstimate, CascadeChannel
 
 
 def channel_from_lambda(lam: np.ndarray, cfg: ArrayConfig) -> CascadeChannel:
@@ -73,3 +73,40 @@ def readings_per_round(lam: np.ndarray, plan, sigma: float, rng) -> list[np.ndar
         noisy_magnitude_per_matrix(round_readings(lam, rnd), sigma, rng)
         for rnd in plan.rounds
     ]
+
+
+def grid_decode(measurements, plan, epsilon: float, nm_rounds=None) -> AlignmentEstimate:
+    """The probability-product decode over an M x N_t score grid: each of
+    the rounds (all, or the NM rounds) adds its gathered log readings to
+    the grid and ORs its gate into the candidate mask, in round order.
+    Non-candidates score -inf, the argmax takes the lowest row, then
+    column, a best score of -inf falls back to the first candidate, and
+    with no candidate the decode reruns at epsilon 0 over every round."""
+    with np.errstate(divide="ignore"):
+        log_y = np.log(measurements.y)
+    gate = measurements.y >= epsilon
+    shape = (plan.cfg.m, plan.cfg.n_t)
+    score, mask = np.zeros(shape), np.zeros(shape, dtype=bool)
+    for l in range(plan.l) if nm_rounds is None else nm_rounds:
+        rnd = plan.rounds[l]
+        score += log_y[l][np.ix_(rnd.row_bin, rnd.col_bin)]
+        mask |= gate[l][np.ix_(rnd.row_bin, rnd.col_bin)]
+    n_candidates = int(np.count_nonzero(mask))
+    if n_candidates == 0:
+        every = None if nm_rounds is None else tuple(range(plan.l))
+        return grid_decode(measurements, plan, 0.0, every)
+    score[~mask] = -np.inf
+    best = int(np.argmax(score))
+    if score.flat[best] == -np.inf:
+        best = int(np.argmax(mask))
+    i, j = np.unravel_index(best, shape)
+    return AlignmentEstimate(
+        i_star=int(i), j_star=int(j), candidate_count=n_candidates,
+        nm_rounds=nm_rounds, detector_threshold=epsilon,
+    )
+
+
+def grid_nm_rounds(measurements, epsilon: float) -> tuple[int, ...]:
+    """The rounds with the fewest nulltons (readings y < epsilon)."""
+    counts = [int(np.count_nonzero(y < epsilon)) for y in measurements.y]
+    return tuple(l for l, c in enumerate(counts) if c == min(counts))

@@ -327,6 +327,15 @@ class TestPlanJson:
         with pytest.raises(InvalidParameterError):
             plan_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("field, value", [
+        ("r", 0), ("r", 17), ("spacing_ratio", -1.0), ("n_t", 2.5), ("n_t", True),
+    ])
+    def test_bad_array_field_rejected_with_parameter_error(self, field, value):
+        doc = json.loads(plan_to_json(build_scan_plan(SMALL, 2, 1, rng=3)))
+        doc[field] = value
+        with pytest.raises(InvalidParameterError, match=rf"\b{field}\b"):
+            plan_from_json(json.dumps(doc))
+
     @pytest.mark.parametrize("text", [
         "{",
         "[1]",

@@ -16,14 +16,16 @@ from irsbeam.codebook import (
 )
 from irsbeam.decoder import (
     MeasurementSet,
+    _decode,
     decode_los,
     decode_nlos,
     rayleigh_threshold,
     synthesize_measurements,
 )
 from irsbeam.errors import InvalidDimensionError, InvalidParameterError
+from irsbeam.harness import snr_to_sigma
 
-from helpers import readings_per_round
+from helpers import grid_decode, grid_nm_rounds, readings_per_round
 
 SMALL = ArrayConfig(n_t=16, m_y=4, m_z=4, r=4)
 
@@ -589,3 +591,135 @@ class TestUngatedFallback:
         est = decode_nlos(ms, plan, 1.0)
         assert est == decode_nlos(ms, plan, 0.0)
         assert est.nm_rounds == (0, 1)
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def decode_cases(draw):
+    """A small ideal-sparse or constant-modulus plan, readings for it and
+    a threshold. The readings are continuous, or small integers with
+    exact zeros (log -inf) and many exact ties; the threshold is 0, an
+    integer, one of the readings or above every reading."""
+    m_y, m_z = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n_t = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24]))
+    cfg = ArrayConfig(n_t=n_t, m_y=m_y, m_z=m_z, r=draw(st.sampled_from(_divisors(n_t))))
+    q = draw(st.sampled_from(_divisors(cfg.m)))
+    mode = draw(st.sampled_from([IDEAL_SPARSE, CONSTANT_MODULUS]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    plan = build_scan_plan(cfg, q, draw(st.integers(1, 4)), mode, rng)
+    shape = (plan.l, plan.rounds[0].u, plan.rounds[0].v)
+    kind = draw(st.sampled_from(["continuous", "integers", "sparse"]))
+    if kind == "continuous":
+        y = rng.exponential(size=shape)
+    elif kind == "integers":
+        y = rng.integers(0, 4, size=shape).astype(float)
+    else:
+        y = rng.integers(1, 3, size=shape) * (rng.random(shape) < 0.2)
+    epsilon = draw(st.sampled_from(
+        [0.0, 1.0, 2.0, float(rng.choice(y.ravel())), float(y.max()) + 1.0]
+    ))
+    chosen = draw(st.integers(1, 2**plan.l - 1))  # a nonempty round subset, as bits
+    subset = tuple(l for l in range(plan.l) if chosen >> l & 1)
+    return MeasurementSet(y=y, plan=plan), epsilon, subset
+
+
+def _corner_plan():
+    """N_t = M = 4 in two rounds, each of which puts rows {0, 1} and
+    columns {0, 1} in bin 0, rows {2, 3} and columns {2, 3} in bin 1."""
+    halves = [[0, 1], [2, 3]]
+    return handmade_plan(ArrayConfig(n_t=4, m_y=2, m_z=2, r=2), 2, [(halves, halves)] * 2)
+
+
+class TestBoundDecodeMatchesGrid:
+    """The bound decode picks what an argmax over the full M x N_t score
+    grid picks: the same entry, count, NM rounds and threshold."""
+
+    @settings(deadline=None)
+    @given(decode_cases())
+    def test_equals_full_grid_decode(self, case):
+        ms, epsilon, subset = case
+        plan = ms.plan
+        assert decode_los(ms, plan, epsilon) == grid_decode(ms, plan, epsilon)
+        nm = grid_nm_rounds(ms, epsilon)
+        assert decode_nlos(ms, plan, epsilon) == grid_decode(ms, plan, epsilon, nm)
+        assert _decode(ms, plan, epsilon, subset) == grid_decode(ms, plan, epsilon, subset)
+
+    def _check(self, plan, y, epsilon, want):
+        ms = MeasurementSet(y=[np.array(y_l, dtype=float) for y_l in y], plan=plan)
+        est = decode_los(ms, plan, epsilon)
+        assert est == grid_decode(ms, plan, epsilon)
+        assert (est.i_star, est.j_star) == want
+        return est
+
+    def test_highest_bound_row_scores_only_minus_inf(self):
+        # rows 0 and 1 read 100 in one round and 0 in the other at every
+        # column: the highest bound (2 log 100), every candidate at -inf.
+        # Rows 2 and 3 score log 1 + log 1 = 0 everywhere
+        plan = _corner_plan()
+        est = self._check(plan, [[[100, 0], [1, 1]], [[0, 100], [1, 1]]], 0.5, (2, 0))
+        assert est.candidate_count == 16
+
+    def test_every_candidate_minus_inf_falls_back_to_first(self):
+        # every entry reads 0 in one round; rows 2 and 3 have the higher
+        # bound, but the fallback is the first candidate, not the seed's
+        plan = _corner_plan()
+        self._check(plan, [[[1, 0], [100, 0]], [[0, 1], [0, 100]]], 0.5, (0, 0))
+
+    def test_winning_tie_spans_two_rows(self):
+        # every entry scores log 4 + log 1 or log 1 + log 4, exactly log 4;
+        # rows 2 and 3 have the higher bound, 2 log 4, so the seed row is
+        # row 2, and the tie goes to row 0
+        plan = _corner_plan()
+        self._check(plan, [[[4, 4], [4, 1]], [[1, 1], [1, 4]]], 0.0, (0, 0))
+
+    def test_row_without_candidate_has_largest_bound(self):
+        # rows 0 and 1 read 0.9 below epsilon 1 in both rounds (bound
+        # 2 log 0.9); rows 2 and 3 hold the only candidates, columns 0 and
+        # 1, with the lower bound log 5 + log 0.01
+        plan = _corner_plan()
+        y = [[[0.9, 0.9], [5, 0.01]], [[0.9, 0.9], [0.01, 0.01]]]
+        est = self._check(plan, y, 1.0, (2, 0))
+        assert est.candidate_count == 4
+
+    def test_non_candidate_outscores_every_candidate(self):
+        # columns 2 and 3 of rows 2 and 3 read 0.9 below epsilon 1 in both
+        # rounds (2 log 0.9); columns 0 and 1 hold the candidates, at
+        # log 5 + log 0.01
+        plan = _corner_plan()
+        y = [[[0.01, 0.01], [5, 0.9]], [[0.01, 0.01], [0.01, 0.9]]]
+        est = self._check(plan, y, 1.0, (2, 0))
+        assert est.candidate_count == 4
+
+    def test_scores_add_in_round_order(self):
+        # 5 * 18 * 16 == 3 * 15 * 32: summed from round 0 the two log sums
+        # are equal, so the tie goes to column 0; summed from the last
+        # round, column 1's is larger by one unit in the last place
+        cfg = ArrayConfig(n_t=2, m_y=1, m_z=1, r=1)
+        plan = handmade_plan(cfg, 1, [([[0]], [[0], [1]])] * 3)
+        est = self._check(plan, [[[5, 3]], [[18, 15]], [[16, 32]]], 0.0, (0, 0))
+        assert est.candidate_count == 2
+
+    def test_acceptance_size_allocates_less_than_one_score_grid(self):
+        # one M x N_t float grid at N_t=128, 16x16 is 256 KB
+        cfg = ArrayConfig(n_t=128, m_y=16, m_z=16, r=8)
+        rng = np.random.default_rng(9)
+        ch = assemble_channels(
+            sample_paths(1, 13.2, rng, with_bs_aod=True), sample_paths(1, 13.2, rng), cfg
+        )
+        plan = build_scan_plan(cfg, 16, 7, rng=rng)
+        sigma = snr_to_sigma(ch.h, -20.0)
+        ms = synthesize_measurements((ch.x, ch.y), plan, sigma, rng)
+        epsilon = rayleigh_threshold(sigma)
+        decode_los(ms, plan, epsilon)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            est = decode_los(ms, plan, epsilon)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert est == grid_decode(ms, plan, epsilon)
+        assert peak < cfg.m * cfg.n_t * 8 == 256 * 1024
