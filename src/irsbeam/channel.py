@@ -1,5 +1,4 @@
-"""Geometric cascade channels, their beamspace images and the exhaustive
-grid-scan baseline."""
+"""Geometric cascade channels, their beamspace images and noisy readings."""
 
 from __future__ import annotations
 
@@ -190,19 +189,3 @@ def noisy_magnitude(
         z = z + (noise[..., 0, :, :] + 1j * noise[..., 1, :, :])
     return np.abs(z)
 
-
-def exhaustive_search(
-    ch: CascadeChannel, sigma: float, rng: np.random.Generator
-) -> AlignmentEstimate:
-    """Scan every (IRS beam, BS beam) grid pair and return the argmax.
-
-    With v = sqrt(M) * barD_R(:, i) and f = D_{N_t}(:, j) the noiseless
-    measurement equals sqrt(M) * |lam(i, j)|, so the whole grid can be
-    measured at once.
-    """
-    y = noisy_magnitude(np.sqrt(ch.cfg.m) * ch.lam, sigma, rng)
-    i, j = _argmax_2d(y)
-    return AlignmentEstimate(
-        i_star=i, j_star=j, candidate_count=y.size, nm_rounds=None,
-        detector_threshold=0.0,
-    )

@@ -19,7 +19,6 @@ from .channel import (
     CascadeChannel,
     assemble_channels,
     db_to_power,
-    exhaustive_search,
     sample_paths,
 )
 from .codebook import IDEAL_SPARSE, build_scan_plan, check_round_shape
@@ -83,8 +82,9 @@ class ExperimentConfig:
             raise InvalidParameterError("path counts must be >= 1")
         for db in (self.rician_bs_irs_db, self.irs_user_rician_db):
             db_to_power(db, "Rician factor")
-        for db in self.snr_sweep if self.snr_db is None else (self.snr_db, *self.snr_sweep):
-            _noise_scale(self.array.m, self.array.n_t, db)
+        _check_snrs(self, self.array.m)
+        for m in self.m_sweep:
+            _m_point(self, m)
 
     @property
     def irs_user_rician_db(self) -> float:
@@ -115,6 +115,13 @@ def _noise_scale(m: int, n_t: int, snr_db: float) -> float:
             f"snr_db = {snr_db} is too high for N_t*M = {n_t * m}: the noise std rounds to 0"
         )
     return den
+
+
+def _check_snrs(cfg: ExperimentConfig, m: int) -> None:
+    """InvalidParameterError unless every SNR of cfg gives a positive
+    noise std on M = m IRS elements."""
+    for db in cfg.snr_sweep if cfg.snr_db is None else (cfg.snr_db, *cfg.snr_sweep):
+        _noise_scale(m, cfg.array.n_t, db)
 
 
 def snr_to_sigma(h: np.ndarray, snr_db: float) -> float:
@@ -198,29 +205,18 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, trial_index)))
 
 
-def _sample_channel(
-    cfg: ExperimentConfig, rng: np.random.Generator
-) -> tuple[CascadeChannel, float]:
-    """Draw one cascade channel and its noise std (0 when noiseless)."""
+def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
+    """Sample a channel, scan it, decode, score success and BGR.
+
+    With q = 1, R = 1 and L = 1 every grid pair is measured once with its
+    own grid beams, v = sqrt(M) barD[:, i] and f = D[:, j]: that config
+    is the exhaustive grid scan, T = M * N_t.
+    """
+    rng = trial_rng(cfg.seed, trial_index)
     bs_irs = sample_paths(cfg.paths_bs_irs, cfg.rician_bs_irs_db, rng, with_bs_aod=True)
     irs_user = sample_paths(cfg.paths_irs_user, cfg.irs_user_rician_db, rng)
     ch = assemble_channels(bs_irs, irs_user, cfg.array)
     sigma = 0.0 if cfg.snr_db is None else snr_to_sigma(ch.h, cfg.snr_db)
-    return ch, sigma
-
-
-def _score(
-    cfg: ExperimentConfig, ch: CascadeChannel, estimate: AlignmentEstimate
-) -> TrialRecord:
-    success = (estimate.i_star, estimate.j_star) == ch.strongest
-    ratio = bgr(ch, estimate) if cfg.compute_bgr else float("nan")
-    return TrialRecord(success=success, bgr=ratio, estimate=estimate)
-
-
-def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
-    """Sample a channel, scan it, decode, score success and BGR."""
-    rng = trial_rng(cfg.seed, trial_index)
-    ch, sigma = _sample_channel(cfg, rng)
     plan = build_scan_plan(cfg.array, cfg.q, cfg.l, cfg.mode, rng)
     measurements = synthesize_measurements((ch.x, ch.y), plan, sigma, rng)
     if sigma > 0:
@@ -229,14 +225,10 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
         epsilon = 1e-9 * float(measurements.y.max())
 
     decode = decode_los if cfg.scenario == "los" else decode_nlos
-    return _score(cfg, ch, decode(measurements, plan, epsilon))
-
-
-def run_baseline_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
-    """Exhaustive grid scan on the same channel/noise realizations."""
-    rng = trial_rng(cfg.seed, trial_index)
-    ch, sigma = _sample_channel(cfg, rng)
-    return _score(cfg, ch, exhaustive_search(ch, sigma, rng))
+    estimate = decode(measurements, plan, epsilon)
+    success = (estimate.i_star, estimate.j_star) == ch.strongest
+    ratio = bgr(ch, estimate) if cfg.compute_bgr else float("nan")
+    return TrialRecord(success=success, bgr=ratio, estimate=estimate)
 
 
 def _worker_count() -> int:
@@ -276,6 +268,8 @@ def _run_configs(cfgs, runner, workers: int | None) -> list[list[TrialRecord]]:
     """Records of trials 0..cfg.trials-1 of each config in turn: serially
     for one worker, else in one pool of `workers` processes."""
     workers = _worker_count() if workers is None else workers
+    # a pool forks all its workers at once, so it opens no more than trials
+    workers = min(workers, max(cfg.trials for cfg in cfgs))
     if workers <= 1:
         return [[runner(cfg, t) for t in range(cfg.trials)] for cfg in cfgs]
     with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
@@ -340,6 +334,20 @@ def _split_upa(m: int) -> tuple[int, int]:
     return m // m_z, m_z
 
 
+def _m_point(cfg: ExperimentConfig, m: int) -> tuple[ArrayConfig, int]:
+    """The array and bin size of the M-sweep point M = m: q scales with M
+    so that U = M/q stays fixed. InvalidParameterError unless m is a
+    positive multiple of U that factors into a UPA grid and every SNR of
+    cfg is valid at that size. Builds no ExperimentConfig, so the config
+    can check its own m_sweep with it."""
+    u = cfg.array.m // cfg.q
+    if m < 1 or m % u != 0:
+        raise InvalidParameterError(f"m_sweep entry M={m} is not a positive multiple of U={u}")
+    m_y, m_z = _split_upa(m)
+    _check_snrs(cfg, m)
+    return replace(cfg.array, m_y=m_y, m_z=m_z), m // u
+
+
 def sweep_points(cfg: ExperimentConfig, axis: str) -> list[tuple[str, float, ExperimentConfig]]:
     """Expand (sweep_var, value, point-config) tuples along one axis."""
     if axis == "T":
@@ -354,14 +362,10 @@ def sweep_points(cfg: ExperimentConfig, axis: str) -> list[tuple[str, float, Exp
     if axis == "M":
         if not cfg.m_sweep:
             raise InvalidParameterError("m_sweep is empty")
-        u = cfg.array.m // cfg.q
         points = []
         for m in cfg.m_sweep:
-            if m % u != 0:
-                raise InvalidParameterError(f"M={m} incompatible with U={u}")
-            m_y, m_z = _split_upa(m)
-            arr = replace(cfg.array, m_y=m_y, m_z=m_z)
-            points.append(("M", m, replace(cfg, array=arr, q=m // u)))
+            arr, q = _m_point(cfg, m)
+            points.append(("M", m, replace(cfg, array=arr, q=q)))
         return points
     raise InvalidParameterError(f"unknown sweep axis {axis!r}")
 

@@ -1,12 +1,17 @@
 """Channels built directly from a beamspace matrix, for planted-support
-studies, the dense beamspace coefficients of ideal-sparse beams, the
-per-beam effective support of a constant-modulus beam, round-by-round
-noisy readings, and the full-grid decode the bound decode must equal."""
+studies, the exhaustive grid scan as a scan with singleton bins, the
+dense beamspace coefficients of ideal-sparse beams, the per-beam
+effective support of a constant-modulus beam, round-by-round noisy
+readings, and the full-grid decode the bound decode must equal."""
+
+from dataclasses import replace
 
 import numpy as np
 
 from irsbeam.arrays import ArrayConfig, cascade_dictionary, dft_dictionary
 from irsbeam.channel import AlignmentEstimate, CascadeChannel
+from irsbeam.codebook import IDEAL_SPARSE, build_scan_plan
+from irsbeam.decoder import decode_los, rayleigh_threshold, synthesize_measurements
 
 
 def channel_from_lambda(lam: np.ndarray, cfg: ArrayConfig) -> CascadeChannel:
@@ -19,6 +24,24 @@ def channel_from_lambda(lam: np.ndarray, cfg: ArrayConfig) -> CascadeChannel:
         h=u @ b.conj().T, lam=lam, strongest=(int(i), int(j)),
         x=lam, y=np.eye(cfg.n_t, dtype=complex), u=u, b=b, cfg=cfg,
     )
+
+
+def exhaustive(cfg):
+    """The exhaustive grid scan of cfg: one round of singleton bins."""
+    return replace(cfg, q=1, l=1, mode=IDEAL_SPARSE, array=replace(cfg.array, r=1))
+
+
+def exhaustive_scan(ch: CascadeChannel, sigma: float, rng, decode=decode_los):
+    """Measure every grid pair of ch once, as a trial of the exhaustive
+    config does: a singleton plan, its readings, and the decode at the
+    trial's threshold. Returns (estimate, measurements)."""
+    plan = build_scan_plan(replace(ch.cfg, r=1), 1, 1, rng=rng)
+    measurements = synthesize_measurements((ch.x, ch.y), plan, sigma, rng)
+    if sigma > 0:
+        epsilon = rayleigh_threshold(sigma)
+    else:
+        epsilon = 1e-9 * float(measurements.y.max())
+    return decode(measurements, plan, epsilon), measurements
 
 
 def sparse_amplitudes(n: int, supports: np.ndarray, amp: float) -> np.ndarray:

@@ -11,20 +11,18 @@ import numpy as np
 import pytest
 
 from irsbeam.arrays import ArrayConfig, cascade_dictionary, dft_dictionary
-from irsbeam.channel import exhaustive_search
 from irsbeam.codebook import build_scan_plan, optimize_constant_modulus
 from irsbeam.decoder import decode_los, decode_nlos, synthesize_measurements
 from irsbeam.harness import (
     ExperimentConfig,
     aggregate,
-    run_baseline_trial,
     run_trial,
     run_trials,
     sweep,
 )
 from irsbeam.theory import PlanProbe, g_exact, p_lower_los, p_lower_nlos, p_nm_round
 
-from helpers import channel_from_lambda
+from helpers import channel_from_lambda, exhaustive, exhaustive_scan
 
 PAPER = ArrayConfig(n_t=128, m_y=16, m_z=16, r=4)
 WIDE = ArrayConfig(n_t=128, m_y=16, m_z=16, r=8)
@@ -193,7 +191,7 @@ def test_criterion_8b_low_budget_beats_ninety_percent():
     records = run_trials(cfg)
     rate = sum(r.success for r in records) / trials
     mean_bgr = float(np.mean([r.bgr for r in records]))
-    base = run_trials(cfg, runner=run_baseline_trial)
+    base = run_trials(exhaustive(cfg))
     base_bgr = float(np.mean([r.bgr for r in base]))
     ok = rate >= 0.9 and abs(mean_bgr - base_bgr) <= 0.05
     report(82, "5.5% training budget: success >= 0.9, gain matches exhaustive",
@@ -222,7 +220,7 @@ def test_criterion_9_exhaustive_baseline_noiseless():
     for _ in range(100):
         lam = rng.standard_normal((64, 32)) + 1j * rng.standard_normal((64, 32))
         ch = channel_from_lambda(lam, cfg)
-        est = exhaustive_search(ch, 0.0, rng)
+        est, _ = exhaustive_scan(ch, 0.0, rng)
         hits += (est.i_star, est.j_star) == ch.strongest
     report(9, "noiseless exhaustive baseline is exact", hits == 100,
            f"{hits}/100")

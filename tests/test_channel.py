@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +15,6 @@ from irsbeam.arrays import (
 from irsbeam.channel import (
     PathSet,
     assemble_channels,
-    exhaustive_search,
     noisy_magnitude,
     sample_paths,
 )
@@ -21,7 +22,7 @@ from irsbeam.codebook import build_scan_plan
 from irsbeam.decoder import synthesize_measurements
 from irsbeam.errors import InvalidDimensionError, InvalidParameterError
 
-from helpers import channel_from_lambda, noisy_magnitude_per_matrix
+from helpers import channel_from_lambda, exhaustive_scan, noisy_magnitude_per_matrix
 
 CFG = ArrayConfig(n_t=8, m_y=4, m_z=4, r=2)
 
@@ -237,13 +238,15 @@ def test_merged_row_construction_identity():
 
 
 class TestExhaustive:
+    """The exhaustive grid scan: a plan of one round of singleton bins."""
+
     def test_noiseless_is_exact(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
             bs_irs = sample_paths(2, 13.2, rng, with_bs_aod=True)
             irs_user = sample_paths(2, 13.2, rng)
             ch = assemble_channels(bs_irs, irs_user, CFG)
-            est = exhaustive_search(ch, 0.0, rng)
+            est, _ = exhaustive_scan(ch, 0.0, rng)
             assert (est.i_star, est.j_star) == ch.strongest
 
     def test_small_noise_high_success(self):
@@ -255,7 +258,7 @@ class TestExhaustive:
             irs_user = sample_paths(1, 13.2, rng)
             ch = assemble_channels(bs_irs, irs_user, cfg)
             sigma = 0.01 * np.abs(ch.lam).max()
-            est = exhaustive_search(ch, sigma, rng)
+            est, _ = exhaustive_scan(ch, sigma, rng)
             hits += (est.i_star, est.j_star) == ch.strongest
         assert hits / 500 >= 0.99
 
@@ -265,12 +268,10 @@ class TestExhaustive:
         lam = np.zeros((4, 4), complex)
         lam[1, 2] = 1.0
         ch = channel_from_lambda(lam, cfg)
-        hits = sum(
-            (lambda e: (e.i_star, e.j_star) == ch.strongest)(
-                exhaustive_search(ch, 1e6, rng)
-            )
-            for _ in range(4000)
-        )
+        hits = 0
+        for _ in range(4000):
+            est, _ = exhaustive_scan(ch, 1e6, rng)
+            hits += (est.i_star, est.j_star) == ch.strongest
         # success ~ Binomial(4000, 1/16): expect 250, allow 4 sigma
         assert abs(hits - 250) < 4 * np.sqrt(4000 * (1 / 16) * (15 / 16))
 
@@ -278,16 +279,22 @@ class TestExhaustive:
 class TestNoisyMagnitude:
     @pytest.mark.parametrize("sigma", [0.0, 0.05, 3.0])
     def test_exhaustive_readings_keep_their_stream(self, sigma):
-        # the grid scan's M x N_t readings draw all real parts, then all
-        # imaginary ones, as before the stacked draw
+        # the grid scan's M x N_t readings, in the singleton plan's bin
+        # order, draw all real parts, then all imaginary ones
         cfg = ArrayConfig(n_t=8, m_y=2, m_z=4, r=2)
         rng = np.random.default_rng(43)
         lam = rng.standard_normal((cfg.m, cfg.n_t)) + 1j * rng.standard_normal((cfg.m, cfg.n_t))
-        z = np.sqrt(cfg.m) * lam
-        want = noisy_magnitude_per_matrix(z, sigma, np.random.default_rng(44))
-        assert np.array_equal(noisy_magnitude(z, sigma, np.random.default_rng(44)), want)
-        est = exhaustive_search(channel_from_lambda(lam, cfg), sigma, np.random.default_rng(44))
-        assert (est.i_star, est.j_star) == np.unravel_index(np.argmax(want), want.shape)
+        # the plan draws first, then the noise, from the same stream
+        rng = np.random.default_rng(44)
+        rnd = build_scan_plan(replace(cfg, r=1), 1, 1, rng=rng).rounds[0]
+        z = np.sqrt(cfg.m) * lam[np.ix_(rnd.c_design[:, 0], rnd.a_supports[:, 0])]
+        want = noisy_magnitude_per_matrix(z, sigma, rng)
+        est, measurements = exhaustive_scan(
+            channel_from_lambda(lam, cfg), sigma, np.random.default_rng(44)
+        )
+        assert np.array_equal(measurements.y[0], want)
+        u, v = np.unravel_index(np.argmax(want), want.shape)
+        assert (est.i_star, est.j_star) == (rnd.c_design[u, 0], rnd.a_supports[v, 0])
 
     @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
     def test_bad_sigma_rejected(self, sigma):
@@ -297,7 +304,7 @@ class TestNoisyMagnitude:
         calls = (
             lambda: noisy_magnitude(np.ones(3), sigma, rng),
             lambda: synthesize_measurements(ch.lam, plan, sigma, rng),
-            lambda: exhaustive_search(ch, sigma, rng),
+            lambda: exhaustive_scan(ch, sigma, rng),
         )
         for call in calls:
             with pytest.raises(InvalidParameterError, match="sigma"):

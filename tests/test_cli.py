@@ -105,6 +105,28 @@ class TestRunCommand:
             main(["run", "--config", str(tmp_path / "nope.cfg")])
 
 
+class TestExhaustiveBaseline:
+    """Exhaustive search is a config with singleton bins, q = r = l = 1."""
+
+    def test_noiseless_singleton_config_always_succeeds(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("IRSBEAM_WORKERS", "1")
+        path = tmp_path / "exhaustive.cfg"
+        path.write_text(SMALL_CONFIG.replace("r = 4", "r = 1").replace("q = 4", "q = 1")
+                        .replace("l = 3", "l = 1").replace("trials = 4", "trials = 20"))
+        assert main(["run", "--config", str(path)]) == 0
+        row = dict(zip(CSV_HEADER, capsys.readouterr().out.strip().splitlines()[1].split(",")))
+        # T = M * N_t: every grid pair measured once
+        assert (row["sweep_var"], row["value"], row["trials"]) == ("T", "256", "20")
+        assert row["success_rate"] == "1.000000"
+
+    def test_theory_budget_is_the_grid(self, capsys):
+        assert main(["theory", "--m", "256", "--nt", "128",
+                     "--q", "1", "--r", "1", "--l", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "T = U*V*L = 32768  (exhaustive: 32768)" in out
+        assert "p_lower_los   = 1.000000" in out
+
+
 class TestSweepCommand:
     def test_snr_sweep_rows(self, config_path, capsys, monkeypatch):
         monkeypatch.setenv("IRSBEAM_WORKERS", "1")

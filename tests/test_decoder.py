@@ -25,7 +25,7 @@ from irsbeam.decoder import (
 from irsbeam.errors import InvalidDimensionError, InvalidParameterError
 from irsbeam.harness import snr_to_sigma
 
-from helpers import grid_decode, grid_nm_rounds, readings_per_round
+from helpers import exhaustive_scan, grid_decode, grid_nm_rounds, readings_per_round
 
 SMALL = ArrayConfig(n_t=16, m_y=4, m_z=4, r=4)
 
@@ -513,6 +513,36 @@ class TestFactorPairReadings:
             tracemalloc.stop()
         assert ch.lam.nbytes == 512 * 1024
         assert peak < 256 * 1024
+
+
+class TestSingletonPlanIsExhaustiveSearch:
+    """A plan of one round of singleton bins (q = 1, R = 1) reads every
+    grid pair once with its own grid beams, sqrt(M) |lam[i, j]| when
+    noiseless, and both decoders pick the largest reading: it is the
+    exhaustive grid scan."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        st.integers(1, 4), st.integers(1, 4), st.sampled_from([1, 2, 4, 8]),
+        st.integers(1, 3), st.integers(0, 2**32 - 1),
+        st.none() | st.sampled_from([-40.0, -20.0, 0.0, 20.0]),
+        st.sampled_from([decode_los, decode_nlos]),
+    )
+    def test_pick_is_the_largest_reading(self, m_y, m_z, n_t, paths, seed, snr, decode):
+        cfg = ArrayConfig(n_t=n_t, m_y=m_y, m_z=m_z, r=1)
+        rng = np.random.default_rng(seed)
+        ch = assemble_channels(
+            sample_paths(paths, 13.2, rng, with_bs_aod=True), sample_paths(paths, 0.0, rng), cfg
+        )
+        sigma = 0.0 if snr is None else snr_to_sigma(ch.h, snr)
+        est, measurements = exhaustive_scan(ch, sigma, rng, decode)
+        rnd = measurements.plan.rounds[0]
+        y = measurements.y[0][np.ix_(rnd.row_bin, rnd.col_bin)]  # in grid order
+        assert y[est.i_star, est.j_star] == y.max()
+        if sigma == 0:
+            want = np.sqrt(cfg.m) * np.abs(ch.lam)
+            np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-12 * want.max())
+            assert (est.i_star, est.j_star) == ch.strongest
 
 
 class TestDenseReadsAsPair:

@@ -36,7 +36,6 @@ from irsbeam.harness import (
     bgr,
     optimal_beams,
     rows_to_csv,
-    run_baseline_trial,
     run_trial,
     run_trials,
     snr_to_sigma,
@@ -45,7 +44,7 @@ from irsbeam.harness import (
     trial_rng,
 )
 
-from helpers import channel_from_lambda
+from helpers import channel_from_lambda, exhaustive
 
 SMALL = ArrayConfig(n_t=16, m_y=4, m_z=4, r=4)
 SMALL_CFG = ExperimentConfig(array=SMALL, q=4, l=3, trials=4, seed=7)
@@ -322,7 +321,7 @@ class TestTrials:
             array=SMALL, q=4, l=1, snr_db=None, trials=20, seed=12,
             compute_bgr=False,
         )
-        records = [run_baseline_trial(cfg, t) for t in range(cfg.trials)]
+        records = run_trials(exhaustive(cfg), workers=1)
         assert all(r.success for r in records)
 
     def test_parallel_matches_serial(self):
@@ -360,6 +359,33 @@ class TestTrials:
         assert len(opened) == 1
         assert rows_to_csv(sweep(cfg, "snr", workers=1)) == rows_to_csv(pooled)
         assert len(opened) == 1  # one worker runs without a pool
+
+    def test_pool_opens_no_more_workers_than_trials(self, monkeypatch):
+        # a fork pool starts every worker at once; this one records its
+        # size and runs the trials in the calling process
+        opened = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        cfg = replace(SMALL_CFG, trials=3)
+        serial = run_trials(cfg, workers=1)
+        assert run_trials(cfg, workers=512) == serial
+        monkeypatch.setenv("IRSBEAM_WORKERS", "512")
+        assert run_trials(cfg) == serial
+        assert run_trials(replace(cfg, trials=1)) == serial[:1]  # one trial: no pool
+        assert opened == [3, 3]
 
     def test_non_integer_worker_count_rejected(self, monkeypatch):
         monkeypatch.setenv("IRSBEAM_WORKERS", "two")
@@ -486,6 +512,19 @@ class TestSweeps:
             assert p.array.m == m
             assert p.array.m // p.q == u
 
+    def test_config_accepts_only_m_points_a_sweep_builds(self):
+        accepted = 0
+        for m in range(-8, 600):
+            try:
+                cfg = replace(SMALL_CFG, m_sweep=(m,))
+            except InvalidParameterError:
+                continue
+            ((_, value, point),) = sweep_points(cfg, "M")
+            assert point.array.m == value == m
+            assert point.array.m // point.q == SMALL.m // SMALL_CFG.q
+            accepted += 1
+        assert accepted > 50
+
     def test_unknown_axis_rejected(self):
         with pytest.raises(InvalidParameterError):
             sweep_points(SMALL_CFG, "bogus")
@@ -593,6 +632,9 @@ class TestConfigParsing:
         "paths_bs_irs = 0", "paths_irs_user = 0", "rician_bs_irs_db = inf",
         "rician_irs_user_db = nan", "seed = -1", "rician_bs_irs_db = 4000",
         "rician_irs_user_db = 4000", "rician_irs_user_db = -4000",
+        # U = 256/32 = 8: 0, -16 and 17 are no positive multiple of 8, and
+        # 264 = 8 x 33 factors into no near-square UPA grid
+        "m_sweep = 0", "m_sweep = -16", "m_sweep = 64, 17", "m_sweep = 264",
     ])
     def test_value_every_trial_would_reject_fails_at_parse(self, line):
         with pytest.raises(InvalidParameterError):
@@ -624,7 +666,7 @@ class TestConfigParsing:
         with pytest.raises(InvalidParameterError, match="snr_db"):
             replace(ACCEPTANCE_CFG, snr_db=snr_db, snr_sweep=snr_sweep)
         with pytest.raises(InvalidParameterError, match="snr_db"):
-            sweep_points(replace(small, m_sweep=(16, 4096)), "M")
+            replace(small, m_sweep=(16, 4096))  # the M = 4096 point
         assert replace(ACCEPTANCE_CFG, snr_db=3000.0).snr_db == 3000.0
 
     def test_snr_whose_noise_std_rounds_to_zero_fails_at_parse(self):
@@ -665,6 +707,14 @@ def _db():
     return _finite(min_value=-3000.0, max_value=3000.0)
 
 
+def _upa_factorable(m):
+    try:
+        harness._split_upa(m)
+    except InvalidParameterError:
+        return False
+    return True
+
+
 @st.composite
 def config_fields(draw):
     """Valid field values for a config file, each key written or left to
@@ -672,18 +722,23 @@ def config_fields(draw):
     n_t = draw(st.sampled_from([4, 8, 12, 16]))
     m_y, m_z = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     m = m_y * m_z
+    q = draw(st.sampled_from([q for q in range(1, m + 1) if m % q == 0]))
+    # an M-sweep point keeps U = M/q: a multiple of the drawn U and of the
+    # default 256/32 that factors into a UPA grid
+    step = math.lcm(m // q, 8)
+    m_points = [k * step for k in range(1, 65) if _upa_factorable(k * step)]
     values = {
         "n_t": n_t, "m_y": m_y, "m_z": m_z,
         "r": draw(st.sampled_from([r for r in range(1, n_t + 1) if n_t % r == 0])),
         "spacing_ratio": draw(_finite(min_value=1e-3, max_value=4.0)),
-        "q": draw(st.sampled_from([q for q in range(1, m + 1) if m % q == 0])),
+        "q": q,
         "l": draw(st.integers(1, 9)),
         "mode": draw(st.sampled_from(["ideal-sparse", "constant-modulus"])),
         "scenario": draw(st.sampled_from(["los", "nlos"])),
         "snr_db": draw(st.none() | _db()),
         "snr_sweep": draw(st.lists(_db(), min_size=1, max_size=4).map(tuple)),
         "t_sweep": draw(st.lists(st.integers(1, 50), min_size=1, max_size=4).map(tuple)),
-        "m_sweep": draw(st.lists(st.integers(1, 512), min_size=1, max_size=4).map(tuple)),
+        "m_sweep": draw(st.lists(st.sampled_from(m_points), min_size=1, max_size=4).map(tuple)),
         "trials": draw(st.integers(1, 10**6)),
         "seed": draw(st.integers(0, 2**63)),
         "p_fa": draw(_finite(min_value=1e-9, max_value=1 - 1e-9)),
