@@ -65,12 +65,10 @@ def _cmd_plan(args) -> int:
     cfg = _load_cfg(args)
     plan = build_scan_plan(cfg.array, cfg.q, cfg.l, cfg.mode, cfg.seed)
     if plan.mode == CONSTANT_MODULUS:
-        total = sum(r.u for r in plan.rounds)
-        stalled = total - sum(int(r.cm_converged.sum()) for r in plan.rounds)
-        iters = [int(n) for r in plan.rounds for n in r.cm_iters]
-        print(f"{stalled} of {total} constant-modulus beams stopped at max_iters",
-              file=sys.stderr)
-        print(f"solver iterations per beam: mean {sum(iters) / total:.1f}, max {max(iters)}",
+        total, iters = plan.cm_iters.size, plan.cm_iters
+        print(f"{total - plan.cm_converged.sum()} of {total} constant-modulus beams "
+              "stopped at max_iters", file=sys.stderr)
+        print(f"solver iterations per beam: mean {iters.mean():.1f}, max {iters.max()}",
               file=sys.stderr)
     _emit(plan_to_json(plan) + "\n", args.out or cfg.output)
     return 0

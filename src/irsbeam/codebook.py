@@ -33,7 +33,7 @@ class CMResult:
 
 @dataclass(frozen=True)
 class RoundEncoding:
-    """One full-coverage round: two index partitions and what they imply.
+    """Round l of a ScanPlan: views of the plan's stacks at index l.
 
     c_design (U x q) splits {0..M-1} into the IRS beams' design sets,
     a_supports (V x R) splits {0..N_t-1} into the precoders' supports.
@@ -46,10 +46,6 @@ class RoundEncoding:
     Lambda (see synthesize_measurements). Only a constant-modulus round's
     solved cm_beams (M x U) are stored; the physical beams v_beams and
     f_beams are sums of dictionary columns, built on first read.
-    cm_converged (U,) says which of the solves that built this round
-    converged before CM_MAX_ITERS steps and cm_iters (U,) how many steps
-    each took; both are None in an ideal-sparse round and in a round
-    decoded from stored beams.
     """
 
     cfg: ArrayConfig
@@ -59,8 +55,6 @@ class RoundEncoding:
     row_bin: np.ndarray
     col_bin: np.ndarray
     cm_beams: np.ndarray | None = field(default=None, repr=False)
-    cm_converged: np.ndarray | None = field(default=None, repr=False)
-    cm_iters: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def u(self) -> int:
@@ -85,24 +79,42 @@ class RoundEncoding:
         return dft_dictionary(self.cfg.n_t)[:, self.a_supports].sum(axis=2) / np.sqrt(self.cfg.r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanPlan:
-    """L independently randomized rounds of full-coverage scanning."""
+    """L independently randomized rounds of full-coverage scanning, built
+    by encode_rounds: each RoundEncoding field but cfg, stacked read-only
+    over a leading round axis (c_design L x U x q, row_bin L x M, ...).
+    `rounds` are the RoundEncoding views of each round, made on first read.
+    A constant-modulus plan solved here also says which solves converged
+    before CM_MAX_ITERS steps (cm_converged, L x U) and how many steps each
+    took (cm_iters); they are None in any other plan.
+    """
 
     cfg: ArrayConfig
-    q: int
     mode: str
     seed: int | None
-    rounds: tuple[RoundEncoding, ...]
+    c_design: np.ndarray
+    a_supports: np.ndarray
+    c_supports: np.ndarray
+    row_bin: np.ndarray
+    col_bin: np.ndarray
+    cm_beams: np.ndarray | None = field(default=None, repr=False)
+    cm_converged: np.ndarray | None = field(default=None, repr=False)
+    cm_iters: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def l(self) -> int:
-        return len(self.rounds)
+        return len(self.c_design)
 
+    @property
+    def q(self) -> int:
+        return self.c_design.shape[2]
 
-def _random_partition(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """A uniformly random split of {0..n-1} into n/size sorted rows."""
-    return np.sort(rng.permutation(n).reshape(-1, size), axis=1)
+    @cached_property
+    def rounds(self) -> tuple[RoundEncoding, ...]:
+        stacks = [getattr(self, f.name) for f in fields(RoundEncoding)[1:]]
+        return tuple(RoundEncoding(self.cfg, *(s if s is None else s[l] for s in stacks))
+                     for l in range(self.l))
 
 
 def _project_unit(v: np.ndarray) -> np.ndarray:
@@ -209,38 +221,43 @@ def optimize_constant_modulus(selected: np.ndarray) -> CMResult:
 
 
 def _assign_bins(n: int, supports: np.ndarray, image: np.ndarray | None = None) -> np.ndarray:
-    """Map each index in {0..n-1} to the bin (row of `supports`) that claims it.
+    """Map each index in {0..n-1} to the bin (row of `supports`) that
+    claims it, round by round: supports is L x bins x size, the map L x n.
 
-    Supports that partition the range are inverted. Effective supports of
-    optimized beams (given with their beamspace image barD^H v, n x U)
-    need not partition the grid; contested or orphaned indices go to the
-    bin sensing them most strongly.
+    Supports that partition the range are inverted with one scatter.
+    Effective supports of optimized beams (given with their beamspace
+    images barD^H v, L x n x U) need not partition the grid; contested or
+    orphaned indices go to the bin sensing them most strongly.
     """
-    owner = np.empty(n, dtype=int)
-    owner[supports] = np.arange(len(supports))[:, None]
+    l, bins = supports.shape[:2]
+    owner = np.empty((l, n), dtype=int)
+    owner[np.arange(l)[:, None, None], supports] = np.arange(bins)[:, None]
     if image is not None:
-        contested = np.bincount(supports.ravel(), minlength=n) != 1
+        claims = supports + n * np.arange(l)[:, None, None]
+        contested = np.bincount(claims.ravel(), minlength=l * n).reshape(l, n) != 1
         if np.any(contested):
             owner[contested] = np.argmax(np.abs(image[contested]), axis=1)
     return owner
 
 
-def encode_round(
+def encode_rounds(
     cfg: ArrayConfig,
     c_design: np.ndarray,
     a_supports: np.ndarray,
     mode: str,
     cm_beams: np.ndarray | None = None,
-) -> RoundEncoding:
-    """One round given its partitions, with its bin maps.
+    seed: int | None = None,
+) -> ScanPlan:
+    """The plan of L rounds given their partitions, with their bin maps.
 
-    c_design (U x q) splits {0..M-1}, a_supports (V x R) splits
-    {0..N_t-1}. Ideal-sparse beams put amplitude sqrt(M/q) exactly on
-    their design set, precoders 1/sqrt(R) on their support;
-    constant-modulus beams sense their effective supports. Unless
-    cm_beams (M x U) from an earlier solve are given, the round's U
-    design sets are solved together, each beam exactly as
-    optimize_constant_modulus solves it alone.
+    c_design (L x U x q) splits {0..M-1} in every round, a_supports
+    (L x V x R) splits {0..N_t-1}; the plan keeps both, read-only.
+    Ideal-sparse beams put amplitude sqrt(M/q) exactly on their design
+    set, precoders 1/sqrt(R) on their support; constant-modulus beams
+    sense their effective supports. Unless cm_beams (L x M x U) from an
+    earlier solve are given, each round's U design sets are solved
+    together, each beam exactly as optimize_constant_modulus solves it
+    alone.
     """
     cm_converged = cm_iters = None
     if mode == IDEAL_SPARSE:
@@ -249,30 +266,26 @@ def encode_round(
     else:
         bar_d = cascade_dictionary(cfg)
         if cm_beams is None:
-            # one batch per round; slice u of barD^T[c_design] is
-            # barD[:, c_design[u]].T in that matrix's layout
-            solved = _ascend(bar_d.T[c_design])
-            cm_beams = np.stack([res.v for res in solved], axis=1)
-            cm_converged = np.array([res.converged for res in solved])
-            cm_iters = np.array([len(res.objectives) - 1 for res in solved])
+            # one batch per round; slice u of barD^T[c_design[l]] is
+            # barD[:, c_design[l, u]].T in that matrix's layout
+            solved = [_ascend(bar_d.T[c]) for c in c_design]
+            cm_beams = np.array([np.stack([res.v for res in s], axis=1) for s in solved])
+            cm_converged = np.array([[res.converged for res in s] for s in solved])
+            cm_iters = np.array([[len(res.objectives) - 1 for res in s] for s in solved])
         bar_h = bar_d.conj().T
         # Each beam senses the q rows it reaches most strongly, lowest
         # index first on ties. Ranked by one gemv per beam, not by the
         # gemm barD^H cm_beams: their low bits differ and flip exact ties.
-        order = np.argsort(-np.abs(bar_h @ cm_beams.T[..., None])[..., 0], axis=1, kind="stable")
-        c_supports = np.sort(order[:, : c_design.shape[1]], axis=1)
+        gains = np.abs(bar_h @ cm_beams.transpose(0, 2, 1)[..., None])[..., 0]
+        order = np.argsort(-gains, axis=2, kind="stable")
+        c_supports = np.sort(order[..., : c_design.shape[2]], axis=2)
         row_bin = _assign_bins(cfg.m, c_supports, bar_h @ cm_beams)
-    return RoundEncoding(
-        cfg=cfg,
-        c_design=c_design,
-        a_supports=a_supports,
-        c_supports=c_supports,
-        row_bin=row_bin,
-        col_bin=_assign_bins(cfg.n_t, a_supports),
-        cm_beams=cm_beams,
-        cm_converged=cm_converged,
-        cm_iters=cm_iters,
-    )
+    stacks = (c_design, a_supports, c_supports, row_bin, _assign_bins(cfg.n_t, a_supports),
+              cm_beams, cm_converged, cm_iters)  # ScanPlan's fields after seed
+    for stack in stacks:
+        if stack is not None:
+            stack.flags.writeable = False
+    return ScanPlan(cfg, mode, seed, *stacks)
 
 
 def check_round_shape(cfg: ArrayConfig, q: int, mode: str) -> None:
@@ -301,12 +314,15 @@ def build_scan_plan(
     seed = int(rng) if isinstance(rng, (int, np.integer)) else None
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    rounds = tuple(
-        encode_round(cfg, _random_partition(cfg.m, q, rng),
-                     _random_partition(cfg.n_t, cfg.r, rng), mode)
-        for _ in range(l)
-    )
-    return ScanPlan(cfg=cfg, q=q, mode=mode, seed=seed, rounds=rounds)
+    # per round the rows' permutation, then the columns', as rng.permutation draws them
+    c_design, a_supports = (np.arange(n)[None].repeat(l, axis=0) for n in (cfg.m, cfg.n_t))
+    for rows, cols in zip(c_design, a_supports):
+        rng.shuffle(rows)
+        rng.shuffle(cols)
+    c_design, a_supports = c_design.reshape(l, -1, q), a_supports.reshape(l, -1, cfg.r)
+    c_design.sort(axis=2)
+    a_supports.sort(axis=2)
+    return encode_rounds(cfg, c_design, a_supports, mode, seed=seed)
 
 
 def _round_doc(rnd: RoundEncoding) -> dict:
@@ -405,18 +421,13 @@ def plan_from_json(text: str) -> ScanPlan:
     check_round_shape(cfg, q, mode)
     if not raw:
         raise InvalidParameterError("at least one round is required")
-    rounds = []
-    for l, (rnd, c_design, a_supports) in enumerate(raw):
-        cm_beams = None
+    c_design, a_supports, cm_beams = [], [], []
+    for l, (rnd, c_sets, a_sets) in enumerate(raw):
         if mode == CONSTANT_MODULUS:
-            cm_beams = _parse_cm_beams(f"round {l}", rnd, cfg.m, cfg.m // q)
+            cm_beams.append(_parse_cm_beams(f"round {l}", rnd, cfg.m, cfg.m // q))
         elif "cm_beams" in rnd:
             raise InvalidParameterError(f"round {l} of an ideal-sparse plan stores cm_beams")
-        rounds.append(encode_round(
-            cfg,
-            _parse_partition(f"round {l} c_design", c_design, cfg.m, q),
-            _parse_partition(f"round {l} a_supports", a_supports, cfg.n_t, cfg.r),
-            mode,
-            cm_beams=cm_beams,
-        ))
-    return ScanPlan(cfg=cfg, q=q, mode=mode, seed=seed, rounds=tuple(rounds))
+        c_design.append(_parse_partition(f"round {l} c_design", c_sets, cfg.m, q))
+        a_supports.append(_parse_partition(f"round {l} a_supports", a_sets, cfg.n_t, cfg.r))
+    return encode_rounds(cfg, np.array(c_design), np.array(a_supports), mode,
+                         np.array(cm_beams) if cm_beams else None, seed)

@@ -35,12 +35,13 @@ class MeasurementSet:
 
     def __post_init__(self):
         plan = self.plan
-        if not plan.rounds or len(self.y) != plan.l:
-            raise InvalidDimensionError("a non-empty plan and one matrix per round required")
-        rnd = plan.rounds[0]
-        if any(np.shape(y_l) != (rnd.u, rnd.v) for y_l in self.y):
-            raise InvalidDimensionError(f"round matrix must be {rnd.u} x {rnd.v}")
-        y = np.asarray(self.y, dtype=float)
+        u, v = plan.c_design.shape[1], plan.a_supports.shape[1]
+        try:
+            y = np.asarray(self.y, dtype=float)
+        except ValueError:  # ragged rounds
+            y = None
+        if not plan.l or np.shape(y) != (plan.l, u, v):
+            raise InvalidDimensionError(f"a non-empty plan and one {u} x {v} matrix per round required")
         # a NaN fails both comparisons
         if not (y.min() >= 0 and y.max() < np.inf):
             raise InvalidParameterError("measurements must be finite and nonnegative")
@@ -54,28 +55,34 @@ def _round_readings(x: np.ndarray, y: np.ndarray, plan: ScanPlan) -> np.ndarray:
     Each round's rows C^H X: an ideal-sparse row bin sums the rows of X in
     its design set, scaled by sqrt(M/q); a constant-modulus beam v reads
     (barD^H v)^H X. Each precoder sums the columns of Y in its support,
-    scaled by 1/sqrt(R), for all rounds in one gather. The U x P rows times
-    those P x V sums is a sum of P outer products; nothing of size
-    M x N_t is made.
+    scaled by 1/sqrt(R). Both bin sums gather all L rounds from the plan's
+    stacks with the bin's members on a leading axis, so every bin is summed
+    in member order, whatever P. The U x P rows times the P x V sums is a
+    sum of P outer products; nothing of size M x N_t is made.
     """
-    if not plan.rounds:
+    n, u, q = plan.c_design.shape
+    v, r = plan.a_supports.shape[1:]
+    if not n:
         raise InvalidDimensionError("a plan with at least one round required")
-    rounds, n = plan.rounds, plan.l
-    (u, q), (v, r) = rounds[0].c_design.shape, rounds[0].a_supports.shape
+
+    def bin_sums(a: np.ndarray, members: np.ndarray) -> np.ndarray:
+        # rows of `a` by bin member, summed over that leading axis as real
+        # and imaginary parts: numpy sums a lone complex bin pairwise
+        parts = np.asarray(a, dtype=complex).take(members.transpose(2, 0, 1).ravel(), axis=0)
+        return parts.view(float).reshape(members.shape[2], -1).sum(axis=0).view(complex)
+
     scale = 1.0 / np.sqrt(r)
     if plan.mode == IDEAL_SPARSE:
-        design = np.stack([rnd.c_design for rnd in rounds])  # L x U x q
-        rows = x.take(design.ravel(), axis=0).reshape(n, u, q, -1).sum(axis=2)
+        rows = bin_sums(x, plan.c_design).reshape(n, u, -1)
         scale *= np.sqrt(plan.cfg.m / q)
     else:
-        # the image encode_round bins by; another product order moves the low bits
+        # the image encode_rounds bins by; another product order moves the low bits
         bar_h = cascade_dictionary(plan.cfg).conj().T
-        rows = np.stack([(bar_h @ rnd.cm_beams).conj().T @ x for rnd in rounds])
-    cols = np.stack([rnd.a_supports.T for rnd in rounds])  # L x R x V
-    y_bins = y.take(cols.ravel(), axis=1).reshape(-1, n, r, v).sum(axis=2)
-    z = rows[..., :1] * y_bins[0, :, None]
-    for p in range(1, len(y_bins)):
-        z += rows[..., p:p + 1] * y_bins[p, :, None]
+        rows = np.stack([(bar_h @ beams).conj().T @ x for beams in plan.cm_beams])
+    y_bins = bin_sums(y.T, plan.a_supports).reshape(n, 1, v, -1)
+    z = rows[..., :1] * y_bins[..., 0]
+    for p in range(1, y_bins.shape[-1]):
+        z += rows[..., p:p + 1] * y_bins[..., p]
     z *= scale
     return z
 
@@ -141,6 +148,9 @@ def _decode(
     the rounds and counted through a 256-entry byte table:
     np.bitwise_count needs numpy 2, and the floor is 1.24.
 
+    The decoded rounds' bin maps are slices of the plan's row_bin and
+    col_bin stacks.
+
     With no candidate the result is the decode at epsilon 0 over every
     round (every entry a candidate; for NLOS every round NM), not over the
     NM rounds: a constant-modulus bin may own no rows, so an empty
@@ -148,16 +158,16 @@ def _decode(
     """
     if plan is not measurements.plan:
         raise InvalidParameterError("decode with the plan the measurements were taken with")
-    chosen = range(plan.l) if nm_rounds is None else nm_rounds
-    y = measurements.y if nm_rounds is None else measurements.y[list(nm_rounds)]
+    rounds = slice(None) if nm_rounds is None else list(nm_rounds)
+    y = measurements.y[rounds]
     n, u, v = y.shape
     with np.errstate(divide="ignore"):
         log_y = np.log(y)
     # entry (i, j) reads, in the k-th decoded round, row row_at[k, i] of
     # the n*U rows of the readings and column col_bin[k, j] of that row
     offsets = np.arange(n)[:, None]
-    row_at = np.array([plan.rounds[l].row_bin for l in chosen]) + offsets * u
-    col_bin = np.array([plan.rounds[l].col_bin for l in chosen])
+    row_at = plan.row_bin[rounds] + offsets * u
+    col_bin = plan.col_bin[rounds]
     col_at = col_bin + offsets * v
 
     # each round's gate gathered over the columns and packed to bits over

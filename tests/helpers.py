@@ -2,7 +2,8 @@
 studies, the exhaustive grid scan as a scan with singleton bins, the
 dense beamspace coefficients of ideal-sparse beams, the per-beam
 effective support of a constant-modulus beam, round-by-round noisy
-readings, and the full-grid decode the bound decode must equal."""
+readings, readings summed bin member by bin member, and the full-grid
+decode the bound decode must equal."""
 
 from dataclasses import replace
 
@@ -87,6 +88,32 @@ def round_readings(lam: np.ndarray, rnd) -> np.ndarray:
     z = rows.take(rnd.a_supports.T.ravel(), axis=1).reshape(u, r, v).sum(axis=1)
     z *= scale
     return z
+
+
+def sequential_readings(x: np.ndarray, y: np.ndarray, plan) -> np.ndarray:
+    """The noiseless readings of every round, L x U x V, of lam = x @ y
+    with every bin summed one member at a time from its first: the rows of
+    x in each design set (ideal-sparse) and the columns of y in each
+    precoder support. A constant-modulus beam reads (barD^H v)^H x. The P
+    outer products are added from path 0, then scaled, with the array
+    operations of the readings under test, so the two agree bit for bit
+    exactly when they sum in the same order."""
+    scale = 1.0 / np.sqrt(plan.a_supports.shape[2])
+    if plan.mode == IDEAL_SPARSE:
+        rows = x[plan.c_design[..., 0]]
+        for k in range(1, plan.q):
+            rows = rows + x[plan.c_design[..., k]]
+        scale *= np.sqrt(plan.cfg.m / plan.q)
+    else:
+        bar_h = cascade_dictionary(plan.cfg).conj().T
+        rows = np.stack([(bar_h @ beams).conj().T @ x for beams in plan.cm_beams])
+    cols = y.T[plan.a_supports[..., 0]]
+    for k in range(1, plan.a_supports.shape[2]):
+        cols = cols + y.T[plan.a_supports[..., k]]
+    z = rows[..., :1] * cols[:, None, :, 0]
+    for p in range(1, x.shape[1]):
+        z = z + rows[..., p:p + 1] * cols[:, None, :, p]
+    return z * scale
 
 
 def readings_per_round(lam: np.ndarray, plan, sigma: float, rng) -> list[np.ndarray]:

@@ -133,12 +133,12 @@ def assert_rounds_match_solo_solves(plan):
     """Each round's beams, flags and iteration counts equal those of
     optimize_constant_modulus run alone on each of its design sets."""
     bar = cascade_dictionary(plan.cfg)
-    for rnd in plan.rounds:
+    for l, rnd in enumerate(plan.rounds):
         for u, sup in enumerate(rnd.c_design):
             alone = optimize_constant_modulus(bar[:, sup])
             assert np.array_equal(rnd.v_beams[:, u], alone.v)
-            assert rnd.cm_converged[u] == alone.converged
-            assert rnd.cm_iters[u] == len(alone.objectives) - 1
+            assert plan.cm_converged[l, u] == alone.converged
+            assert plan.cm_iters[l, u] == len(alone.objectives) - 1
 
 
 class TestRoundSolve:
@@ -158,7 +158,7 @@ class TestRoundSolve:
             sups = np.array([effective_support(b, q, bar) for b in rnd.v_beams.T])
             np.testing.assert_array_equal(rnd.c_supports, sups)
             claims = [np.flatnonzero((sups == i).any(axis=1)) for i in range(cfg.m)]
-            # the product encode_round bins with
+            # the product encode_rounds bins with
             image = bar.conj().T @ rnd.v_beams
             bins = [c[0] if len(c) == 1 else np.argmax(np.abs(image[i]))
                     for i, c in enumerate(claims)]
@@ -182,17 +182,17 @@ class TestConstantModulusJson:
         for rnd, again in zip(plan.rounds, back.rounds, strict=True):
             for name in ("v_beams", "f_beams", "c_supports", "row_bin"):
                 np.testing.assert_array_equal(getattr(rnd, name), getattr(again, name))
-            # only a fresh solve knows them
-            assert again.cm_converged is None and again.cm_iters is None
+        # only a fresh solve knows them
+        assert back.cm_converged is None and back.cm_iters is None
 
     def test_converged_flags_match_the_solver(self):
         plan = build_scan_plan(CFG, 16, 1, CONSTANT_MODULUS, rng=3)
         assert_rounds_match_solo_solves(plan)
-        assert not all(plan.rounds[0].cm_converged)  # some stop at max_iters here
+        assert not all(plan.cm_converged[0])  # some stop at max_iters here
 
     def test_ideal_sparse_rounds_store_no_beams(self):
         plan = build_scan_plan(SMALL, 2, 2, rng=11)
-        assert all(r.cm_beams is None and r.cm_converged is None for r in plan.rounds)
+        assert all(r.cm_beams is None for r in plan.rounds) and plan.cm_converged is None
         for d in json.loads(plan_to_json(plan))["rounds"]:
             assert sorted(d) == ["a_supports", "c_design"]
 
@@ -282,6 +282,48 @@ class TestScanPlan:
             np.testing.assert_allclose(r1.v_beams, r2.v_beams)
             for s1, s2 in zip(r1.c_supports, r2.c_supports):
                 np.testing.assert_array_equal(s1, s2)
+
+
+class TestPlanStacks:
+    """A plan is its stacked index arrays, read-only; each round's fields
+    are views of the stacks at that round."""
+
+    NAMES = ("c_design", "a_supports", "c_supports", "row_bin", "col_bin", "cm_beams")
+
+    def _check(self, plan):
+        l, u, v = plan.l, SMALL.m // plan.q, SMALL.n_t // SMALL.r
+        assert plan.c_design.shape == plan.c_supports.shape == (l, u, plan.q)
+        assert plan.a_supports.shape == (l, v, SMALL.r)
+        assert plan.row_bin.shape == (l, SMALL.m) and plan.col_bin.shape == (l, SMALL.n_t)
+        for name in self.NAMES:
+            stack = getattr(plan, name)
+            if stack is None:
+                assert all(getattr(rnd, name) is None for rnd in plan.rounds)
+                continue
+            assert not stack.flags.writeable, name
+            assert len(stack) == l == len(plan.rounds)
+            for k, rnd in enumerate(plan.rounds):
+                np.testing.assert_array_equal(getattr(rnd, name), stack[k])
+                assert np.shares_memory(getattr(rnd, name), stack)
+
+    @pytest.mark.parametrize("mode", [IDEAL_SPARSE, CONSTANT_MODULUS])
+    def test_built_plan(self, mode):
+        plan = build_scan_plan(SMALL, 2, 3, mode, rng=17)
+        self._check(plan)
+        assert (plan.cm_iters is None) == (mode == IDEAL_SPARSE)
+        for stack in (plan.cm_converged, plan.cm_iters):
+            assert stack is None or (stack.shape == (3, SMALL.m // 2) and not stack.flags.writeable)
+
+    @pytest.mark.parametrize("mode", [IDEAL_SPARSE, CONSTANT_MODULUS])
+    def test_reloaded_plan(self, mode):
+        plan = plan_from_json(plan_to_json(build_scan_plan(SMALL, 2, 3, mode, rng=17)))
+        self._check(plan)
+        assert plan.cm_iters is None
+
+    def test_stacks_cannot_be_written(self):
+        plan = build_scan_plan(SMALL, 2, 2, rng=18)
+        with pytest.raises(ValueError, match="read-only"):
+            plan.rounds[1].row_bin[0] = 1
 
 
 class TestPlanJson:

@@ -10,13 +10,13 @@ from irsbeam.channel import assemble_channels, sample_paths
 from irsbeam.codebook import (
     CONSTANT_MODULUS,
     IDEAL_SPARSE,
-    ScanPlan,
     build_scan_plan,
-    encode_round,
+    encode_rounds,
 )
 from irsbeam.decoder import (
     MeasurementSet,
     _decode,
+    _round_readings,
     decode_los,
     decode_nlos,
     rayleigh_threshold,
@@ -25,14 +25,15 @@ from irsbeam.decoder import (
 from irsbeam.errors import InvalidDimensionError, InvalidParameterError
 from irsbeam.harness import snr_to_sigma
 
-from helpers import exhaustive_scan, grid_decode, grid_nm_rounds, readings_per_round
+from helpers import (
+    exhaustive_scan,
+    grid_decode,
+    grid_nm_rounds,
+    readings_per_round,
+    sequential_readings,
+)
 
 SMALL = ArrayConfig(n_t=16, m_y=4, m_z=4, r=4)
-
-
-def handmade_round(cfg, c_parts, a_parts):
-    """Ideal-sparse round from explicit index partitions."""
-    return encode_round(cfg, np.asarray(c_parts), np.asarray(a_parts), IDEAL_SPARSE)
 
 
 def score_matrix(y_l, rnd):
@@ -40,16 +41,17 @@ def score_matrix(y_l, rnd):
     return (np.abs(y_l) ** 2)[np.ix_(rnd.row_bin, rnd.col_bin)]
 
 
-def handmade_plan(cfg, q, rounds_spec):
-    rounds = tuple(handmade_round(cfg, c, a) for c, a in rounds_spec)
-    return ScanPlan(cfg=cfg, q=q, mode="ideal-sparse", seed=None, rounds=rounds)
+def handmade_plan(cfg, rounds_spec):
+    """Ideal-sparse plan from explicit index partitions, one pair per round."""
+    c_design, a_supports = (np.array(parts) for parts in zip(*rounds_spec))
+    return encode_rounds(cfg, c_design, a_supports, IDEAL_SPARSE)
 
 
 class TestBinOf:
     def test_small_example(self):
         cfg = ArrayConfig(n_t=4, m_y=2, m_z=2, r=2)
         plan = handmade_plan(
-            cfg, 2, [(([0, 1], [2, 3]), ([0, 1], [2, 3]))]
+            cfg, [(([0, 1], [2, 3]), ([0, 1], [2, 3]))]
         )
         rnd = plan.rounds[0]
         assert (rnd.row_bin[2], rnd.col_bin[0]) == (1, 0)
@@ -209,8 +211,8 @@ class TestNulltons:
                 # round 0, so both are NM, only if round 0 counts as many
                 ref = np.zeros((rnd.u, rnd.v))
                 ref.flat[:k] = smallest_singleton
-                twice = ScanPlan(cfg=SMALL, q=4, mode=IDEAL_SPARSE, seed=None,
-                                 rounds=(rnd, rnd))
+                twice = encode_rounds(SMALL, plan.c_design[[0, 0]],
+                                      plan.a_supports[[0, 0]], IDEAL_SPARSE)
                 pair = MeasurementSet(y=(ms.y[0], ref), plan=twice)
                 assert decode_nlos(pair, twice, eps).nm_rounds == (0, 1)
 
@@ -261,7 +263,8 @@ class TestNmSelection:
     def test_no_counts_rejected(self):
         # a plan without rounds yields no counts: its measurement set is
         # rejected before any decode
-        empty = ScanPlan(cfg=SMALL, q=4, mode=IDEAL_SPARSE, seed=None, rounds=())
+        empty = encode_rounds(SMALL, np.empty((0, 4, 4), int), np.empty((0, 4, 4), int),
+                              IDEAL_SPARSE)
         with pytest.raises(InvalidDimensionError):
             MeasurementSet(y=(), plan=empty)
 
@@ -311,7 +314,7 @@ class TestDecodeNlos:
         merge = (([0, 1, 2, 3], [4, 5, 6, 7]), ([0, 1], [2, 3]))
         split1 = (([0, 2, 4, 6], [1, 3, 5, 7]), ([0, 2], [1, 3]))
         split2 = (([0, 3, 4, 5], [1, 2, 6, 7]), ([0, 3], [1, 2]))
-        plan = handmade_plan(cfg, 4, [merge, split1, split2])
+        plan = handmade_plan(cfg, [merge, split1, split2])
         ms = synthesize_measurements(lam, plan, 0.0)
         est = decode_nlos(ms, plan, 1e-3)
         assert est.nm_rounds == (1, 2)
@@ -515,6 +518,57 @@ class TestFactorPairReadings:
         assert peak < 256 * 1024
 
 
+@st.composite
+def bin_sum_cases(draw):
+    """A plan of up to 12 rounds, in either mode, whose row and column bins
+    hold up to 12 members each, and a factor pair (x, y) with P in 1..5
+    or the dense pair (lam, I). Entries span many binades, so the order a
+    bin is summed in shows in the low bits."""
+    q, r = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    u, v = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cfg = ArrayConfig(n_t=r * v, m_y=q, m_z=u, r=r)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    plan = build_scan_plan(cfg, q, draw(st.integers(1, 12)), rng=rng)
+    if draw(st.booleans()):
+        beams = np.exp(2j * np.pi * rng.random((plan.l, cfg.m, u)))
+        plan = encode_rounds(cfg, plan.c_design, plan.a_supports, CONSTANT_MODULUS, beams)
+
+    def draw_matrix(rows, cols):
+        spread = 2.0 ** rng.integers(-20, 21, size=(rows, cols))
+        return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) * spread
+
+    if draw(st.booleans()):
+        return plan, draw_matrix(cfg.m, cfg.n_t), np.eye(cfg.n_t)
+    p = draw(st.integers(1, 5))
+    return plan, draw_matrix(cfg.m, p), draw_matrix(p, cfg.n_t)
+
+
+class TestReadingsSumBinsInOrder:
+    """Every bin is summed member by member from its first, whatever the
+    path count: numpy sums a reduced axis of 8 or more contiguous entries
+    pairwise, so one path must not be summed as a contiguous axis."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(bin_sum_cases())
+    def test_equals_sequential_oracle(self, case):
+        plan, x, y = case
+        np.testing.assert_array_equal(_round_readings(x, y, plan), sequential_readings(x, y, plan))
+
+    def test_one_path_reads_like_two_with_a_zero_gain_path(self):
+        cfg = ArrayConfig(n_t=128, m_y=16, m_z=16, r=8)
+        rng = np.random.default_rng(14)
+        one, other = (
+            assemble_channels(sample_paths(1, 13.2, rng, with_bs_aod=True),
+                              sample_paths(2, 13.2, rng), cfg)
+            for _ in range(2)
+        )
+        plan = build_scan_plan(cfg, 16, 7, rng=rng)
+        # the second path's gain is 0, so its column of x is 0
+        x2 = np.hstack([one.x, np.zeros_like(one.x)])
+        y2 = np.vstack([one.y, other.y])
+        np.testing.assert_array_equal(_round_readings(one.x, one.y, plan), _round_readings(x2, y2, plan))
+
+
 class TestSingletonPlanIsExhaustiveSearch:
     """A plan of one round of singleton bins (q = 1, R = 1) reads every
     grid pair once with its own grid beams, sqrt(M) |lam[i, j]| when
@@ -608,12 +662,9 @@ class TestUngatedFallback:
         cfg = ArrayConfig(n_t=4, m_y=2, m_z=2, r=2)
         halves = np.array([[0, 1], [2, 3]])
         beams = np.exp(1j * np.pi * np.outer(np.arange(4), [0, 1]))
-        rounds = tuple(
-            encode_round(cfg, halves, halves, CONSTANT_MODULUS, cm_beams=beams[:, b])
-            for b in ([0, 0], [0, 1])
-        )
-        plan = ScanPlan(cfg=cfg, q=2, mode=CONSTANT_MODULUS, seed=None, rounds=rounds)
-        assert not np.any(rounds[0].row_bin == 1)
+        plan = encode_rounds(cfg, np.array([halves] * 2), np.array([halves] * 2),
+                             CONSTANT_MODULUS, cm_beams=np.array([beams[:, [0, 0]], beams]))
+        assert not np.any(plan.row_bin[0] == 1)
         ms = MeasurementSet(y=(np.array([[0.1, 0.2], [5.0, 6.0]]),
                                np.array([[0.3, 0.1], [0.2, 4.0]])), plan=plan)
         # nulltons (y < 1) per round: round 0 alone has the fewest
@@ -660,7 +711,7 @@ def _corner_plan():
     """N_t = M = 4 in two rounds, each of which puts rows {0, 1} and
     columns {0, 1} in bin 0, rows {2, 3} and columns {2, 3} in bin 1."""
     halves = [[0, 1], [2, 3]]
-    return handmade_plan(ArrayConfig(n_t=4, m_y=2, m_z=2, r=2), 2, [(halves, halves)] * 2)
+    return handmade_plan(ArrayConfig(n_t=4, m_y=2, m_z=2, r=2), [(halves, halves)] * 2)
 
 
 class TestBoundDecodeMatchesGrid:
@@ -728,7 +779,7 @@ class TestBoundDecodeMatchesGrid:
         # are equal, so the tie goes to column 0; summed from the last
         # round, column 1's is larger by one unit in the last place
         cfg = ArrayConfig(n_t=2, m_y=1, m_z=1, r=1)
-        plan = handmade_plan(cfg, 1, [([[0]], [[0], [1]])] * 3)
+        plan = handmade_plan(cfg, [([[0]], [[0], [1]])] * 3)
         est = self._check(plan, [[[5, 3]], [[18, 15]], [[16, 32]]], 0.0, (0, 0))
         assert est.candidate_count == 2
 

@@ -4,6 +4,8 @@ Any change to how channels are sampled, rounds are built or measurements
 are decoded that alters a single draw or tie-break shows up here.
 """
 
+import hashlib
+
 import pytest
 
 from irsbeam.arrays import ArrayConfig
@@ -77,3 +79,14 @@ def test_constant_modulus_supports_pinned():
     for p in (plan, plan_from_json(plan_to_json(plan))):
         assert [[s.tolist() for s in r.c_supports] for r in p.rounds] == CM_C_SUPPORTS
         assert [r.row_bin.tolist() for r in p.rounds] == CM_ROW_BIN
+
+
+# sha256 of plan_to_json for one small ideal-sparse plan: pins the draw
+# order (round by round, the rows' permutation, then the columns') and
+# every set's sort, not only through the trial outcomes above
+IDEAL_SPARSE_PLAN_SHA256 = "40c86169a43b8f21a1a959b79813976a270a4212315711ded9972075c19af803"
+
+
+def test_ideal_sparse_plan_json_pinned():
+    text = plan_to_json(build_scan_plan(ArrayConfig(n_t=16, m_y=4, m_z=4, r=4), 4, 3, rng=2024))
+    assert hashlib.sha256(text.encode()).hexdigest() == IDEAL_SPARSE_PLAN_SHA256
