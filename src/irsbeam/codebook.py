@@ -1,4 +1,5 @@
-"""Sparse multi-directional scanning plans and constant-modulus beams."""
+"""Sparse multi-directional scanning plans, constant-modulus beams, and
+the noiseless bin readings a plan takes of a channel (ScanPlan.readings)."""
 
 from __future__ import annotations
 
@@ -42,8 +43,8 @@ class RoundEncoding:
     |barD^H v| with the largest entries; those may overlap or leave rows
     out, so they need not partition. row_bin/col_bin are the inverse maps
     used by the decoder (row i is sensed by IRS bin row_bin[i], column j
-    by precoder col_bin[j]). A round's readings are taken as bin sums of
-    Lambda (see synthesize_measurements). Only a constant-modulus round's
+    by precoder col_bin[j]). A round's readings are formed by its plan
+    (ScanPlan.readings). Only a constant-modulus round's
     solved cm_beams (M x U) are stored; the physical beams v_beams and
     f_beams are sums of dictionary columns, built on first read.
     """
@@ -85,9 +86,10 @@ class ScanPlan:
     by encode_rounds: each RoundEncoding field but cfg, stacked read-only
     over a leading round axis (c_design L x U x q, row_bin L x M, ...).
     `rounds` are the RoundEncoding views of each round, made on first read.
-    A constant-modulus plan solved here also says which solves converged
-    before CM_MAX_ITERS steps (cm_converged, L x U) and how many steps each
-    took (cm_iters); they are None in any other plan.
+    A constant-modulus plan keeps its beams' image barD^H v (cm_image,
+    L x M x U), which its readings read. One solved here also says which
+    solves converged before CM_MAX_ITERS steps (cm_converged, L x U) and
+    how many steps each took (cm_iters); they are None in any other plan.
     """
 
     cfg: ArrayConfig
@@ -99,6 +101,7 @@ class ScanPlan:
     row_bin: np.ndarray
     col_bin: np.ndarray
     cm_beams: np.ndarray | None = field(default=None, repr=False)
+    cm_image: np.ndarray | None = field(default=None, repr=False)
     cm_converged: np.ndarray | None = field(default=None, repr=False)
     cm_iters: np.ndarray | None = field(default=None, repr=False)
 
@@ -115,6 +118,42 @@ class ScanPlan:
         stacks = [getattr(self, f.name) for f in fields(RoundEncoding)[1:]]
         return tuple(RoundEncoding(self.cfg, *(s if s is None else s[l] for s in stacks))
                      for l in range(self.l))
+
+    def readings(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The noiseless readings of every round, L x U x V, of
+        Lambda = X Y with X M x P and Y P x N_t.
+
+        Each round's rows C^H X: an ideal-sparse row bin sums the rows of X
+        in its design set, scaled by sqrt(M/q); a constant-modulus beam v
+        reads (barD^H v)^H X from cm_image. Each precoder sums the columns
+        of Y in its support, scaled by 1/sqrt(R). Both bin sums gather all
+        L rounds with the bin's members on a leading axis, so every bin is
+        summed in member order, whatever P. The rows times the column sums
+        is a sum of P outer products; nothing of size M x N_t is made.
+        """
+        l, u, q = self.c_design.shape
+        v, r = self.a_supports.shape[1:]
+        if not l:
+            raise InvalidDimensionError("a plan with at least one round required")
+
+        def bin_sums(a: np.ndarray, members: np.ndarray) -> np.ndarray:
+            # rows of `a` by bin member, summed over that leading axis as real
+            # and imaginary parts: numpy sums a lone complex bin pairwise
+            parts = np.asarray(a, dtype=complex).take(members.transpose(2, 0, 1).ravel(), axis=0)
+            return parts.view(float).reshape(members.shape[2], -1).sum(axis=0).view(complex)
+
+        scale = 1.0 / np.sqrt(r)
+        if self.cm_image is None:
+            rows = bin_sums(x, self.c_design).reshape(l, u, -1)
+            scale *= np.sqrt(self.cfg.m / q)
+        else:
+            rows = np.stack([image.conj().T @ x for image in self.cm_image])
+        y_bins = bin_sums(y.T, self.a_supports).reshape(l, 1, v, -1)
+        z = rows[..., :1] * y_bins[..., 0]
+        for p in range(1, y_bins.shape[-1]):
+            z += rows[..., p:p + 1] * y_bins[..., p]
+        z *= scale
+        return z
 
 
 def _project_unit(v: np.ndarray) -> np.ndarray:
@@ -257,9 +296,9 @@ def encode_rounds(
     sense their effective supports. Unless cm_beams (L x M x U) from an
     earlier solve are given, each round's U design sets are solved
     together, each beam exactly as optimize_constant_modulus solves it
-    alone.
+    alone. Their image barD^H cm_beams bins the rows and is kept as cm_image.
     """
-    cm_converged = cm_iters = None
+    cm_image = cm_converged = cm_iters = None
     if mode == IDEAL_SPARSE:
         c_supports, cm_beams = c_design, None
         row_bin = _assign_bins(cfg.m, c_design)
@@ -279,9 +318,10 @@ def encode_rounds(
         gains = np.abs(bar_h @ cm_beams.transpose(0, 2, 1)[..., None])[..., 0]
         order = np.argsort(-gains, axis=2, kind="stable")
         c_supports = np.sort(order[..., : c_design.shape[2]], axis=2)
-        row_bin = _assign_bins(cfg.m, c_supports, bar_h @ cm_beams)
+        cm_image = bar_h @ cm_beams
+        row_bin = _assign_bins(cfg.m, c_supports, cm_image)
     stacks = (c_design, a_supports, c_supports, row_bin, _assign_bins(cfg.n_t, a_supports),
-              cm_beams, cm_converged, cm_iters)  # ScanPlan's fields after seed
+              cm_beams, cm_image, cm_converged, cm_iters)  # ScanPlan's fields after seed
     for stack in stacks:
         if stack is not None:
             stack.flags.writeable = False

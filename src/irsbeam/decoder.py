@@ -8,6 +8,7 @@ the same decoder's result at threshold 0. The decoder does not score
 the whole M x N_t grid: per-row and per-column bounds on the score,
 summed in the grid's round order, prune the search to a sub-grid that
 must hold the best entry, and the answer is bit-for-bit the full grid's.
+The plan forms the noiseless readings (ScanPlan.readings); they are noised here.
 """
 
 from __future__ import annotations
@@ -16,15 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import cascade_dictionary
 from .channel import AlignmentEstimate, noisy_magnitude
-from .codebook import IDEAL_SPARSE, ScanPlan
+from .codebook import ScanPlan
 from .errors import InvalidDimensionError, InvalidParameterError
 
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """L finite, nonnegative U x V matrices, one per scanning round.
+    """L finite, nonnegative, real U x V matrices, one per scanning round.
 
     `y` is given as a sequence of U x V matrices or as one L x U x V
     array, and kept as that array; it iterates and indexes by round.
@@ -37,54 +37,19 @@ class MeasurementSet:
         plan = self.plan
         u, v = plan.c_design.shape[1], plan.a_supports.shape[1]
         try:
-            y = np.asarray(self.y, dtype=float)
+            y = np.asarray(self.y)
         except ValueError:  # ragged rounds
             y = None
         if not plan.l or np.shape(y) != (plan.l, u, v):
             raise InvalidDimensionError(f"a non-empty plan and one {u} x {v} matrix per round required")
+        # readings are magnitudes: a complex one is refused, not cast to its real part
+        if y.dtype.kind not in "biuf":
+            raise InvalidParameterError(f"measurements must be real numbers, not {y.dtype}")
+        y = y.astype(float, copy=False)
         # a NaN fails both comparisons
         if not (y.min() >= 0 and y.max() < np.inf):
             raise InvalidParameterError("measurements must be finite and nonnegative")
         object.__setattr__(self, "y", y)
-
-
-def _round_readings(x: np.ndarray, y: np.ndarray, plan: ScanPlan) -> np.ndarray:
-    """The noiseless readings of every round of the plan, L x U x V, of
-    Lambda = X Y with X M x P and Y P x N_t.
-
-    Each round's rows C^H X: an ideal-sparse row bin sums the rows of X in
-    its design set, scaled by sqrt(M/q); a constant-modulus beam v reads
-    (barD^H v)^H X. Each precoder sums the columns of Y in its support,
-    scaled by 1/sqrt(R). Both bin sums gather all L rounds from the plan's
-    stacks with the bin's members on a leading axis, so every bin is summed
-    in member order, whatever P. The U x P rows times the P x V sums is a
-    sum of P outer products; nothing of size M x N_t is made.
-    """
-    n, u, q = plan.c_design.shape
-    v, r = plan.a_supports.shape[1:]
-    if not n:
-        raise InvalidDimensionError("a plan with at least one round required")
-
-    def bin_sums(a: np.ndarray, members: np.ndarray) -> np.ndarray:
-        # rows of `a` by bin member, summed over that leading axis as real
-        # and imaginary parts: numpy sums a lone complex bin pairwise
-        parts = np.asarray(a, dtype=complex).take(members.transpose(2, 0, 1).ravel(), axis=0)
-        return parts.view(float).reshape(members.shape[2], -1).sum(axis=0).view(complex)
-
-    scale = 1.0 / np.sqrt(r)
-    if plan.mode == IDEAL_SPARSE:
-        rows = bin_sums(x, plan.c_design).reshape(n, u, -1)
-        scale *= np.sqrt(plan.cfg.m / q)
-    else:
-        # the image encode_rounds bins by; another product order moves the low bits
-        bar_h = cascade_dictionary(plan.cfg).conj().T
-        rows = np.stack([(bar_h @ beams).conj().T @ x for beams in plan.cm_beams])
-    y_bins = bin_sums(y.T, plan.a_supports).reshape(n, 1, v, -1)
-    z = rows[..., :1] * y_bins[..., 0]
-    for p in range(1, y_bins.shape[-1]):
-        z += rows[..., p:p + 1] * y_bins[..., p]
-    z *= scale
-    return z
 
 
 def synthesize_measurements(
@@ -98,16 +63,12 @@ def synthesize_measurements(
     C_l = barD^H v_beams and A_l = D^H f_beams are the beams' beamspace
     images. `lam` is Lambda's rank-P factor pair (X, Y), Lambda = X Y, as
     `CascadeChannel.x` and `.y`, or Lambda (M x N_t) itself, read as the
-    pair (Lambda, I). The noiseless readings are bin sums, not matrix
-    products: X's rows times Y's columns, (C_l^H X)(Y A_l). They form one
-    L x U x V stack, noised in one draw, round by round.
+    pair (Lambda, I). The plan forms the noiseless readings
+    (ScanPlan.readings), one L x U x V stack, noised here in one draw,
+    round by round.
     """
     x, y = lam if isinstance(lam, tuple) else (lam, np.eye(lam.shape[1]))
-    return MeasurementSet(y=noisy_magnitude(_round_readings(x, y, plan), sigma, rng), plan=plan)
-
-
-# the number of set bits of every byte value
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+    return MeasurementSet(y=noisy_magnitude(plan.readings(x, y), sigma, rng), plan=plan)
 
 
 def _sum_rounds(parts: np.ndarray) -> np.ndarray:
@@ -145,8 +106,7 @@ def _decode(
     are summed in the same order, so the entry, and every tie, is the one
     an argmax over the full score grid picks. The candidate count comes
     from each round's gate packed to bits over the columns, OR-ed over
-    the rounds and counted through a 256-entry byte table:
-    np.bitwise_count needs numpy 2, and the floor is 1.24.
+    the rounds.
 
     The decoded rounds' bin maps are slices of the plan's row_bin and
     col_bin stacks.
@@ -175,7 +135,7 @@ def _decode(
     gate = (y >= epsilon).transpose(0, 2, 1).reshape(n * v, u).take(col_at, axis=0)
     bits = np.packbits(np.ascontiguousarray(gate.transpose(0, 2, 1)), axis=-1)
     cand = np.bitwise_or.reduce(bits.reshape(n * u, -1).take(row_at, axis=0), axis=0)
-    n_candidates = int(_POPCOUNT.take(cand).sum())
+    n_candidates = int(np.count_nonzero(np.unpackbits(cand)))
     if n_candidates == 0:
         every = None if nm_rounds is None else tuple(range(plan.l))
         return _decode(measurements, plan, 0.0, every)

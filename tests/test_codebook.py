@@ -305,6 +305,14 @@ class TestPlanStacks:
             for k, rnd in enumerate(plan.rounds):
                 np.testing.assert_array_equal(getattr(rnd, name), stack[k])
                 assert np.shares_memory(getattr(rnd, name), stack)
+        # a constant-modulus plan keeps its beams' beamspace image
+        if plan.mode == IDEAL_SPARSE:
+            assert plan.cm_image is None
+        else:
+            assert plan.cm_image.shape == (l, SMALL.m, u) and not plan.cm_image.flags.writeable
+            bar_h = cascade_dictionary(SMALL).conj().T
+            for image, beams in zip(plan.cm_image, plan.cm_beams):
+                np.testing.assert_array_equal(image, bar_h @ beams)
 
     @pytest.mark.parametrize("mode", [IDEAL_SPARSE, CONSTANT_MODULUS])
     def test_built_plan(self, mode):

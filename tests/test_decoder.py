@@ -16,7 +16,6 @@ from irsbeam.codebook import (
 from irsbeam.decoder import (
     MeasurementSet,
     _decode,
-    _round_readings,
     decode_los,
     decode_nlos,
     rayleigh_threshold,
@@ -390,6 +389,12 @@ class TestMeasurementSet:
         assert ms.y.shape == (plan.l, rnd.u, rnd.v)
         assert all(np.array_equal(a, b) for a, b in zip(ms.y, ys))
 
+    def test_rejects_complex(self):
+        # readings are magnitudes; a complex one used to keep its real part
+        plan = build_scan_plan(SMALL, 4, 2, rng=25)
+        with pytest.raises(InvalidParameterError, match="real"):
+            MeasurementSet(y=np.full((2, 4, 4), 2.0 - 1j), plan=plan)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
         plan = build_scan_plan(SMALL, 4, 2, rng=25)
@@ -497,14 +502,16 @@ class TestFactorPairReadings:
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * want.max()
 
-    def test_pair_allocates_less_than_one_dense_matrix(self):
-        # one M x N_t complex array at the acceptance size is 512 KB
+    @staticmethod
+    def _synthesis_peak(mode):
+        """An acceptance-size channel and the tracemalloc peak of one warm
+        synthesis of its factor pair on a plan in `mode`."""
         cfg = ArrayConfig(n_t=128, m_y=16, m_z=16, r=8)
         rng = np.random.default_rng(8)
         ch = assemble_channels(
             sample_paths(2, 13.2, rng, with_bs_aod=True), sample_paths(2, 13.2, rng), cfg
         )
-        plan = build_scan_plan(cfg, 16, 7, rng=rng)
+        plan = build_scan_plan(cfg, 16, 7, mode, rng=rng)
         sigma = 0.1 * np.abs(ch.lam).max()
         synthesize_measurements((ch.x, ch.y), plan, sigma, rng)
         tracemalloc.start()
@@ -514,8 +521,18 @@ class TestFactorPairReadings:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
+        return ch, peak
+
+    def test_pair_allocates_less_than_one_dense_matrix(self):
+        # one M x N_t complex array at the acceptance size is 512 KB
+        ch, peak = self._synthesis_peak(IDEAL_SPARSE)
         assert ch.lam.nbytes == 512 * 1024
         assert peak < 256 * 1024
+
+    def test_constant_modulus_reads_the_stored_image(self):
+        # the plan's cm_image is read as it is; the 1 MB cascade
+        # dictionary is neither conjugated nor multiplied per synthesis
+        assert self._synthesis_peak(CONSTANT_MODULUS)[1] < 256 * 1024
 
 
 @st.composite
@@ -552,7 +569,7 @@ class TestReadingsSumBinsInOrder:
     @given(bin_sum_cases())
     def test_equals_sequential_oracle(self, case):
         plan, x, y = case
-        np.testing.assert_array_equal(_round_readings(x, y, plan), sequential_readings(x, y, plan))
+        np.testing.assert_array_equal(plan.readings(x, y), sequential_readings(x, y, plan))
 
     def test_one_path_reads_like_two_with_a_zero_gain_path(self):
         cfg = ArrayConfig(n_t=128, m_y=16, m_z=16, r=8)
@@ -566,7 +583,7 @@ class TestReadingsSumBinsInOrder:
         # the second path's gain is 0, so its column of x is 0
         x2 = np.hstack([one.x, np.zeros_like(one.x)])
         y2 = np.vstack([one.y, other.y])
-        np.testing.assert_array_equal(_round_readings(one.x, one.y, plan), _round_readings(x2, y2, plan))
+        np.testing.assert_array_equal(plan.readings(one.x, one.y), plan.readings(x2, y2))
 
 
 class TestSingletonPlanIsExhaustiveSearch:
