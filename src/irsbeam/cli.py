@@ -28,11 +28,9 @@ def _cmd_theory(args) -> int:
 
 def _load_cfg(args):
     cfg = parse_config(args.config)
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        overrides["trials"] = args.trials
+    # a flag given overrides its config key; plan has no --trials
+    flags = {key: getattr(args, key, None) for key in ("seed", "trials")}
+    overrides = {key: value for key, value in flags.items() if value is not None}
     return replace(cfg, **overrides) if overrides else cfg
 
 
@@ -90,25 +88,21 @@ def build_parser() -> argparse.ArgumentParser:
     theory.add_argument("--k", type=int, default=1, help="nonzero beamspace entries K")
     theory.set_defaults(func=_cmd_theory)
 
-    run = sub.add_parser("run", help="single Monte Carlo point, CSV row")
-    run.add_argument("--config", required=True)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--trials", type=int)
-    run.add_argument("--out")
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--config", required=True)
+    io.add_argument("--out")
+    io.add_argument("--seed", type=int)
+    mc = argparse.ArgumentParser(add_help=False)
+    mc.add_argument("--trials", type=int)
+
+    run = sub.add_parser("run", parents=[io, mc], help="single Monte Carlo point, CSV row")
     run.set_defaults(func=_cmd_run)
 
-    swp = sub.add_parser("sweep", help="full curve along one axis")
-    swp.add_argument("--config", required=True)
+    swp = sub.add_parser("sweep", parents=[io, mc], help="full curve along one axis")
     swp.add_argument("--axis", choices=["T", "snr", "M"], required=True)
-    swp.add_argument("--out")
-    swp.add_argument("--seed", type=int)
-    swp.add_argument("--trials", type=int)
     swp.set_defaults(func=_cmd_sweep)
 
-    plan = sub.add_parser("plan", help="serialize a scanning plan")
-    plan.add_argument("--config", required=True)
-    plan.add_argument("--out")
-    plan.add_argument("--seed", type=int)
+    plan = sub.add_parser("plan", parents=[io], help="serialize a scanning plan")
     plan.set_defaults(func=_cmd_plan)
     return parser
 

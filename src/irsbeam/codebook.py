@@ -57,14 +57,6 @@ class RoundEncoding:
     col_bin: np.ndarray
     cm_beams: np.ndarray | None = field(default=None, repr=False)
 
-    @property
-    def u(self) -> int:
-        return self.c_design.shape[0]
-
-    @property
-    def v(self) -> int:
-        return self.a_supports.shape[0]
-
     @cached_property
     def v_beams(self) -> np.ndarray:
         """IRS reflect beams, M x U: sqrt(M/q) times the sum of the

@@ -4,7 +4,9 @@ Format: one `key = value` per line, `#` comments, blank lines ignored.
 The keys are the ArrayConfig and ExperimentConfig fields but `array`
 and `compute_bgr`, typed and defaulted by them; `none` is accepted where
 the type allows None. Unknown keys are an error so typos fail fast.
-Sweep lists are comma-separated.
+Sweep lists are comma-separated. How an annotation reads and how each
+scalar is cast come from the field grammar in `errors`. Files are UTF-8;
+a leading byte order mark is skipped.
 """
 
 from __future__ import annotations
@@ -12,39 +14,30 @@ from __future__ import annotations
 from dataclasses import fields
 
 from .arrays import ArrayConfig
-from .errors import InvalidParameterError
+from .errors import FIELD_SCALARS, InvalidParameterError, split_annotation
 from .harness import ExperimentConfig
-
-# field annotation (a string: annotations are postponed) -> value cast
-_CASTS = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "tuple[int, ...]": lambda text: tuple(int(v) for v in text.split(",")),
-    "tuple[float, ...]": lambda text: tuple(float(v) for v in text.split(",")),
-}
-_NULLABLE = " | None"
 
 # File defaults for the fields the dataclasses leave required.
 _DEFAULTS = {"n_t": 128, "m_y": 16, "m_z": 16, "r": 4, "q": 32, "l": 4}
 
-# key -> (cast, accepts none); a field type with no cast fails at import
+# key -> (cast, tuple?, accepts none); a scalar outside FIELD_SCALARS fails at import
 _KEYS = {
-    f.name: (_CASTS[f.type.removesuffix(_NULLABLE)], f.type.endswith(_NULLABLE))
+    f.name: (FIELD_SCALARS[scalar][1], is_tuple, nullable)
     for f in (*fields(ArrayConfig), *fields(ExperimentConfig))
     if f.name not in ("array", "compute_bgr")
+    for scalar, is_tuple, nullable in [split_annotation(f.type)]
 }
 _ARRAY_KEYS = [f.name for f in fields(ArrayConfig)]
 
 
 def _cast(key: str, lineno: int, value: str):
-    cast, nullable = _KEYS[key]
+    cast, is_tuple, nullable = _KEYS[key]
     if value.lower() in ("none", ""):
         if not nullable:
             raise InvalidParameterError(f"line {lineno}: {key} needs a value")
         return None
     try:
-        return cast(value)
+        return tuple(map(cast, value.split(","))) if is_tuple else cast(value)
     except ValueError:
         raise InvalidParameterError(
             f"line {lineno}: invalid value {value!r} for {key}"
@@ -74,5 +67,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            return parse_config_text(fh.read())
+        except UnicodeDecodeError as err:
+            raise InvalidParameterError(f"{path}: not UTF-8 ({err.reason})") from None

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the config field check
-that raises them."""
+"""Exception types shared across the package, and the one field grammar:
+each scalar annotation's value test (check_field_types) and config-file
+cast (config), and how "X | None" and "tuple[X, ...]" wrap a scalar."""
 
 import numbers
 from dataclasses import fields
@@ -13,13 +14,21 @@ class InvalidParameterError(ValueError):
     """A parameter violates a divisibility or range requirement."""
 
 
-# field annotation (a string: annotations are postponed) -> value test
-_FIELD_TESTS = {
-    "int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
-    "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
-    "str": lambda v: isinstance(v, str),
-    "bool": lambda v: isinstance(v, bool),
+# scalar annotation -> (value test, config-file cast); no config key is a bool
+FIELD_SCALARS = {
+    "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), int),
+    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), float),
+    "str": (lambda v: isinstance(v, str), str),
+    "bool": (lambda v: isinstance(v, bool), None),
 }
+
+
+def split_annotation(annotation: str) -> tuple[str, bool, bool]:
+    """(scalar, tuple?, nullable?) of a field annotation, a string since
+    annotations are postponed: ("int", True, True) for "tuple[int, ...] | None"."""
+    scalar = annotation.removesuffix(" | None")
+    inner = scalar.removeprefix("tuple[").removesuffix(", ...]")
+    return inner, inner != scalar, scalar != annotation
 
 
 def check_field_types(obj, error: type[ValueError]) -> None:
@@ -29,15 +38,14 @@ def check_field_types(obj, error: type[ValueError]) -> None:
     for "bool". "X | None" also takes None, "tuple[X, ...]" is a tuple or
     list of X, and other annotations are not checked."""
     for f in fields(obj):
-        kind, value = f.type.removesuffix(" | None"), getattr(obj, f.name)
-        if value is None and kind != f.type:
+        scalar, is_tuple, nullable = split_annotation(f.type)
+        value = getattr(obj, f.name)
+        if scalar not in FIELD_SCALARS or (value is None and nullable):
             continue
-        if kind.startswith("tuple["):
-            test = _FIELD_TESTS[kind[len("tuple["):-len(", ...]")]]
+        test = FIELD_SCALARS[scalar][0]
+        if is_tuple:
             ok = isinstance(value, (tuple, list)) and all(map(test, value))
-        elif kind in _FIELD_TESTS:
-            ok = _FIELD_TESTS[kind](value)
         else:
-            continue
+            ok = test(value)
         if not ok:
             raise error(f"{f.name} must be of type {f.type}, got {value!r}")

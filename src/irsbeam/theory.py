@@ -12,7 +12,7 @@ from .errors import InvalidParameterError
 class PlanProbe:
     """System and plan parameters for the closed-form calculators.
 
-    k is the number of nonzero beamspace entries (NLOS analysis only).
+    k <= U*V is the number of nonzero beamspace entries (NLOS analysis only).
     """
 
     m: int
@@ -29,6 +29,8 @@ class PlanProbe:
             raise InvalidParameterError("q must divide m and r divide n_t")
         if self.l < 0 or self.k < 1:
             raise InvalidParameterError("need l >= 0 and k >= 1")
+        if self.k > self.u * self.v:
+            raise InvalidParameterError("more nonzeros than bins: no NM round exists")
 
     @property
     def u(self) -> int:
@@ -85,8 +87,6 @@ def g_exact(x: int, y: int, z: int) -> float:
 def p_nm_round(probe: PlanProbe) -> float:
     """Probability that one round of scanning contains no multiton bin."""
     k, uv, mn = probe.k, probe.u * probe.v, probe.m * probe.n_t
-    if k > uv:
-        raise InvalidParameterError("more nonzeros than bins: no NM round exists")
     log_p = k * math.log(probe.r * probe.q) + _log_comb(uv, k) - _log_comb(mn, k)
     return min(math.exp(log_p), 1.0)
 

@@ -255,17 +255,18 @@ def test_criterion_11_decoder_micro_oracles():
     for _ in range(5):
         plan = build_scan_plan(cfg, 4, 2, rng=rng)
         for rnd in plan.rounds:
-            y = rng.uniform(0, 2, size=(rnd.u, rnd.v))
+            n_u, n_v = rnd.c_design.shape[0], rnd.a_supports.shape[0]
+            y = rng.uniform(0, 2, size=(n_u, n_v))
             p = (y * y)[np.ix_(rnd.row_bin, rnd.col_bin)]
             y_sq = (y * y).ravel()
             for i in range(16):
                 for j in range(16):
-                    ind = np.zeros((rnd.u, rnd.v))
+                    ind = np.zeros((n_u, n_v))
                     u_true = v_true = None
-                    for u in range(rnd.u):
+                    for u in range(n_u):
                         if i in rnd.c_supports[u]:
                             u_true = u
-                    for v in range(rnd.v):
+                    for v in range(n_v):
                         if j in rnd.a_supports[v]:
                             v_true = v
                     ind[u_true, v_true] = 1.0

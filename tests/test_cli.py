@@ -4,7 +4,7 @@ import pytest
 
 from irsbeam import harness
 from irsbeam.arrays import cascade_dictionary
-from irsbeam.cli import main
+from irsbeam.cli import build_parser, main
 from irsbeam.codebook import build_scan_plan, optimize_constant_modulus, plan_from_json
 from irsbeam.config import parse_config
 from irsbeam.errors import InvalidParameterError
@@ -56,6 +56,13 @@ class TestTheoryCommand:
             0.9863, abs=5e-4
         )
 
+    def test_more_nonzeros_than_bins_fails_before_printing(self, capsys):
+        # U*V = 4*4 = 16 bins cannot hold K = 100 nonzero entries
+        with pytest.raises(InvalidParameterError, match="more nonzeros than bins"):
+            main(["theory", "--m", "16", "--nt", "16", "--q", "4", "--r", "4",
+                  "--l", "2", "--k", "100"])
+        assert capsys.readouterr().out == ""
+
 
 class TestRunCommand:
     def test_emits_csv_row(self, config_path, capsys, monkeypatch):
@@ -103,6 +110,46 @@ class TestRunCommand:
     def test_missing_config_errors(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             main(["run", "--config", str(tmp_path / "nope.cfg")])
+
+    def test_config_with_byte_order_mark_runs(self, tmp_path, capsys, monkeypatch):
+        # as Windows editors save UTF-8: the mark is not part of the first key
+        monkeypatch.setenv("IRSBEAM_WORKERS", "1")
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + SMALL_CONFIG.lstrip().encode())
+        assert main(["run", "--config", str(path)]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        assert (row[2], row[7]) == ("4", "5")
+
+    def test_config_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("# r\u00e9glages\n".encode("latin-1") + SMALL_CONFIG.encode())
+        with pytest.raises(InvalidParameterError, match="latin1.cfg"):
+            main(["run", "--config", str(path)])
+
+
+class TestFlagSet:
+    """run, sweep and plan take --config, --out and --seed; run and sweep
+    also take --trials."""
+
+    @pytest.mark.parametrize("command,extra", [
+        ("run", []), ("sweep", ["--axis", "T"]), ("plan", []),
+    ])
+    def test_shared_flags(self, command, extra):
+        argv = [command, *extra, "--config", "c", "--out", "o", "--seed", "3"]
+        if command != "plan":
+            argv += ["--trials", "2"]
+        args = vars(build_parser().parse_args(argv))
+        del args["func"]
+        expected = {"command": command, "config": "c", "out": "o", "seed": 3}
+        if command != "plan":
+            expected["trials"] = 2
+        if command == "sweep":
+            expected["axis"] = "T"
+        assert args == expected
+
+    def test_plan_rejects_trials(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["plan", "--config", "c", "--trials", "2"])
 
 
 class TestExhaustiveBaseline:

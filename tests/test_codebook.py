@@ -40,7 +40,7 @@ class TestBuildRound:
 
     def test_paper_scale_partition(self):
         rnd = build_scan_plan(CFG, 32, 1, rng=np.random.default_rng(1)).rounds[0]
-        assert rnd.u == 8
+        assert rnd.c_design.shape[0] == 8
         assert_partition(rnd.c_supports, 256, 32)
 
     def test_independent_streams_differ(self):
@@ -68,9 +68,9 @@ class TestBuildRound:
             np.testing.assert_allclose(beams, dic @ coeffs, rtol=0, atol=1e-12)
             # the beamspace image: amp on each support, 0 elsewhere
             np.testing.assert_allclose(dic.conj().T @ beams, coeffs, rtol=0, atol=1e-12)
-        for u in range(rnd.u):
+        for u in range(rnd.c_design.shape[0]):
             assert np.linalg.norm(rnd.v_beams[:, u]) ** 2 == pytest.approx(m)
-        for v in range(rnd.v):
+        for v in range(rnd.a_supports.shape[0]):
             assert np.linalg.norm(rnd.f_beams[:, v]) == pytest.approx(1.0)
 
     def test_c_columns_orthogonal(self):
@@ -234,12 +234,14 @@ class TestConstantModulusJson:
 class TestScanPlan:
     def test_budget_paper_q32(self):
         plan = build_scan_plan(CFG, 32, 4, rng=0)
-        assert sum(r.u * r.v for r in plan.rounds) == 8 * 32 * 4 == 1024
+        bins = sum(r.c_design.shape[0] * r.a_supports.shape[0] for r in plan.rounds)
+        assert bins == 8 * 32 * 4 == 1024
         assert ExperimentConfig(array=CFG, q=32, l=4).budget == 1024
 
     def test_budget_paper_q16(self):
         plan = build_scan_plan(CFG, 16, 4, rng=0)
-        assert sum(r.u * r.v for r in plan.rounds) == 16 * 32 * 4 == 2048
+        bins = sum(r.c_design.shape[0] * r.a_supports.shape[0] for r in plan.rounds)
+        assert bins == 16 * 32 * 4 == 2048
         assert ExperimentConfig(array=CFG, q=16, l=4).budget == 2048
 
     def test_single_round_plan(self):

@@ -60,13 +60,14 @@ class TestBinOf:
         plan = build_scan_plan(SMALL, 4, 2, rng=0)
         for l in range(plan.l):
             rnd = plan.rounds[l]
+            n_u, n_v = rnd.c_design.shape[0], rnd.a_supports.shape[0]
             for i in range(SMALL.m):
                 for j in range(SMALL.n_t):
                     u, v = rnd.row_bin[i], rnd.col_bin[j]
                     hits = [
                         (uu, vv)
-                        for uu in range(rnd.u)
-                        for vv in range(rnd.v)
+                        for uu in range(n_u)
+                        for vv in range(n_v)
                         if i in rnd.c_supports[uu] and j in rnd.a_supports[vv]
                     ]
                     assert hits == [(u, v)]
@@ -76,21 +77,22 @@ class TestProbabilityMatrix:
     def test_zero_measurements(self):
         plan = build_scan_plan(SMALL, 4, 1, rng=1)
         rnd = plan.rounds[0]
-        p = score_matrix(np.zeros((rnd.u, rnd.v)), rnd)
+        p = score_matrix(np.zeros((rnd.c_design.shape[0], rnd.a_supports.shape[0])), rnd)
         assert np.all(p == 0)
 
     def test_matches_indicator_inner_product(self):
         plan = build_scan_plan(SMALL, 4, 1, rng=2)
         rnd = plan.rounds[0]
+        n_u, n_v = rnd.c_design.shape[0], rnd.a_supports.shape[0]
         rng = np.random.default_rng(3)
-        y = rng.uniform(0, 2, size=(rnd.u, rnd.v))
+        y = rng.uniform(0, 2, size=(n_u, n_v))
         p = score_matrix(y, rnd)
         y_sq_vec = (y * y).ravel()
         for i in range(SMALL.m):
             for j in range(SMALL.n_t):
-                ind = np.zeros((rnd.u, rnd.v))
-                for u in range(rnd.u):
-                    for v in range(rnd.v):
+                ind = np.zeros((n_u, n_v))
+                for u in range(n_u):
+                    for v in range(n_v):
                         if i in rnd.c_supports[u] and j in rnd.a_supports[v]:
                             ind[u, v] = 1
                 assert p[i, j] == pytest.approx(ind.ravel() @ y_sq_vec)
@@ -98,7 +100,8 @@ class TestProbabilityMatrix:
     def test_same_bin_shares_value(self):
         plan = build_scan_plan(SMALL, 4, 1, rng=4)
         rnd = plan.rounds[0]
-        y = np.random.default_rng(5).uniform(0, 1, size=(rnd.u, rnd.v))
+        shape = rnd.c_design.shape[0], rnd.a_supports.shape[0]
+        y = np.random.default_rng(5).uniform(0, 1, size=shape)
         p = score_matrix(y, rnd)
         i0, i1 = rnd.c_supports[0][:2]
         j0, j1 = rnd.a_supports[0][:2]
@@ -208,7 +211,7 @@ class TestNulltons:
             if len(bins) == k and smallest_singleton > 0:
                 # a reference round with exactly U*V - k nulltons ties with
                 # round 0, so both are NM, only if round 0 counts as many
-                ref = np.zeros((rnd.u, rnd.v))
+                ref = np.zeros((rnd.c_design.shape[0], rnd.a_supports.shape[0]))
                 ref.flat[:k] = smallest_singleton
                 twice = encode_rounds(SMALL, plan.c_design[[0, 0]],
                                       plan.a_supports[[0, 0]], IDEAL_SPARSE)
@@ -219,7 +222,8 @@ class TestNulltons:
         # at epsilon 0 no reading is a nullton, so every round is NM
         plan = build_scan_plan(SMALL, 4, 3, rng=0)
         rnd = plan.rounds[0]
-        zeros = MeasurementSet(y=(np.zeros((rnd.u, rnd.v)),) * 3, plan=plan)
+        shape = rnd.c_design.shape[0], rnd.a_supports.shape[0]
+        zeros = MeasurementSet(y=(np.zeros(shape),) * 3, plan=plan)
         assert decode_nlos(zeros, plan, 0.0).nm_rounds == (0, 1, 2)
 
     def test_false_alarm_calibration(self):
@@ -343,50 +347,50 @@ class TestPlanMismatch:
 class TestMeasurementSet:
     def test_rejects_wrong_round_count(self):
         plan = build_scan_plan(SMALL, 4, 2, rng=24)
-        rnd = plan.rounds[0]
+        u, v = plan.c_design.shape[1], plan.a_supports.shape[1]
         with pytest.raises(InvalidDimensionError):
-            MeasurementSet(y=(np.zeros((rnd.u, rnd.v)),), plan=plan)
+            MeasurementSet(y=(np.zeros((u, v)),), plan=plan)
 
     def test_rejects_wrong_matrix_shape(self):
         plan = build_scan_plan(SMALL, 4, 1, rng=24)
-        rnd = plan.rounds[0]
-        with pytest.raises(InvalidDimensionError, match=f"{rnd.u} x {rnd.v}"):
-            MeasurementSet(y=(np.zeros((rnd.v, rnd.u + 1)),), plan=plan)
+        u, v = plan.c_design.shape[1], plan.a_supports.shape[1]
+        with pytest.raises(InvalidDimensionError, match=f"{u} x {v}"):
+            MeasurementSet(y=(np.zeros((v, u + 1)),), plan=plan)
 
     def test_rejects_negative(self):
         plan = build_scan_plan(SMALL, 4, 1, rng=25)
-        rnd = plan.rounds[0]
+        u, v = plan.c_design.shape[1], plan.a_supports.shape[1]
         with pytest.raises(InvalidParameterError):
-            MeasurementSet(y=(-np.ones((rnd.u, rnd.v)),), plan=plan)
+            MeasurementSet(y=(-np.ones((u, v)),), plan=plan)
 
     def test_rejects_ragged_rounds(self):
         plan = build_scan_plan(SMALL, 4, 2, rng=24)
-        rnd = plan.rounds[0]
-        ys = (np.zeros((rnd.u, rnd.v)), np.zeros((rnd.u, rnd.v + 1)))
-        with pytest.raises(InvalidDimensionError, match=f"{rnd.u} x {rnd.v}"):
+        u, v = plan.c_design.shape[1], plan.a_supports.shape[1]
+        ys = (np.zeros((u, v)), np.zeros((u, v + 1)))
+        with pytest.raises(InvalidDimensionError, match=f"{u} x {v}"):
             MeasurementSet(y=ys, plan=plan)
 
     @pytest.mark.parametrize("extra", [(0, 0, 1), (0, 1, 0), (1, 0, 0)])
     def test_rejects_wrong_stack_shape(self, extra):
         plan = build_scan_plan(SMALL, 4, 2, rng=24)
-        rnd = plan.rounds[0]
-        shape = np.add((plan.l, rnd.u, rnd.v), extra)
+        u, v = plan.c_design.shape[1], plan.a_supports.shape[1]
+        shape = np.add((plan.l, u, v), extra)
         with pytest.raises(InvalidDimensionError):
             MeasurementSet(y=np.zeros(shape), plan=plan)
 
     def test_rejects_one_matrix_for_every_round(self):
         plan = build_scan_plan(SMALL, 4, 4, rng=24)
-        rnd = plan.rounds[0]
-        assert rnd.u == plan.l
+        u, v = plan.c_design.shape[1], plan.a_supports.shape[1]
+        assert u == plan.l
         with pytest.raises(InvalidDimensionError):
-            MeasurementSet(y=np.zeros((rnd.u, rnd.v)), plan=plan)
+            MeasurementSet(y=np.zeros((u, v)), plan=plan)
 
     def test_sequence_becomes_stack(self):
         plan = build_scan_plan(SMALL, 4, 2, rng=24)
-        rnd = plan.rounds[0]
-        ys = [np.full((rnd.u, rnd.v), float(l)) for l in range(plan.l)]
+        u, v = plan.c_design.shape[1], plan.a_supports.shape[1]
+        ys = [np.full((u, v), float(l)) for l in range(plan.l)]
         ms = MeasurementSet(y=ys, plan=plan)
-        assert ms.y.shape == (plan.l, rnd.u, rnd.v)
+        assert ms.y.shape == (plan.l, u, v)
         assert all(np.array_equal(a, b) for a, b in zip(ms.y, ys))
 
     def test_rejects_complex(self):
@@ -398,7 +402,8 @@ class TestMeasurementSet:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
         plan = build_scan_plan(SMALL, 4, 2, rng=25)
-        ys = [np.ones((rnd.u, rnd.v)) for rnd in plan.rounds]
+        u, v = plan.c_design.shape[1], plan.a_supports.shape[1]
+        ys = [np.ones((u, v)) for _ in range(plan.l)]
         ys[1][0, 0] = bad
         with pytest.raises(InvalidParameterError, match="finite"):
             MeasurementSet(y=tuple(ys), plan=plan)
@@ -708,7 +713,7 @@ def decode_cases(draw):
     mode = draw(st.sampled_from([IDEAL_SPARSE, CONSTANT_MODULUS]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     plan = build_scan_plan(cfg, q, draw(st.integers(1, 4)), mode, rng)
-    shape = (plan.l, plan.rounds[0].u, plan.rounds[0].v)
+    shape = (plan.l, plan.c_design.shape[1], plan.a_supports.shape[1])
     kind = draw(st.sampled_from(["continuous", "integers", "sparse"]))
     if kind == "continuous":
         y = rng.exponential(size=shape)
