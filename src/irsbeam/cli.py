@@ -1,14 +1,17 @@
-"""Command line entry points: theory tables, single runs, sweeps, plans."""
+"""Command line entry points: theory tables, single runs, sweeps, plans.
+`run` is the sweep of the one point its config names."""
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import replace
 
 from .codebook import CONSTANT_MODULUS, build_scan_plan, plan_to_json
 from .config import parse_config
-from .harness import aggregate, rows_to_csv, run_trials, sweep
+from .errors import InvalidParameterError
+from .harness import rows_to_csv, sweep
 from .theory import PlanProbe, p_lower_los, p_lower_nlos, p_nm_round, sample_complexity
 
 
@@ -34,41 +37,36 @@ def _load_cfg(args):
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_run(args) -> int:
-    cfg = _load_cfg(args)
-    records = run_trials(cfg)
-    label = "T" if cfg.snr_db is None else "snr"
-    value = cfg.budget if cfg.snr_db is None else cfg.snr_db
-    row = aggregate(records, label, value, cfg.seed)
-    _emit(rows_to_csv([row]), args.out or cfg.output)
-    return 0
+def _open_out(args, cfg):
+    """The --out or `output` file opened for writing, else stdout. Opened
+    before any trial or solve, so a path that cannot be written fails first."""
+    path = args.out or cfg.output
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as err:
+        raise InvalidParameterError(f"cannot write output {path!r}: {err.strerror}") from None
 
 
 def _cmd_sweep(args) -> int:
     cfg = _load_cfg(args)
-    rows = sweep(cfg, args.axis)
-    _emit(rows_to_csv(rows), args.out or cfg.output)
+    with _open_out(args, cfg) as out:
+        out.write(rows_to_csv(sweep(cfg, args.axis)))
     return 0
 
 
 def _cmd_plan(args) -> int:
     cfg = _load_cfg(args)
-    plan = build_scan_plan(cfg.array, cfg.q, cfg.l, cfg.mode, cfg.seed)
-    if plan.mode == CONSTANT_MODULUS:
-        total, iters = plan.cm_iters.size, plan.cm_iters
-        print(f"{total - plan.cm_converged.sum()} of {total} constant-modulus beams "
-              "stopped at max_iters", file=sys.stderr)
-        print(f"solver iterations per beam: mean {iters.mean():.1f}, max {iters.max()}",
-              file=sys.stderr)
-    _emit(plan_to_json(plan) + "\n", args.out or cfg.output)
+    with _open_out(args, cfg) as out:
+        plan = build_scan_plan(cfg.array, cfg.q, cfg.l, cfg.mode, cfg.seed)
+        if plan.mode == CONSTANT_MODULUS:
+            total, iters = plan.cm_iters.size, plan.cm_iters
+            print(f"{total - plan.cm_converged.sum()} of {total} constant-modulus beams "
+                  "stopped at max_iters", file=sys.stderr)
+            print(f"solver iterations per beam: mean {iters.mean():.1f}, max {iters.max()}",
+                  file=sys.stderr)
+        out.write(plan_to_json(plan) + "\n")
     return 0
 
 
@@ -96,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--trials", type=int)
 
     run = sub.add_parser("run", parents=[io, mc], help="single Monte Carlo point, CSV row")
-    run.set_defaults(func=_cmd_run)
+    run.set_defaults(func=_cmd_sweep, axis=None)
 
     swp = sub.add_parser("sweep", parents=[io, mc], help="full curve along one axis")
     swp.add_argument("--axis", choices=["T", "snr", "M"], required=True)

@@ -1,16 +1,18 @@
 """Flat key-value experiment config files.
 
-Format: one `key = value` per line, `#` comments, blank lines ignored.
-The keys are the ArrayConfig and ExperimentConfig fields but `array`
-and `compute_bgr`, typed and defaulted by them; `none` is accepted where
-the type allows None. Unknown keys are an error so typos fail fast.
-Sweep lists are comma-separated. How an annotation reads and how each
+Format: one `key = value` per line, blank lines ignored. A comment runs
+from a `#` at the start of a line or after whitespace to the line's end,
+so `output = a#b.csv` keeps its `#`. The keys are the ArrayConfig and
+ExperimentConfig fields but `array`, typed and defaulted by them; `none`
+is accepted where the type allows None. Unknown keys are an error so
+typos fail fast. Sweep lists are comma-separated. How an annotation reads and how each
 scalar is cast come from the field grammar in `errors`. Files are UTF-8;
 a leading byte order mark is skipped.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import fields
 
 from .arrays import ArrayConfig
@@ -24,7 +26,7 @@ _DEFAULTS = {"n_t": 128, "m_y": 16, "m_z": 16, "r": 4, "q": 32, "l": 4}
 _KEYS = {
     f.name: (FIELD_SCALARS[scalar][1], is_tuple, nullable)
     for f in (*fields(ArrayConfig), *fields(ExperimentConfig))
-    if f.name not in ("array", "compute_bgr")
+    if f.name != "array"
     for scalar, is_tuple, nullable in [split_annotation(f.type)]
 }
 _ARRAY_KEYS = [f.name for f in fields(ArrayConfig)]
@@ -50,7 +52,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     or ArrayConfig rejects raises their error."""
     given = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

@@ -192,7 +192,7 @@ def decode_nlos(
     return _decode(measurements, plan, epsilon, nm)
 
 
-def rayleigh_threshold(sigma: float, p_fa: float = 0.1) -> float:
+def rayleigh_threshold(sigma: float, p_fa: float) -> float:
     """Energy-detector threshold for a false-alarm target.
 
     Under the noise-only hypothesis the magnitude is Rayleigh with scale

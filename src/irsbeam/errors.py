@@ -14,12 +14,11 @@ class InvalidParameterError(ValueError):
     """A parameter violates a divisibility or range requirement."""
 
 
-# scalar annotation -> (value test, config-file cast); no config key is a bool
+# scalar annotation -> (value test, config-file cast)
 FIELD_SCALARS = {
     "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), int),
     "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), float),
     "str": (lambda v: isinstance(v, str), str),
-    "bool": (lambda v: isinstance(v, bool), None),
 }
 
 
@@ -34,9 +33,9 @@ def split_annotation(annotation: str) -> tuple[str, bool, bool]:
 def check_field_types(obj, error: type[ValueError]) -> None:
     """Raise `error` unless every field of the dataclass `obj` holds a
     value of its annotation: an int or numpy integer for "int", a real
-    number for "float", a str for "str", none of them a bool, and a bool
-    for "bool". "X | None" also takes None, "tuple[X, ...]" is a tuple or
-    list of X, and other annotations are not checked."""
+    number for "float", a str for "str", none of them a bool. "X | None"
+    also takes None, "tuple[X, ...]" is a tuple or list of X, and other
+    annotations are not checked."""
     for f in fields(obj):
         scalar, is_tuple, nullable = split_annotation(f.type)
         value = getattr(obj, f.name)

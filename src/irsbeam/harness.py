@@ -61,8 +61,8 @@ class ExperimentConfig:
     paths_irs_user: int = 2
     rician_bs_irs_db: float = 13.2
     rician_irs_user_db: float | None = None
-    compute_bgr: bool = True
     output: str | None = None
+    compute_bgr = True  # no field, as every trial scores BGR; perfbench/replay.py reads it
 
     def __post_init__(self):
         # reject every value a trial would, before any worker starts
@@ -227,8 +227,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
     decode = decode_los if cfg.scenario == "los" else decode_nlos
     estimate = decode(measurements, plan, epsilon)
     success = (estimate.i_star, estimate.j_star) == ch.strongest
-    ratio = bgr(ch, estimate) if cfg.compute_bgr else float("nan")
-    return TrialRecord(success=success, bgr=ratio, estimate=estimate)
+    return TrialRecord(success=success, bgr=bgr(ch, estimate), estimate=estimate)
 
 
 def _worker_count() -> int:
@@ -264,24 +263,17 @@ def _one_blas_thread() -> None:
                 return
 
 
-def _run_configs(cfgs, runner, workers: int | None) -> list[list[TrialRecord]]:
+def run_trials(cfgs: list[ExperimentConfig], runner=run_trial) -> list[list[TrialRecord]]:
     """Records of trials 0..cfg.trials-1 of each config in turn: serially
-    for one worker, else in one pool of `workers` processes."""
-    workers = _worker_count() if workers is None else workers
+    for one worker, else in one pool of IRSBEAM_WORKERS processes opened
+    for this call. `runner(cfg, t)` runs one trial."""
     # a pool forks all its workers at once, so it opens no more than trials
-    workers = min(workers, max(cfg.trials for cfg in cfgs))
+    workers = min(_worker_count(), max(cfg.trials for cfg in cfgs))
     if workers <= 1:
         return [[runner(cfg, t) for t in range(cfg.trials)] for cfg in cfgs]
     with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
         return [list(pool.map(runner, [cfg] * cfg.trials, range(cfg.trials),
                               chunksize=max(1, cfg.trials // (8 * workers)))) for cfg in cfgs]
-
-
-def run_trials(cfg: ExperimentConfig, runner=run_trial,
-               workers: int | None = None) -> list[TrialRecord]:
-    """Records of trials 0..cfg.trials-1: serially for one worker, else in
-    a pool of `workers` processes opened for this call."""
-    return _run_configs([cfg], runner, workers)[0]
 
 
 @dataclass(frozen=True)
@@ -310,16 +302,11 @@ def aggregate(records: list[TrialRecord], sweep_var: str, value, seed: int) -> S
     n = len(records)
     p_hat = sum(r.success for r in records) / n
     bgrs = np.array([r.bgr for r in records], dtype=float)
-    have_bgr = np.isfinite(bgrs)
-    mean_bgr = float(bgrs[have_bgr].mean()) if have_bgr.any() else float("nan")
-    bgr_se = (
-        float(bgrs[have_bgr].std(ddof=1) / math.sqrt(have_bgr.sum()))
-        if have_bgr.sum() > 1
-        else float("nan")
-    )
+    # one record has no spread: NaN, not numpy's degrees-of-freedom warning
+    bgr_se = float(bgrs.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
     return SweepRow(
         sweep_var=sweep_var, value=value, trials=n, success_rate=p_hat,
-        stderr=math.sqrt(p_hat * (1 - p_hat) / n), mean_bgr=mean_bgr,
+        stderr=math.sqrt(p_hat * (1 - p_hat) / n), mean_bgr=float(bgrs.mean()),
         bgr_stderr=bgr_se, seed=seed,
     )
 
@@ -348,8 +335,12 @@ def _m_point(cfg: ExperimentConfig, m: int) -> tuple[ArrayConfig, int]:
     return replace(cfg.array, m_y=m_y, m_z=m_z), m // u
 
 
-def sweep_points(cfg: ExperimentConfig, axis: str) -> list[tuple[str, float, ExperimentConfig]]:
-    """Expand (sweep_var, value, point-config) tuples along one axis."""
+def sweep_points(cfg: ExperimentConfig,
+                 axis: str | None) -> list[tuple[str, float, ExperimentConfig]]:
+    """Expand (sweep_var, value, point-config) tuples along one axis; axis
+    None is the one point cfg, on the T axis when noiseless, else on snr."""
+    if axis is None:
+        return [("T", cfg.budget, cfg) if cfg.snr_db is None else ("snr", cfg.snr_db, cfg)]
     if axis == "T":
         if not cfg.t_sweep:
             raise InvalidParameterError("t_sweep is empty")
@@ -370,11 +361,11 @@ def sweep_points(cfg: ExperimentConfig, axis: str) -> list[tuple[str, float, Exp
     raise InvalidParameterError(f"unknown sweep axis {axis!r}")
 
 
-def sweep(cfg: ExperimentConfig, axis: str, workers: int | None = None) -> list[SweepRow]:
-    """Aggregate success rate and BGR along one sweep axis, every point
-    run in one process pool."""
+def sweep(cfg: ExperimentConfig, axis: str | None) -> list[SweepRow]:
+    """Aggregate success rate and BGR along one sweep axis, or at the one
+    point cfg for axis None, every point run in one process pool."""
     points = sweep_points(cfg, axis)
-    records = _run_configs([point_cfg for _, _, point_cfg in points], run_trial, workers)
+    records = run_trials([point_cfg for _, _, point_cfg in points], run_trial)
     return [aggregate(recs, var, value, cfg.seed)
             for (var, value, _), recs in zip(points, records)]
 

@@ -13,6 +13,7 @@ from irsbeam.arrays import ArrayConfig, cascade_dictionary, dft_dictionary
 from irsbeam.channel import AlignmentEstimate, CascadeChannel
 from irsbeam.codebook import IDEAL_SPARSE, build_scan_plan
 from irsbeam.decoder import decode_los, rayleigh_threshold, synthesize_measurements
+from irsbeam.harness import ExperimentConfig
 
 
 def channel_from_lambda(lam: np.ndarray, cfg: ArrayConfig) -> CascadeChannel:
@@ -39,7 +40,7 @@ def exhaustive_scan(ch: CascadeChannel, sigma: float, rng, decode=decode_los):
     plan = build_scan_plan(replace(ch.cfg, r=1), 1, 1, rng=rng)
     measurements = synthesize_measurements((ch.x, ch.y), plan, sigma, rng)
     if sigma > 0:
-        epsilon = rayleigh_threshold(sigma)
+        epsilon = rayleigh_threshold(sigma, ExperimentConfig.p_fa)
     else:
         epsilon = 1e-9 * float(measurements.y.max())
     return decode(measurements, plan, epsilon), measurements

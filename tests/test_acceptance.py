@@ -161,13 +161,10 @@ def test_criterion_7_nm_round_frequency():
 
 def test_criterion_8a_success_non_decreasing_in_rounds():
     rates, errs = [], []
-    for l in range(2, 9):
-        cfg = ExperimentConfig(
-            array=WIDE, q=16, l=l, snr_db=-20.0, trials=500, seed=81,
-            compute_bgr=False,
-        )
-        records = run_trials(cfg)
-        row = aggregate(records, "T", l, cfg.seed)
+    cfgs = [ExperimentConfig(array=WIDE, q=16, l=l, snr_db=-20.0, trials=500, seed=81)
+            for l in range(2, 9)]
+    for cfg, records in zip(cfgs, run_trials(cfgs)):
+        row = aggregate(records, "T", cfg.l, cfg.seed)
         rates.append(row.success_rate)
         errs.append(row.stderr)
     inversions = [
@@ -184,14 +181,10 @@ def test_criterion_8a_success_non_decreasing_in_rounds():
 def test_criterion_8b_low_budget_beats_ninety_percent():
     # 7 rounds of 16x16 bins = 1792 measurements vs 32768 exhaustive (5.5%)
     trials = 500
-    cfg = ExperimentConfig(
-        array=WIDE, q=16, l=7, snr_db=-20.0, trials=trials, seed=82,
-        compute_bgr=True,
-    )
-    records = run_trials(cfg)
+    cfg = ExperimentConfig(array=WIDE, q=16, l=7, snr_db=-20.0, trials=trials, seed=82)
+    records, base = run_trials([cfg, exhaustive(cfg)])
     rate = sum(r.success for r in records) / trials
     mean_bgr = float(np.mean([r.bgr for r in records]))
-    base = run_trials(exhaustive(cfg))
     base_bgr = float(np.mean([r.bgr for r in base]))
     ok = rate >= 0.9 and abs(mean_bgr - base_bgr) <= 0.05
     report(82, "5.5% training budget: success >= 0.9, gain matches exhaustive",
@@ -199,15 +192,12 @@ def test_criterion_8b_low_budget_beats_ninety_percent():
 
 
 def test_criterion_8c_success_flat_in_surface_size():
-    rates = []
-    for m, (m_y, m_z) in [(64, (8, 8)), (128, (16, 8)), (256, (16, 16))]:
-        arr = ArrayConfig(n_t=128, m_y=m_y, m_z=m_z, r=8)
-        cfg = ExperimentConfig(
-            array=arr, q=m // 16, l=4, snr_db=-20.0, trials=500,
-            seed=83, compute_bgr=False,
-        )
-        records = run_trials(cfg)
-        rates.append(sum(r.success for r in records) / cfg.trials)
+    cfgs = [
+        ExperimentConfig(array=ArrayConfig(n_t=128, m_y=m_y, m_z=m_z, r=8), q=m // 16, l=4,
+                         snr_db=-20.0, trials=500, seed=83)
+        for m, (m_y, m_z) in [(64, (8, 8)), (128, (16, 8)), (256, (16, 16))]
+    ]
+    rates = [sum(r.success for r in records) / 500 for records in run_trials(cfgs)]
     spread = max(rates) - min(rates)
     report(83, "success varies < 5 points across surface sizes at fixed bins",
            spread < 0.05, "rates " + " ".join(f"{r:.3f}" for r in rates))

@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from irsbeam import harness
+from irsbeam import cli, harness
 from irsbeam.arrays import cascade_dictionary
 from irsbeam.cli import build_parser, main
 from irsbeam.codebook import build_scan_plan, optimize_constant_modulus, plan_from_json
@@ -120,6 +121,22 @@ class TestRunCommand:
         row = capsys.readouterr().out.strip().splitlines()[1].split(",")
         assert (row[2], row[7]) == ("4", "5")
 
+    def test_row_equals_the_one_point_sweep(self, tmp_path, capsys, monkeypatch):
+        # run is the sweep of its one point: on the snr axis, or on the T
+        # axis when noiseless
+        monkeypatch.setenv("IRSBEAM_WORKERS", "1")
+        base = SMALL_CONFIG.replace("snr_db = none\n", "")
+        for point, sweep_line, axis in [("snr_db = -5", "snr_sweep = -5", "snr"),
+                                        ("snr_db = none", "t_sweep = 3", "T")]:
+            run_cfg, sweep_cfg = tmp_path / "run.cfg", tmp_path / "sweep.cfg"
+            run_cfg.write_text(f"{base}{point}\n")
+            sweep_cfg.write_text(f"{base.replace('snr_sweep = -10, 0', sweep_line)}{point}\n")
+            assert main(["run", "--config", str(run_cfg)]) == 0
+            row = capsys.readouterr().out
+            assert main(["sweep", "--config", str(sweep_cfg), "--axis", axis]) == 0
+            assert capsys.readouterr().out == row
+            assert row.splitlines()[1].split(",")[0] == axis
+
     def test_config_not_utf8_names_the_file(self, tmp_path):
         path = tmp_path / "latin1.cfg"
         path.write_bytes("# r\u00e9glages\n".encode("latin-1") + SMALL_CONFIG.encode())
@@ -143,13 +160,45 @@ class TestFlagSet:
         expected = {"command": command, "config": "c", "out": "o", "seed": 3}
         if command != "plan":
             expected["trials"] = 2
-        if command == "sweep":
-            expected["axis"] = "T"
+        if command != "plan":
+            expected["axis"] = "T" if command == "sweep" else None
         assert args == expected
 
     def test_plan_rejects_trials(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["plan", "--config", "c", "--trials", "2"])
+
+
+class TestOutputPath:
+    """run, sweep and plan open --out or `output` before any trial or
+    solve: a path that cannot be written fails first, naming the path."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("work started before the output was opened")
+
+        monkeypatch.setenv("IRSBEAM_WORKERS", "1")
+        monkeypatch.setattr(harness, "run_trial", fail)
+        monkeypatch.setattr(cli, "build_scan_plan", fail)
+
+    def test_patched_trial_is_the_one_run_calls(self, config_path, tmp_path, no_work):
+        with pytest.raises(AssertionError, match="work started"):
+            main(["run", "--config", config_path, "--out", str(tmp_path / "row.csv")])
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "snr"], ["plan"]])
+    @pytest.mark.parametrize("where", ["missing-dir", "directory", "config-key"])
+    def test_unwritable_output_fails_before_any_work(self, config_path, tmp_path, no_work,
+                                                     command, where):
+        path = str(tmp_path if where == "directory" else tmp_path / "missing" / "x.csv")
+        argv = [*command, "--config", config_path]
+        if where == "config-key":
+            with open(config_path, "a") as fh:
+                fh.write(f"output = {path}\n")
+        else:
+            argv += ["--out", path]
+        with pytest.raises(InvalidParameterError, match=re.escape(repr(path))):
+            main(argv)
 
 
 class TestExhaustiveBaseline:

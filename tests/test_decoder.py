@@ -327,7 +327,7 @@ class TestDecodeNlos:
         lam = planted_lam(SMALL.m, SMALL.n_t, {(2, 2): 1.0, (6, 10): 0.8})
         plan = build_scan_plan(SMALL, 4, 4, rng=22)
         ms = synthesize_measurements(lam, plan, 0.3, np.random.default_rng(23))
-        eps = rayleigh_threshold(0.3)
+        eps = rayleigh_threshold(0.3, p_fa=0.1)
         assert decode_nlos(ms, plan, eps) == decode_nlos(ms, plan, eps)
 
 
@@ -815,7 +815,7 @@ class TestBoundDecodeMatchesGrid:
         plan = build_scan_plan(cfg, 16, 7, rng=rng)
         sigma = snr_to_sigma(ch.h, -20.0)
         ms = synthesize_measurements((ch.x, ch.y), plan, sigma, rng)
-        epsilon = rayleigh_threshold(sigma)
+        epsilon = rayleigh_threshold(sigma, p_fa=0.1)
         decode_los(ms, plan, epsilon)
         tracemalloc.start()
         try:

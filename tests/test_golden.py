@@ -50,7 +50,7 @@ TRIALS = {
 def test_trial_outcomes_pinned(scenario, snr_db):
     cfg = ExperimentConfig(
         array=ACCEPTANCE, q=16, l=7, scenario=scenario, snr_db=snr_db,
-        trials=8, seed=SEED, compute_bgr=False,
+        trials=8, seed=SEED,
     )
     got = []
     for t in range(8):

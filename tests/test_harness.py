@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -112,7 +113,6 @@ WRONG_FIELD_TYPES = [
     (SMALL_CFG, "mode", 1, InvalidParameterError),
     (SMALL_CFG, "scenario", None, InvalidParameterError),
     (SMALL_CFG, "output", 3, InvalidParameterError),
-    (SMALL_CFG, "compute_bgr", "no", InvalidParameterError),
     (SMALL, "n_t", 8.0, InvalidDimensionError),
     (SMALL, "r", True, InvalidDimensionError),
     (SMALL, "m_y", "4", InvalidDimensionError),
@@ -306,43 +306,42 @@ class TestTrials:
         b = run_trial(SMALL_CFG, 0)
         assert a == b
 
-    def test_noiseless_trial_mostly_succeeds(self):
-        cfg = ExperimentConfig(
-            array=SMALL, q=4, l=4, snr_db=None, trials=40, seed=11,
-            compute_bgr=False,
-        )
-        records = run_trials(cfg, workers=1)
+    def test_noiseless_trial_mostly_succeeds(self, monkeypatch):
+        monkeypatch.setenv("IRSBEAM_WORKERS", "1")
+        cfg = ExperimentConfig(array=SMALL, q=4, l=4, snr_db=None, trials=40, seed=11)
+        (records,) = run_trials([cfg])
         # the 4x4 aperture has strong off-grid leakage, so near-ties between
         # beamspace entries cap the exact-index rate well below 1
         assert sum(r.success for r in records) / len(records) >= 0.75
 
-    def test_baseline_noiseless_always_succeeds(self):
-        cfg = ExperimentConfig(
-            array=SMALL, q=4, l=1, snr_db=None, trials=20, seed=12,
-            compute_bgr=False,
-        )
-        records = run_trials(exhaustive(cfg), workers=1)
+    def test_baseline_noiseless_always_succeeds(self, monkeypatch):
+        monkeypatch.setenv("IRSBEAM_WORKERS", "1")
+        cfg = ExperimentConfig(array=SMALL, q=4, l=1, snr_db=None, trials=20, seed=12)
+        (records,) = run_trials([exhaustive(cfg)])
         assert all(r.success for r in records)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
         cfg = ExperimentConfig(array=SMALL, q=4, l=2, trials=6, seed=13)
-        serial = run_trials(cfg, workers=1)
+        monkeypatch.setenv("IRSBEAM_WORKERS", "1")
+        (serial,) = run_trials([cfg])
         assert all(0.0 < r.bgr <= 1.0 for r in serial)
-        assert run_trials(cfg, workers=2) == serial
+        monkeypatch.setenv("IRSBEAM_WORKERS", "2")
+        assert run_trials([cfg]) == [serial]
 
-    def test_pool_workers_run_one_blas_thread(self):
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
         blas = _openblas_threads()
         if blas is None:
             pytest.skip("numpy's bundled OpenBLAS not found")
         get, put = blas
         before = get()
+        monkeypatch.setenv("IRSBEAM_WORKERS", "2")
         put(2)  # forked workers inherit two threads; the initializer sets one
         try:
-            counts = run_trials(replace(SMALL_CFG, trials=4), _blas_threads_runner, workers=2)
+            counts = run_trials([replace(SMALL_CFG, trials=4)], _blas_threads_runner)
             assert get() == 2  # the caller's count is left as it was
         finally:
             put(before)
-        assert counts == [1] * 4
+        assert counts == [[1] * 4]
 
     def test_sweep_runs_every_point_in_one_pool(self, monkeypatch):
         opened = []
@@ -354,10 +353,12 @@ class TestTrials:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
         cfg = ExperimentConfig(array=SMALL, q=4, l=2, snr_sweep=(-10.0, 0.0, 10.0),
-                               trials=3, seed=22, compute_bgr=False)
-        pooled = sweep(cfg, "snr", workers=2)
+                               trials=3, seed=22)
+        monkeypatch.setenv("IRSBEAM_WORKERS", "2")
+        pooled = sweep(cfg, "snr")
         assert len(opened) == 1
-        assert rows_to_csv(sweep(cfg, "snr", workers=1)) == rows_to_csv(pooled)
+        monkeypatch.setenv("IRSBEAM_WORKERS", "1")
+        assert rows_to_csv(sweep(cfg, "snr")) == rows_to_csv(pooled)
         assert len(opened) == 1  # one worker runs without a pool
 
     def test_pool_opens_no_more_workers_than_trials(self, monkeypatch):
@@ -380,23 +381,25 @@ class TestTrials:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
         cfg = replace(SMALL_CFG, trials=3)
-        serial = run_trials(cfg, workers=1)
-        assert run_trials(cfg, workers=512) == serial
+        monkeypatch.setenv("IRSBEAM_WORKERS", "1")
+        (serial,) = run_trials([cfg])
         monkeypatch.setenv("IRSBEAM_WORKERS", "512")
-        assert run_trials(cfg) == serial
-        assert run_trials(replace(cfg, trials=1)) == serial[:1]  # one trial: no pool
+        assert run_trials([cfg]) == [serial]
+        # one pool for all configs, as large as the largest trial count
+        assert run_trials([replace(cfg, trials=2), cfg]) == [serial[:2], serial]
+        assert run_trials([replace(cfg, trials=1)]) == [serial[:1]]  # one trial: no pool
         assert opened == [3, 3]
 
     def test_non_integer_worker_count_rejected(self, monkeypatch):
         monkeypatch.setenv("IRSBEAM_WORKERS", "two")
         with pytest.raises(InvalidParameterError, match="IRSBEAM_WORKERS"):
-            run_trials(SMALL_CFG)
+            run_trials([SMALL_CFG])
 
     @pytest.mark.parametrize("env", ["0", "-3"])
     def test_worker_count_below_one_rejected(self, monkeypatch, env):
         monkeypatch.setenv("IRSBEAM_WORKERS", env)
         with pytest.raises(InvalidParameterError, match="IRSBEAM_WORKERS"):
-            run_trials(SMALL_CFG)
+            run_trials([SMALL_CFG])
 
     def test_default_workers_follow_cpu_affinity(self, monkeypatch):
         monkeypatch.delenv("IRSBEAM_WORKERS", raising=False)
@@ -475,20 +478,41 @@ class TestTrials:
         run_trial(replace(ACCEPTANCE_CFG, scenario=scenario, snr_db=-20.0), 0)
         assert _cascade_dictionary_cached.cache_info().currsize == 0
 
-    def test_nlos_scenario_runs(self):
+    def test_nlos_scenario_runs(self, monkeypatch):
+        monkeypatch.setenv("IRSBEAM_WORKERS", "1")
         cfg = ExperimentConfig(
-            array=SMALL, q=4, l=4, scenario="nlos", snr_db=-5.0, trials=3,
-            seed=14, compute_bgr=False,
+            array=SMALL, q=4, l=4, scenario="nlos", snr_db=-5.0, trials=3, seed=14,
         )
-        for rec in run_trials(cfg, workers=1):
+        for rec in run_trials([cfg])[0]:
             assert isinstance(rec.success, bool)
             assert rec.estimate.nm_rounds is not None
 
 
+@st.composite
+def small_trial_configs(draw):
+    """Small configs across a trial's branches: LOS or NLOS, noisy or
+    noiseless, ideal-sparse or singleton (exhaustive) bins, P = 1 or 2."""
+    cfg = ExperimentConfig(
+        array=SMALL, q=draw(st.sampled_from([2, 4, 8])), l=draw(st.integers(1, 3)),
+        scenario=draw(st.sampled_from(["los", "nlos"])),
+        snr_db=draw(st.none() | st.sampled_from([-30.0, -10.0, 10.0])),
+        paths_bs_irs=draw(st.integers(1, 2)), paths_irs_user=draw(st.integers(1, 2)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return exhaustive(cfg) if draw(st.booleans()) else cfg
+
+
+@settings(deadline=None)
+@given(small_trial_configs(), st.integers(0, 10**6))
+def test_every_trial_scores_a_bgr_in_unit_interval(cfg, t):
+    # so aggregate averages every record's BGR, with no NaN to skip
+    ratio = run_trial(cfg, t).bgr
+    assert math.isfinite(ratio) and 0.0 <= ratio <= 1.0
+
+
 class TestSweeps:
     def test_t_axis_values_and_points(self):
-        cfg = ExperimentConfig(array=SMALL, q=4, l=2, t_sweep=(1, 2, 4),
-                               trials=2, compute_bgr=False)
+        cfg = ExperimentConfig(array=SMALL, q=4, l=2, t_sweep=(1, 2, 4), trials=2)
         pts = sweep_points(cfg, "T")
         u, v = SMALL.m // 4, SMALL.n_t // SMALL.r
         assert [(var, val) for var, val, _ in pts] == [
@@ -498,14 +522,12 @@ class TestSweeps:
         assert [val for _, val, p in pts] == [p.budget for _, _, p in pts]
 
     def test_snr_axis(self):
-        cfg = ExperimentConfig(array=SMALL, q=4, l=2, snr_sweep=(-10.0, 0.0),
-                               trials=2, compute_bgr=False)
+        cfg = ExperimentConfig(array=SMALL, q=4, l=2, snr_sweep=(-10.0, 0.0), trials=2)
         pts = sweep_points(cfg, "snr")
         assert [p.snr_db for _, _, p in pts] == [-10.0, 0.0]
 
     def test_m_axis_keeps_bin_count(self):
-        cfg = ExperimentConfig(array=SMALL, q=4, l=2, m_sweep=(16, 64),
-                               trials=2, compute_bgr=False)
+        cfg = ExperimentConfig(array=SMALL, q=4, l=2, m_sweep=(16, 64), trials=2)
         pts = sweep_points(cfg, "M")
         u = SMALL.m // 4
         for _, m, p in pts:
@@ -525,6 +547,12 @@ class TestSweeps:
             accepted += 1
         assert accepted > 50
 
+    def test_no_axis_is_the_one_point_cfg(self):
+        # on the snr axis, or at T = U*V*L when the run is noiseless
+        assert sweep_points(SMALL_CFG, None) == [("snr", -20.0, SMALL_CFG)]
+        noiseless = replace(SMALL_CFG, snr_db=None)
+        assert sweep_points(noiseless, None) == [("T", noiseless.budget, noiseless)]
+
     def test_unknown_axis_rejected(self):
         with pytest.raises(InvalidParameterError):
             sweep_points(SMALL_CFG, "bogus")
@@ -533,11 +561,11 @@ class TestSweeps:
         with pytest.raises(InvalidParameterError):
             sweep_points(SMALL_CFG, "T")
 
-    def test_sweep_csv_shape_and_determinism(self):
-        cfg = ExperimentConfig(array=SMALL, q=4, l=2, snr_sweep=(0.0, 10.0),
-                               trials=3, seed=21, compute_bgr=False)
-        rows1 = sweep(cfg, "snr", workers=1)
-        rows2 = sweep(cfg, "snr", workers=1)
+    def test_sweep_csv_shape_and_determinism(self, monkeypatch):
+        monkeypatch.setenv("IRSBEAM_WORKERS", "1")
+        cfg = ExperimentConfig(array=SMALL, q=4, l=2, snr_sweep=(0.0, 10.0), trials=3, seed=21)
+        rows1 = sweep(cfg, "snr")
+        rows2 = sweep(cfg, "snr")
         assert rows_to_csv(rows1) == rows_to_csv(rows2)
         text = rows_to_csv(rows1)
         lines = text.strip().splitlines()
@@ -564,6 +592,14 @@ class TestAggregate:
         assert row.success_rate == 0.75
         assert row.stderr == pytest.approx(math.sqrt(0.75 * 0.25 / 4))
         assert row.mean_bgr == pytest.approx(0.55)
+
+    def test_one_record_has_no_bgr_spread(self):
+        # NaN, and no degrees-of-freedom warning from numpy
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = aggregate([TrialRecord(True, 0.5, None)], "snr", -20.0, 1)
+        assert (row.mean_bgr, row.stderr) == (0.5, 0.0)
+        assert math.isnan(row.bgr_stderr)
 
 
 class TestConfigParsing:
@@ -606,6 +642,19 @@ class TestConfigParsing:
     def test_malformed_line_rejected(self):
         with pytest.raises(InvalidParameterError):
             parse_config_text("just some words")
+
+    @pytest.mark.parametrize("text,output", [
+        ("output = a#b.csv", "a#b.csv"),
+        ("output = a#b.csv  # where the rows go", "a#b.csv"),
+        ("output = out.csv\t# tab before the comment", "out.csv"),
+        ("# output = x.csv\n  # indented comment\noutput = #x.csv", None),
+    ])
+    def test_comment_starts_at_line_start_or_after_whitespace(self, text, output):
+        assert parse_config_text(text).output == output
+
+    def test_value_then_comment_parses(self):
+        cfg = parse_config_text("l = 5 # rounds\nsnr_sweep = -10, 0   # dB\n#q = 3")
+        assert (cfg.l, cfg.snr_sweep, cfg.q) == (5, (-10.0, 0.0), 32)
 
     def test_none_value(self):
         cfg = parse_config_text("snr_db = none")
@@ -746,8 +795,9 @@ def config_fields(draw):
         "paths_irs_user": draw(st.integers(1, 8)),
         "rician_bs_irs_db": draw(_db()),
         "rician_irs_user_db": draw(st.none() | _db()),
-        "output": draw(st.none() | st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True)
-                       .filter(lambda s: s.lower() != "none")),
+        # a `#` inside a value is no comment; one at its start is
+        "output": draw(st.none() | st.from_regex(r"[A-Za-z0-9_./#-]{1,20}", fullmatch=True)
+                       .filter(lambda s: s.lower() != "none" and not s.startswith("#"))),
     }
     keep = set(draw(st.lists(st.sampled_from(sorted(values)), unique=True)))
     # r and q are drawn to divide the drawn sizes, not the default ones
