@@ -38,21 +38,29 @@ def _load_cfg(args):
 
 
 def _open_out(args, cfg):
-    """The --out or `output` file opened for writing, else stdout. Opened
-    before any trial or solve, so a path that cannot be written fails first."""
+    """The --out or `output` file opened for appending, else stdout. Opened
+    before any trial or solve, so a path that cannot be written fails first;
+    only `_write` empties it, so a failed command leaves it as it was."""
     path = args.out or cfg.output
     if not path:
         return contextlib.nullcontext(sys.stdout)
     try:
-        return open(path, "w", encoding="utf-8")
+        return open(path, "a", encoding="utf-8")
     except OSError as err:
         raise InvalidParameterError(f"cannot write output {path!r}: {err.strerror}") from None
+
+
+def _write(out, text: str) -> None:
+    """Write text as the whole of an opened file; stdout and pipes take it as is."""
+    if out is not sys.stdout and out.seekable():
+        out.truncate(0)
+    out.write(text)
 
 
 def _cmd_sweep(args) -> int:
     cfg = _load_cfg(args)
     with _open_out(args, cfg) as out:
-        out.write(rows_to_csv(sweep(cfg, args.axis)))
+        _write(out, rows_to_csv(sweep(cfg, args.axis)))
     return 0
 
 
@@ -66,7 +74,7 @@ def _cmd_plan(args) -> int:
                   "stopped at max_iters", file=sys.stderr)
             print(f"solver iterations per beam: mean {iters.mean():.1f}, max {iters.max()}",
                   file=sys.stderr)
-        out.write(plan_to_json(plan) + "\n")
+        _write(out, plan_to_json(plan) + "\n")
     return 0
 
 

@@ -69,8 +69,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
             return parse_config_text(fh.read())
-        except UnicodeDecodeError as err:
-            raise InvalidParameterError(f"{path}: not UTF-8 ({err.reason})") from None
+    except OSError as err:
+        raise InvalidParameterError(f"cannot read config {path!r}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise InvalidParameterError(f"{path}: not UTF-8 ({err.reason})") from None

@@ -55,40 +55,30 @@ def p_lower_los(probe: PlanProbe) -> float:
     return _p_single(probe.q, probe.l, probe.m) * _p_single(probe.r, probe.l, probe.n_t)
 
 
-def _log_comb(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
 def g_exact(x: int, y: int, z: int) -> float:
     """Probability that y independent uniform (x-1)-subsets of a (z-1)-set
     have an empty common intersection.
 
-    Evaluated by inclusion-exclusion with log-domain terms (binomials at
-    practical sizes overflow naive arithmetic) and exact float summation.
+    Inclusion-exclusion summed in exact integers, rounded once by the division.
     y = 0 degenerates: the empty intersection convention makes the common
     set the whole universe, so the probability is 0 unless the universe
     itself is empty.
     """
     if not 1 <= x <= z:
         raise InvalidParameterError("need 1 <= x <= z")
-    if x == 1:
-        return 1.0 if y >= 1 else (1.0 if z == 1 else 0.0)
     if y == 0:
-        return 1.0 if z == 1 else 0.0
-    log_denom = _log_comb(z - 1, x - 1)
-    terms = []
-    for j in range(1, x):
-        log_t = _log_comb(z - 1, j) + y * (_log_comb(z - 1 - j, x - 1 - j) - log_denom)
-        terms.append(-((-1.0) ** (j - 1)) * math.exp(log_t))
-    g = 1.0 + math.fsum(sorted(terms, key=abs, reverse=True))
-    return min(max(g, 0.0), 1.0)
+        return float(z == 1)
+    n = z - 1
+    empty = sum((-1) ** j * math.comb(n, j) * math.comb(n - j, x - 1 - j) ** y
+                for j in range(x))
+    return empty / math.comb(n, x - 1) ** y
 
 
 def p_nm_round(probe: PlanProbe) -> float:
-    """Probability that one round of scanning contains no multiton bin."""
+    """Probability that one round of scanning contains no multiton bin,
+    counted in exact integers and rounded once by the division."""
     k, uv, mn = probe.k, probe.u * probe.v, probe.m * probe.n_t
-    log_p = k * math.log(probe.r * probe.q) + _log_comb(uv, k) - _log_comb(mn, k)
-    return min(math.exp(log_p), 1.0)
+    return (probe.r * probe.q) ** k * math.comb(uv, k) / math.comb(mn, k)
 
 
 def p_lower_nlos(probe: PlanProbe) -> float:

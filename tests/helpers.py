@@ -2,10 +2,13 @@
 studies, the exhaustive grid scan as a scan with singleton bins, the
 dense beamspace coefficients of ideal-sparse beams, the per-beam
 effective support of a constant-modulus beam, round-by-round noisy
-readings, readings summed bin member by bin member, and the full-grid
-decode the bound decode must equal."""
+readings, readings summed bin member by bin member, the full-grid decode the
+bound decode must equal, and the empty-intersection probability as an
+exact Markov chain."""
 
 from dataclasses import replace
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -161,3 +164,23 @@ def grid_nm_rounds(measurements, epsilon: float) -> tuple[int, ...]:
     """The rounds with the fewest nulltons (readings y < epsilon)."""
     counts = [int(np.count_nonzero(y < epsilon)) for y in measurements.y]
     return tuple(l for l, c in enumerate(counts) if c == min(counts))
+
+
+def g_chain(x: int, y: int, z: int) -> Fraction:
+    """The probability that y independent uniform (x-1)-subsets of a
+    (z-1)-set have an empty common intersection, as a Markov chain on the
+    size s of the intersection so far: from s = z-1 (no subset yet), one
+    more subset moves it to t with probability
+    C(s, t) C(n-s, k-t) / C(n, k), n = z-1, k = x-1. Every term is
+    positive, and the chain shares no step with inclusion-exclusion."""
+    n, k = z - 1, x - 1
+    dist = {n: Fraction(1)}
+    for _ in range(y):
+        step = {}
+        for s, p in dist.items():
+            for t in range(min(s, k) + 1):
+                w = comb(s, t) * comb(n - s, k - t)
+                if w:
+                    step[t] = step.get(t, 0) + p * Fraction(w, comb(n, k))
+        dist = step
+    return dist.get(0, Fraction(0))

@@ -1,9 +1,13 @@
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
-from irsbeam import cli, harness
+from irsbeam import cli, config, harness
 from irsbeam.arrays import cascade_dictionary
 from irsbeam.cli import build_parser, main
 from irsbeam.codebook import build_scan_plan, optimize_constant_modulus, plan_from_json
@@ -109,8 +113,25 @@ class TestRunCommand:
             main(["run", "--config", str(path)])
 
     def test_missing_config_errors(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            main(["run", "--config", str(tmp_path / "nope.cfg")])
+        path = str(tmp_path / "nope.cfg")
+        with pytest.raises(InvalidParameterError, match=re.escape(repr(path))):
+            main(["run", "--config", path])
+
+    @pytest.mark.parametrize("where", ["directory", "unreadable"])
+    def test_unreadable_config_names_the_file(self, tmp_path, monkeypatch, where):
+        path = tmp_path / "nope.cfg"
+        if where == "directory":
+            path.mkdir()
+        else:
+            path.write_text(SMALL_CONFIG)
+
+            def denied(*args, **kwargs):
+                raise PermissionError(13, "Permission denied")
+
+            # chmod 000 does not stop a superuser from reading
+            monkeypatch.setattr(config, "open", denied, raising=False)
+        with pytest.raises(InvalidParameterError, match=re.escape(repr(str(path)))):
+            main(["run", "--config", str(path)])
 
     def test_config_with_byte_order_mark_runs(self, tmp_path, capsys, monkeypatch):
         # as Windows editors save UTF-8: the mark is not part of the first key
@@ -199,6 +220,49 @@ class TestOutputPath:
             argv += ["--out", path]
         with pytest.raises(InvalidParameterError, match=re.escape(repr(path))):
             main(argv)
+
+    @pytest.mark.parametrize("command,workers,error", [
+        (["sweep", "--axis", "T"], "1", "t_sweep is empty"),
+        (["run"], "abc", "IRSBEAM_WORKERS must be"),
+    ])
+    def test_failed_command_keeps_existing_output(self, config_path, tmp_path, monkeypatch,
+                                                  command, workers, error):
+        monkeypatch.setenv("IRSBEAM_WORKERS", workers)
+        keep = tmp_path / "keep.csv"
+        keep.write_text("old\n")
+        with pytest.raises(InvalidParameterError, match=error):
+            main([*command, "--config", config_path, "--out", str(keep)])
+        assert keep.read_text() == "old\n"
+
+    def test_written_output_replaces_the_file(self, config_path, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setenv("IRSBEAM_WORKERS", "1")
+        assert main(["run", "--config", config_path]) == 0
+        row = capsys.readouterr().out
+        out = tmp_path / "row.csv"
+        out.write_text("a longer old file than the row\n" * 20)
+        assert main(["run", "--config", config_path, "--out", str(out)]) == 0
+        assert out.read_bytes().decode() == row
+
+    @pytest.mark.parametrize("where", ["dev-stdout-pipe", "stdout-appended"])
+    def test_stdout_takes_the_rows_as_is(self, config_path, tmp_path, where):
+        # a pipe cannot be emptied, and `>> file` keeps what the file held
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "IRSBEAM_WORKERS": "1"}
+        argv = [sys.executable, "-m", "irsbeam.cli", "run", "--config", config_path]
+        if where == "dev-stdout-pipe":
+            done = subprocess.run([*argv, "--out", "/dev/stdout"], capture_output=True,
+                                  text=True, env=env, check=True)
+            text = done.stdout
+        else:
+            log = tmp_path / "log.csv"
+            log.write_text("old\n")
+            with open(log, "a") as fh:
+                subprocess.run(argv, stdout=fh, env=env, check=True)
+            text = log.read_text()
+            assert text.startswith("old\n")
+            text = text[len("old\n"):]
+        assert text.splitlines()[0] == ",".join(CSV_HEADER)
 
 
 class TestExhaustiveBaseline:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import g_chain
 from irsbeam.errors import InvalidParameterError
 from irsbeam.theory import (
     PlanProbe,
@@ -91,6 +92,18 @@ class TestCoverProbability:
                     worst = max(worst, abs(g_exact(x, y, z) - g_brute(x, y, z)))
         assert worst < 1e-12
 
+    @settings(deadline=None)
+    @given(st.integers(1, 128), st.data(), st.integers(0, 6))
+    def test_equals_exact_chain(self, z, data, y):
+        x = data.draw(st.integers(1, z))
+        assert g_exact(x, y, z) == float(g_chain(x, y, z))
+
+    def test_cancelling_terms_give_exact_zero(self):
+        # one subset of 127 from 255 is never empty; a full bin never
+        # disambiguates, however many rounds
+        assert g_exact(128, 1, 256) == 0.0
+        assert g_exact(256, 3, 256) == 0.0
+
     def test_monotone_increasing_in_rounds(self):
         vals = [g_exact(32, y, 256) for y in range(1, 12)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
@@ -153,6 +166,11 @@ class TestMultipath:
         assert p_lower_nlos(PlanProbe(q=32, k=4, l=4, **base)) == pytest.approx(0.9152, abs=5e-4)
         assert p_lower_nlos(PlanProbe(q=32, k=4, l=5, **base)) == pytest.approx(0.9863, abs=5e-4)
         assert p_lower_nlos(PlanProbe(q=16, k=2, l=4, **base)) == pytest.approx(0.9965, abs=5e-4)
+
+    def test_half_array_bins_bound_is_tiny(self):
+        # exactly 1.03e-34: with two IRS bins of 512, four rounds almost
+        # never single out one row
+        assert p_lower_nlos(PlanProbe(m=1024, n_t=32, q=512, r=2, l=4, k=4)) < 1e-30
 
     def test_bound_below_one(self):
         for l in range(1, 20):
