@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidDimensionError, check_field_types
+from .errors import InvalidParameterError, check_field_types
 
 
 @dataclass(frozen=True)
@@ -31,18 +31,18 @@ class ArrayConfig:
     spacing_ratio: float = 0.5
 
     def __post_init__(self):
-        check_field_types(self, InvalidDimensionError)
+        check_field_types(self)
         if self.n_t < 1 or self.m_y < 1 or self.m_z < 1:
-            raise InvalidDimensionError(
+            raise InvalidParameterError(
                 f"array sizes must be >= 1, got n_t={self.n_t}, "
                 f"m_y={self.m_y}, m_z={self.m_z}"
             )
         if not 1 <= self.r <= self.n_t:
-            raise InvalidDimensionError(
+            raise InvalidParameterError(
                 f"RF chain count must satisfy 1 <= r <= n_t, got r={self.r}"
             )
         if not (self.spacing_ratio > 0 and np.isfinite(self.spacing_ratio)):
-            raise InvalidDimensionError("spacing_ratio must be positive and finite")
+            raise InvalidParameterError("spacing_ratio must be positive and finite")
 
     @property
     def m(self) -> int:
@@ -57,7 +57,7 @@ def steering_vector(freq, n: int) -> np.ndarray:
     matrix. This is the only place a steering exponent is computed.
     """
     if n < 1:
-        raise InvalidDimensionError(f"steering vector length must be >= 1, got {n}")
+        raise InvalidParameterError(f"steering vector length must be >= 1, got {n}")
     # this operation order keeps each column bit-identical to a 1-frequency call
     return np.exp(np.multiply.outer(1j * np.pi * np.arange(n), freq)) / np.sqrt(n)
 
@@ -88,7 +88,7 @@ def dft_dictionary(n: int) -> np.ndarray:
     Column i (0-based) is steering_vector(-1 + (2i+1)/n, n).
     """
     if n < 1:
-        raise InvalidDimensionError(f"dictionary size must be >= 1, got {n}")
+        raise InvalidParameterError(f"dictionary size must be >= 1, got {n}")
     d = steering_vector(-1.0 + (2.0 * np.arange(n) + 1.0) / n, n)
     d.setflags(write=False)
     return d

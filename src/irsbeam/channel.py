@@ -13,7 +13,7 @@ from .arrays import (
     ula_response,
     upa_response,
 )
-from .errors import InvalidDimensionError, InvalidParameterError
+from .errors import InvalidParameterError
 
 # Angle sectors used when sampling path geometry: azimuth away from
 # endfire, elevation away from the UPA poles.
@@ -38,9 +38,9 @@ class PathSet:
     def __post_init__(self):
         n = len(self.gains)
         if len(self.azimuth) != n or len(self.elevation) != n:
-            raise InvalidDimensionError("angle arrays must match gain count")
+            raise InvalidParameterError("angle arrays must match gain count")
         if self.bs_aod is not None and len(self.bs_aod) != n:
-            raise InvalidDimensionError("bs_aod must match gain count")
+            raise InvalidParameterError("bs_aod must match gain count")
 
     @property
     def path_count(self) -> int:
@@ -112,7 +112,7 @@ def sample_paths(
     circular complex Gaussian with power (1/(kappa+1))/(path_count-1).
     """
     if path_count < 1:
-        raise InvalidDimensionError("path_count must be >= 1")
+        raise InvalidParameterError("path_count must be >= 1")
     kappa = db_to_power(rician_db, "rician_db")
     gains = np.empty(path_count, dtype=complex)
     if path_count == 1:
@@ -142,7 +142,7 @@ def assemble_channels(
     nor read.
     """
     if bs_irs.bs_aod is None:
-        raise InvalidDimensionError("BS-IRS path set needs BS departure angles")
+        raise InvalidParameterError("BS-IRS path set needs BS departure angles")
     m, m_y, m_z, n_t = cfg.m, cfg.m_y, cfg.m_z, cfg.n_t
     h_r = upa_response(irs_user.azimuth, irs_user.elevation, cfg) @ irs_user.gains
     h_r *= np.sqrt(m / irs_user.path_count)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from dataclasses import replace
 
@@ -37,17 +38,28 @@ def _load_cfg(args):
     return replace(cfg, **overrides) if overrides else cfg
 
 
+@contextlib.contextmanager
 def _open_out(args, cfg):
     """The --out or `output` file opened for appending, else stdout. Opened
-    before any trial or solve, so a path that cannot be written fails first;
-    only `_write` empties it, so a failed command leaves it as it was."""
+    before any trial or solve, so a path that cannot be written fails first.
+    A failed command leaves the path as it was: only `_write` empties the
+    file, and a file the open created is removed."""
     path = args.out or cfg.output
     if not path:
-        return contextlib.nullcontext(sys.stdout)
+        yield sys.stdout
+        return
+    existed = os.path.lexists(path)
     try:
-        return open(path, "a", encoding="utf-8")
+        out = open(path, "a", encoding="utf-8")
     except OSError as err:
         raise InvalidParameterError(f"cannot write output {path!r}: {err.strerror}") from None
+    try:
+        with out:
+            yield out
+    except BaseException:
+        if not existed:
+            os.remove(path)
+        raise
 
 
 def _write(out, text: str) -> None:
@@ -118,5 +130,14 @@ def main(argv: list[str] | None = None) -> int:
     return args.func(args)
 
 
+def console_main() -> int:
+    """`irsbeam`: main, but an input error exits 2 with one stderr line."""
+    try:
+        return main()
+    except InvalidParameterError as err:
+        print(f"irsbeam: error: {err}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(console_main())

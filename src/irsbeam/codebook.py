@@ -11,7 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from .arrays import ArrayConfig, cascade_dictionary, dft_dictionary
-from .errors import InvalidDimensionError, InvalidParameterError
+from .errors import InvalidParameterError
 
 IDEAL_SPARSE = "ideal-sparse"
 CONSTANT_MODULUS = "constant-modulus"
@@ -126,7 +126,7 @@ class ScanPlan:
         l, u, q = self.c_design.shape
         v, r = self.a_supports.shape[1:]
         if not l:
-            raise InvalidDimensionError("a plan with at least one round required")
+            raise InvalidParameterError("a plan with at least one round required")
 
         def bin_sums(a: np.ndarray, members: np.ndarray) -> np.ndarray:
             # rows of `a` by bin member, summed over that leading axis as real
@@ -446,10 +446,7 @@ def plan_from_json(text: str) -> ScanPlan:
         raise InvalidParameterError("plan seed must be null or a non-negative integer")
     if type(q) is not int:
         raise InvalidParameterError("plan q must be an integer")
-    try:
-        cfg = ArrayConfig(**array)
-    except InvalidDimensionError as exc:
-        raise InvalidParameterError(f"plan array: {exc}") from None
+    cfg = ArrayConfig(**array)
     check_round_shape(cfg, q, mode)
     if not raw:
         raise InvalidParameterError("at least one round is required")

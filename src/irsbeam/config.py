@@ -49,7 +49,7 @@ def _cast(key: str, lineno: int, value: str):
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse config text; a malformed line or value raises
     InvalidParameterError naming its line, and a value ExperimentConfig
-    or ArrayConfig rejects raises their error."""
+    or ArrayConfig rejects raises it without one."""
     given = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()

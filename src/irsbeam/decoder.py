@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import AlignmentEstimate, noisy_magnitude
 from .codebook import ScanPlan
-from .errors import InvalidDimensionError, InvalidParameterError
+from .errors import InvalidParameterError
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class MeasurementSet:
         except ValueError:  # ragged rounds
             y = None
         if not plan.l or np.shape(y) != (plan.l, u, v):
-            raise InvalidDimensionError(f"a non-empty plan and one {u} x {v} matrix per round required")
+            raise InvalidParameterError(f"a non-empty plan and one {u} x {v} matrix per round required")
         # readings are magnitudes: a complex one is refused, not cast to its real part
         if y.dtype.kind not in "biuf":
             raise InvalidParameterError(f"measurements must be real numbers, not {y.dtype}")

@@ -1,17 +1,13 @@
-"""Exception types shared across the package, and the one field grammar:
-each scalar annotation's value test (check_field_types) and config-file
-cast (config), and how "X | None" and "tuple[X, ...]" wrap a scalar."""
+"""The package's one error type, and the one field grammar: each scalar
+annotation's value test (check_field_types) and config-file cast
+(config), and how "X | None" and "tuple[X, ...]" wrap a scalar."""
 
 import numbers
 from dataclasses import fields
 
 
-class InvalidDimensionError(ValueError):
-    """An array/vector size is inconsistent or non-positive."""
-
-
 class InvalidParameterError(ValueError):
-    """A parameter violates a divisibility or range requirement."""
+    """Any input the package rejects, whichever class or function checks it."""
 
 
 # scalar annotation -> (value test, config-file cast)
@@ -30,12 +26,12 @@ def split_annotation(annotation: str) -> tuple[str, bool, bool]:
     return inner, inner != scalar, scalar != annotation
 
 
-def check_field_types(obj, error: type[ValueError]) -> None:
-    """Raise `error` unless every field of the dataclass `obj` holds a
-    value of its annotation: an int or numpy integer for "int", a real
-    number for "float", a str for "str", none of them a bool. "X | None"
-    also takes None, "tuple[X, ...]" is a tuple or list of X, and other
-    annotations are not checked."""
+def check_field_types(obj) -> None:
+    """Raise InvalidParameterError unless every field of the dataclass
+    `obj` holds a value of its annotation: an int or numpy integer for
+    "int", a real number for "float", a str for "str", none of them a
+    bool. "X | None" also takes None, "tuple[X, ...]" is a tuple or list
+    of X, and other annotations are not checked."""
     for f in fields(obj):
         scalar, is_tuple, nullable = split_annotation(f.type)
         value = getattr(obj, f.name)
@@ -47,4 +43,4 @@ def check_field_types(obj, error: type[ValueError]) -> None:
         else:
             ok = test(value)
         if not ok:
-            raise error(f"{f.name} must be of type {f.type}, got {value!r}")
+            raise InvalidParameterError(f"{f.name} must be of type {f.type}, got {value!r}")

@@ -66,7 +66,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # reject every value a trial would, before any worker starts
-        check_field_types(self, InvalidParameterError)
+        check_field_types(self)
         check_round_shape(self.array, self.q, self.mode)
         if self.l < 1 or any(l < 1 for l in self.t_sweep):
             raise InvalidParameterError("l and every t_sweep entry must be >= 1")
@@ -82,7 +82,8 @@ class ExperimentConfig:
             raise InvalidParameterError("path counts must be >= 1")
         for db in (self.rician_bs_irs_db, self.irs_user_rician_db):
             db_to_power(db, "Rician factor")
-        _check_snrs(self, self.array.m)
+        for db in self.snr_sweep if self.snr_db is None else (self.snr_db, *self.snr_sweep):
+            _noise_scale(self.array.m, self.array.n_t, db)
         for m in self.m_sweep:
             _m_point(self, m)
 
@@ -115,13 +116,6 @@ def _noise_scale(m: int, n_t: int, snr_db: float) -> float:
             f"snr_db = {snr_db} is too high for N_t*M = {n_t * m}: the noise std rounds to 0"
         )
     return den
-
-
-def _check_snrs(cfg: ExperimentConfig, m: int) -> None:
-    """InvalidParameterError unless every SNR of cfg gives a positive
-    noise std on M = m IRS elements."""
-    for db in cfg.snr_sweep if cfg.snr_db is None else (cfg.snr_db, *cfg.snr_sweep):
-        _noise_scale(m, cfg.array.n_t, db)
 
 
 def snr_to_sigma(h: np.ndarray, snr_db: float) -> float:
@@ -321,18 +315,15 @@ def _split_upa(m: int) -> tuple[int, int]:
     return m // m_z, m_z
 
 
-def _m_point(cfg: ExperimentConfig, m: int) -> tuple[ArrayConfig, int]:
-    """The array and bin size of the M-sweep point M = m: q scales with M
-    so that U = M/q stays fixed. InvalidParameterError unless m is a
-    positive multiple of U that factors into a UPA grid and every SNR of
-    cfg is valid at that size. Builds no ExperimentConfig, so the config
-    can check its own m_sweep with it."""
+def _m_point(cfg: ExperimentConfig, m: int) -> ExperimentConfig:
+    """cfg at the M-sweep point M = m, with no m_sweep: q scales with M, so
+    U = M/q stays fixed. InvalidParameterError unless m is a positive
+    multiple of U that factors into a UPA grid and cfg is valid at M = m."""
     u = cfg.array.m // cfg.q
     if m < 1 or m % u != 0:
         raise InvalidParameterError(f"m_sweep entry M={m} is not a positive multiple of U={u}")
     m_y, m_z = _split_upa(m)
-    _check_snrs(cfg, m)
-    return replace(cfg.array, m_y=m_y, m_z=m_z), m // u
+    return replace(cfg, array=replace(cfg.array, m_y=m_y, m_z=m_z), q=m // u, m_sweep=())
 
 
 def sweep_points(cfg: ExperimentConfig,
@@ -341,24 +332,17 @@ def sweep_points(cfg: ExperimentConfig,
     None is the one point cfg, on the T axis when noiseless, else on snr."""
     if axis is None:
         return [("T", cfg.budget, cfg) if cfg.snr_db is None else ("snr", cfg.snr_db, cfg)]
+    key = {"T": "t_sweep", "snr": "snr_sweep", "M": "m_sweep"}.get(axis)
+    if key is None:
+        raise InvalidParameterError(f"unknown sweep axis {axis!r}")
+    if not getattr(cfg, key):
+        raise InvalidParameterError(f"{key} is empty")
     if axis == "T":
-        if not cfg.t_sweep:
-            raise InvalidParameterError("t_sweep is empty")
         points = [replace(cfg, l=l) for l in cfg.t_sweep]
         return [("T", p.budget, p) for p in points]
     if axis == "snr":
-        if not cfg.snr_sweep:
-            raise InvalidParameterError("snr_sweep is empty")
         return [("snr", s, replace(cfg, snr_db=s)) for s in cfg.snr_sweep]
-    if axis == "M":
-        if not cfg.m_sweep:
-            raise InvalidParameterError("m_sweep is empty")
-        points = []
-        for m in cfg.m_sweep:
-            arr, q = _m_point(cfg, m)
-            points.append(("M", m, replace(cfg, array=arr, q=q)))
-        return points
-    raise InvalidParameterError(f"unknown sweep axis {axis!r}")
+    return [("M", m, _m_point(cfg, m)) for m in cfg.m_sweep]
 
 
 def sweep(cfg: ExperimentConfig, axis: str | None) -> list[SweepRow]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_field_types
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,7 @@ class PlanProbe:
     k: int = 1
 
     def __post_init__(self):
+        check_field_types(self)
         if not (1 <= self.q < self.m) or not (1 <= self.r < self.n_t):
             raise InvalidParameterError("need 1 <= q < m and 1 <= r < n_t")
         if self.m % self.q != 0 or self.n_t % self.r != 0:

@@ -12,7 +12,7 @@ from irsbeam.arrays import (
     ula_response,
     upa_response,
 )
-from irsbeam.errors import InvalidDimensionError
+from irsbeam.errors import InvalidParameterError
 
 
 def test_steering_zero_freq_is_constant():
@@ -32,7 +32,7 @@ def test_steering_dft_column_orthogonality():
 
 
 def test_steering_rejects_empty():
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(InvalidParameterError):
         steering_vector(0.0, 0)
 
 
@@ -156,11 +156,11 @@ def test_cascade_dictionary_is_kron_of_axis_factors(m_y, m_z):
 
 
 def test_array_config_validation():
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(InvalidParameterError):
         ArrayConfig(n_t=0, m_y=1, m_z=1, r=1)
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(InvalidParameterError):
         ArrayConfig(n_t=4, m_y=1, m_z=1, r=5)
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(InvalidParameterError):
         ArrayConfig(n_t=4, m_y=1, m_z=1, r=1, spacing_ratio=0.0)
 
 
@@ -168,5 +168,5 @@ def test_array_config_validation():
 def test_array_config_rejects_non_finite_spacing(spacing):
     # a NaN or infinite spacing gives NaN steering vectors, and every trial
     # on them fails in the decoder
-    with pytest.raises(InvalidDimensionError, match="spacing_ratio"):
+    with pytest.raises(InvalidParameterError, match="spacing_ratio"):
         ArrayConfig(n_t=4, m_y=1, m_z=1, r=1, spacing_ratio=spacing)

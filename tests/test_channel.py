@@ -20,7 +20,7 @@ from irsbeam.channel import (
 )
 from irsbeam.codebook import build_scan_plan
 from irsbeam.decoder import synthesize_measurements
-from irsbeam.errors import InvalidDimensionError, InvalidParameterError
+from irsbeam.errors import InvalidParameterError
 
 from helpers import channel_from_lambda, exhaustive_scan, noisy_magnitude_per_matrix
 
@@ -140,7 +140,7 @@ class TestSamplePaths:
 
     def test_rejects_bad_inputs(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(InvalidParameterError):
             sample_paths(0, 0.0, rng)
         with pytest.raises(InvalidParameterError):
             sample_paths(2, np.inf, rng)

@@ -234,6 +234,18 @@ class TestOutputPath:
             main([*command, "--config", config_path, "--out", str(keep)])
         assert keep.read_text() == "old\n"
 
+    @pytest.mark.parametrize("command,workers,error", [
+        (["sweep", "--axis", "T"], "1", "t_sweep is empty"),
+        (["run"], "abc", "IRSBEAM_WORKERS must be"),
+    ])
+    def test_failed_command_leaves_no_new_output(self, config_path, tmp_path, monkeypatch,
+                                                 command, workers, error):
+        monkeypatch.setenv("IRSBEAM_WORKERS", workers)
+        fresh = tmp_path / "fresh.csv"
+        with pytest.raises(InvalidParameterError, match=error):
+            main([*command, "--config", config_path, "--out", str(fresh)])
+        assert not fresh.exists()
+
     def test_written_output_replaces_the_file(self, config_path, tmp_path, capsys,
                                               monkeypatch):
         monkeypatch.setenv("IRSBEAM_WORKERS", "1")
@@ -263,6 +275,29 @@ class TestOutputPath:
             assert text.startswith("old\n")
             text = text[len("old\n"):]
         assert text.splitlines()[0] == ",".join(CSV_HEADER)
+
+
+class TestConsoleErrors:
+    """The `irsbeam` script and `python -m irsbeam.cli` print an input
+    error as one stderr line and exit with status 2; main raises it."""
+
+    @pytest.mark.parametrize("where,error", [
+        ("out", "cannot write output"),
+        ("config", "RF chain count must satisfy 1 <= r <= n_t, got r=17"),
+    ])
+    def test_input_error_is_one_line(self, config_path, tmp_path, where, error):
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "IRSBEAM_WORKERS": "1"}
+        argv = [sys.executable, "-m", "irsbeam.cli", "run", "--config", config_path]
+        if where == "out":
+            argv += ["--out", str(tmp_path / "missing" / "x.csv")]
+        else:
+            pathlib.Path(config_path).write_text(SMALL_CONFIG.replace("r = 4", "r = 17"))
+        done = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith(f"irsbeam: error: {error}")
+        assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
 
 
 class TestExhaustiveBaseline:

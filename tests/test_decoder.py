@@ -21,7 +21,7 @@ from irsbeam.decoder import (
     rayleigh_threshold,
     synthesize_measurements,
 )
-from irsbeam.errors import InvalidDimensionError, InvalidParameterError
+from irsbeam.errors import InvalidParameterError
 from irsbeam.harness import snr_to_sigma
 
 from helpers import (
@@ -268,7 +268,7 @@ class TestNmSelection:
         # rejected before any decode
         empty = encode_rounds(SMALL, np.empty((0, 4, 4), int), np.empty((0, 4, 4), int),
                               IDEAL_SPARSE)
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(InvalidParameterError):
             MeasurementSet(y=(), plan=empty)
 
     def test_selected_rounds_match_ground_truth(self):
@@ -348,13 +348,13 @@ class TestMeasurementSet:
     def test_rejects_wrong_round_count(self):
         plan = build_scan_plan(SMALL, 4, 2, rng=24)
         u, v = plan.c_design.shape[1], plan.a_supports.shape[1]
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(InvalidParameterError):
             MeasurementSet(y=(np.zeros((u, v)),), plan=plan)
 
     def test_rejects_wrong_matrix_shape(self):
         plan = build_scan_plan(SMALL, 4, 1, rng=24)
         u, v = plan.c_design.shape[1], plan.a_supports.shape[1]
-        with pytest.raises(InvalidDimensionError, match=f"{u} x {v}"):
+        with pytest.raises(InvalidParameterError, match=f"{u} x {v}"):
             MeasurementSet(y=(np.zeros((v, u + 1)),), plan=plan)
 
     def test_rejects_negative(self):
@@ -367,7 +367,7 @@ class TestMeasurementSet:
         plan = build_scan_plan(SMALL, 4, 2, rng=24)
         u, v = plan.c_design.shape[1], plan.a_supports.shape[1]
         ys = (np.zeros((u, v)), np.zeros((u, v + 1)))
-        with pytest.raises(InvalidDimensionError, match=f"{u} x {v}"):
+        with pytest.raises(InvalidParameterError, match=f"{u} x {v}"):
             MeasurementSet(y=ys, plan=plan)
 
     @pytest.mark.parametrize("extra", [(0, 0, 1), (0, 1, 0), (1, 0, 0)])
@@ -375,14 +375,14 @@ class TestMeasurementSet:
         plan = build_scan_plan(SMALL, 4, 2, rng=24)
         u, v = plan.c_design.shape[1], plan.a_supports.shape[1]
         shape = np.add((plan.l, u, v), extra)
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(InvalidParameterError):
             MeasurementSet(y=np.zeros(shape), plan=plan)
 
     def test_rejects_one_matrix_for_every_round(self):
         plan = build_scan_plan(SMALL, 4, 4, rng=24)
         u, v = plan.c_design.shape[1], plan.a_supports.shape[1]
         assert u == plan.l
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(InvalidParameterError):
             MeasurementSet(y=np.zeros((u, v)), plan=plan)
 
     def test_sequence_becomes_stack(self):

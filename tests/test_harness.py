@@ -23,9 +23,9 @@ from irsbeam.arrays import (
     dft_dictionary,
 )
 from irsbeam.channel import assemble_channels, sample_paths
-from irsbeam.config import parse_config_text
+from irsbeam.config import parse_config, parse_config_text
 from irsbeam.decoder import AlignmentEstimate
-from irsbeam.errors import InvalidDimensionError, InvalidParameterError
+from irsbeam.errors import InvalidParameterError
 from irsbeam.harness import (
     BGR_MAX_ITERS,
     BGR_TOL,
@@ -91,33 +91,32 @@ for scenario in ("los", "nlos"):
 """
 
 
-# a value of the wrong type for each field kind, with the error its
-# dataclass raises
+# a value of the wrong type for each field kind
 WRONG_FIELD_TYPES = [
-    (SMALL_CFG, "seed", 1.5, InvalidParameterError),
-    (SMALL_CFG, "seed", True, InvalidParameterError),
-    (SMALL_CFG, "q", 2.0, InvalidParameterError),
-    (SMALL_CFG, "l", 2.0, InvalidParameterError),
-    (SMALL_CFG, "paths_bs_irs", 2.0, InvalidParameterError),
-    (SMALL_CFG, "paths_irs_user", np.float64(2.0), InvalidParameterError),
-    (SMALL_CFG, "trials", 2.5, InvalidParameterError),
-    (SMALL_CFG, "t_sweep", (2, 2.0), InvalidParameterError),
-    (SMALL_CFG, "t_sweep", (True,), InvalidParameterError),
-    (SMALL_CFG, "m_sweep", (16.0,), InvalidParameterError),
-    (SMALL_CFG, "m_sweep", 16, InvalidParameterError),
-    (SMALL_CFG, "snr_db", "x", InvalidParameterError),
-    (SMALL_CFG, "snr_sweep", (0.0, "5"), InvalidParameterError),
-    (SMALL_CFG, "p_fa", "0.1", InvalidParameterError),
-    (SMALL_CFG, "rician_bs_irs_db", None, InvalidParameterError),
-    (SMALL_CFG, "rician_irs_user_db", "3", InvalidParameterError),
-    (SMALL_CFG, "mode", 1, InvalidParameterError),
-    (SMALL_CFG, "scenario", None, InvalidParameterError),
-    (SMALL_CFG, "output", 3, InvalidParameterError),
-    (SMALL, "n_t", 8.0, InvalidDimensionError),
-    (SMALL, "r", True, InvalidDimensionError),
-    (SMALL, "m_y", "4", InvalidDimensionError),
-    (SMALL, "m_z", None, InvalidDimensionError),
-    (SMALL, "spacing_ratio", "0.5", InvalidDimensionError),
+    (SMALL_CFG, "seed", 1.5),
+    (SMALL_CFG, "seed", True),
+    (SMALL_CFG, "q", 2.0),
+    (SMALL_CFG, "l", 2.0),
+    (SMALL_CFG, "paths_bs_irs", 2.0),
+    (SMALL_CFG, "paths_irs_user", np.float64(2.0)),
+    (SMALL_CFG, "trials", 2.5),
+    (SMALL_CFG, "t_sweep", (2, 2.0)),
+    (SMALL_CFG, "t_sweep", (True,)),
+    (SMALL_CFG, "m_sweep", (16.0,)),
+    (SMALL_CFG, "m_sweep", 16),
+    (SMALL_CFG, "snr_db", "x"),
+    (SMALL_CFG, "snr_sweep", (0.0, "5")),
+    (SMALL_CFG, "p_fa", "0.1"),
+    (SMALL_CFG, "rician_bs_irs_db", None),
+    (SMALL_CFG, "rician_irs_user_db", "3"),
+    (SMALL_CFG, "mode", 1),
+    (SMALL_CFG, "scenario", None),
+    (SMALL_CFG, "output", 3),
+    (SMALL, "n_t", 8.0),
+    (SMALL, "r", True),
+    (SMALL, "m_y", "4"),
+    (SMALL, "m_z", None),
+    (SMALL, "spacing_ratio", "0.5"),
 ]
 
 
@@ -544,6 +543,9 @@ class TestSweeps:
             ((_, value, point),) = sweep_points(cfg, "M")
             assert point.array.m == value == m
             assert point.array.m // point.q == SMALL.m // SMALL_CFG.q
+            # the point is cfg at M = m, a config that checked itself
+            array = replace(SMALL, m_y=point.array.m_y, m_z=point.array.m_z)
+            assert point == replace(cfg, array=array, q=point.q, m_sweep=())
             accepted += 1
         assert accepted > 50
 
@@ -722,11 +724,23 @@ class TestConfigParsing:
         with pytest.raises(InvalidParameterError, match="snr_db"):
             parse_config_text("n_t = 128\nm_y = 16\nm_z = 16\nr = 8\nq = 16\nsnr_db = 3080")
 
-    @pytest.mark.parametrize("base,key,value,error", WRONG_FIELD_TYPES, ids=[
-        f"{type(base).__name__}.{key}={value!r}" for base, key, value, _ in WRONG_FIELD_TYPES
+    def test_every_input_error_is_the_one_package_type(self, tmp_path):
+        # a count, a size and a divisibility rule, in code and in a file
+        with pytest.raises(InvalidParameterError, match="path_count"):
+            sample_paths(0, 0.0, np.random.default_rng(0))
+        with pytest.raises(InvalidParameterError, match="path counts"):
+            replace(SMALL_CFG, paths_bs_irs=0)
+        for line, error in [("r = 17", "RF chain count"), ("q = 3", "q=3 must divide")]:
+            path = tmp_path / "bad.cfg"
+            path.write_text(f"n_t = 16\nm_y = 4\nm_z = 4\n{line}\n")
+            with pytest.raises(InvalidParameterError, match=error):
+                parse_config(str(path))
+
+    @pytest.mark.parametrize("base,key,value", WRONG_FIELD_TYPES, ids=[
+        f"{type(base).__name__}.{key}={value!r}" for base, key, value in WRONG_FIELD_TYPES
     ])
-    def test_wrong_field_type_rejected_at_construction(self, base, key, value, error):
-        with pytest.raises(error, match=key):
+    def test_wrong_field_type_rejected_at_construction(self, base, key, value):
+        with pytest.raises(InvalidParameterError, match=key):
             replace(base, **{key: value})
 
     def test_numpy_scalars_accepted(self):

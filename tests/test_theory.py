@@ -246,3 +246,11 @@ class TestProbeValidation:
     def test_rejects_negative_l(self):
         with pytest.raises(InvalidParameterError):
             PlanProbe(m=16, n_t=8, q=4, r=2, l=-1)
+
+    @pytest.mark.parametrize("key,value", [("m", 256.0), ("l", 4.0), ("k", True)])
+    def test_rejects_non_int_field(self, key, value):
+        # a float count would reach math.comb as a bare TypeError, and
+        # True would pass as K = 1
+        fields = dict(m=256, n_t=128, q=32, r=4, l=4, k=4)
+        with pytest.raises(InvalidParameterError, match=f"^{key} must be of type int"):
+            PlanProbe(**{**fields, key: value})
