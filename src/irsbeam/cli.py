@@ -24,9 +24,12 @@ def _cmd_theory(args) -> int:
     print(f"budget at L={probe.l}: T = U*V*L = {probe.u * probe.v * probe.l}"
           f"  (exhaustive: {probe.m * probe.n_t})")
     print("sample complexity (target p0 -> T, L):")
-    for p0 in (0.90, 0.95, 0.99):
-        t, l = sample_complexity(probe, p0)
-        print(f"  p0={p0:.2f}: T={t}, L={l}")
+    try:
+        for p0 in (0.90, 0.95, 0.99):
+            t, l = sample_complexity(probe, p0)
+            print(f"  p0={p0:.2f}: T={t}, L={l}")
+    except InvalidParameterError as err:
+        print(f"  none: {err}")
     return 0
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -104,6 +104,13 @@ class ScanPlan:
     @property
     def q(self) -> int:
         return self.c_design.shape[2]
+
+    def head(self, l: int) -> ScanPlan:
+        """The plan of its first l rounds, views of its stacks; itself at l = L."""
+        if l == self.l:
+            return self
+        stacks = {f.name: getattr(self, f.name) for f in fields(self)[3:]}
+        return replace(self, **{k: s if s is None else s[:l] for k, s in stacks.items()})
 
     @cached_property
     def rounds(self) -> tuple[RoundEncoding, ...]:
@@ -337,9 +344,12 @@ def build_scan_plan(
     l: int,
     mode: str = IDEAL_SPARSE,
     rng: np.random.Generator | int | np.integer | None = None,
+    states: list | None = None,
 ) -> ScanPlan:
     """L independently randomized rounds; total budget T = U*V*L. Each
-    round splits {0..M-1} into q-sets, then {0..N_t-1} into R-sets."""
+    round splits {0..M-1} into q-sets, then {0..N_t-1} into R-sets, so
+    the first l rounds are the plan of l rounds from the same generator.
+    A `states` list receives the generator's state after each round."""
     if l < 1:
         raise InvalidParameterError("at least one round is required")
     check_round_shape(cfg, q, mode)
@@ -351,6 +361,8 @@ def build_scan_plan(
     for rows, cols in zip(c_design, a_supports):
         rng.shuffle(rows)
         rng.shuffle(cols)
+        if states is not None:
+            states.append(rng.bit_generator.state)
     c_design, a_supports = c_design.reshape(l, -1, q), a_supports.reshape(l, -1, cfg.r)
     c_design.sort(axis=2)
     a_supports.sort(axis=2)

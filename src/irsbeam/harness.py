@@ -19,15 +19,11 @@ from .channel import (
     CascadeChannel,
     assemble_channels,
     db_to_power,
+    noisy_magnitude,
     sample_paths,
 )
 from .codebook import IDEAL_SPARSE, build_scan_plan, check_round_shape
-from .decoder import (
-    decode_los,
-    decode_nlos,
-    rayleigh_threshold,
-    synthesize_measurements,
-)
+from .decoder import MeasurementSet, decode_los, decode_nlos, rayleigh_threshold
 from .errors import InvalidParameterError, check_field_types
 
 WORKERS_ENV = "IRSBEAM_WORKERS"
@@ -128,19 +124,29 @@ def snr_to_sigma(h: np.ndarray, snr_db: float) -> float:
     InvalidParameterError unless sigma is positive and finite.
     """
     m, n_t = h.shape
-    den = _noise_scale(m, n_t, snr_db)
+    return _sigma(_frobenius(h), _noise_scale(m, n_t, snr_db), snr_db)
+
+
+def _frobenius(h: np.ndarray) -> tuple[float, int]:
+    """||h||_F as (f, e), ||h||_F = f * 2**e, with e = 0 unless the sum of
+    squares may under- or overflow; then f is taken of h / 2**e."""
     x = np.ascontiguousarray(h, dtype=complex).reshape(-1).view(float)
     with np.errstate(over="ignore"):
         fro = math.sqrt(np.einsum("i,i", x, x))
     if 2.0**-400 <= fro <= 2.0**400:
-        sigma = fro / den
-    else:
-        peak = np.abs(x).max()
-        if not 0 < peak < np.inf:
-            raise InvalidParameterError("channel must be finite and nonzero to set an SNR")
-        e = int(np.frexp(peak)[1])
-        x = np.ldexp(x, -e)
-        sigma = float(np.ldexp(math.sqrt(np.einsum("i,i", x, x)) / den, e))
+        return fro, 0
+    peak = np.abs(x).max()
+    if not 0 < peak < np.inf:
+        raise InvalidParameterError("channel must be finite and nonzero to set an SNR")
+    e = int(np.frexp(peak)[1])
+    x = np.ldexp(x, -e)
+    return math.sqrt(np.einsum("i,i", x, x)), e
+
+
+def _sigma(fro: tuple[float, int], den: float, snr_db: float) -> float:
+    """||h||_F / den from _frobenius's (f, e)."""
+    f, e = fro
+    sigma = f / den if e == 0 else float(np.ldexp(f / den, e))
     if not 0 < sigma < math.inf:
         raise InvalidParameterError(f"snr_db = {snr_db} gives noise std {sigma} for this channel")
     return sigma
@@ -177,21 +183,27 @@ def optimal_beams(u: np.ndarray, b: np.ndarray):
     return v, b @ x
 
 
-def bgr(ch: CascadeChannel, estimate: AlignmentEstimate) -> float:
+def _reference_amplitude(ch: CascadeChannel) -> float:
+    """The full-CSI amplitude bgr divides by: the larger of the alternating
+    maximizer's, from the channel's rank-P factors `u` and `b`, and the
+    best grid pair's."""
+    v_opt, f_opt = optimal_beams(ch.u, ch.b)
+    opt_amp = abs(np.vdot(ch.u.conj().T @ v_opt, ch.b.conj().T @ f_opt))
+    return max(opt_amp, math.sqrt(ch.cfg.m) * abs(ch.lam[ch.strongest]))
+
+
+def bgr(ch: CascadeChannel, estimate: AlignmentEstimate, opt_amp: float | None = None) -> float:
     """Beamforming gain ratio of the grid-aligned estimate vs full CSI.
 
     Grid pair (i, j), v = sqrt(M) barD_R[:, i] and f = D[:, j], has gain
-    |v^H H f|^2 = M |lam[i, j]|^2. The reference is the larger of the
-    alternating maximizer's gain, computed from the channel's rank-P
-    factors `u` and `b`, and the best grid pair's, so it dominates every
-    grid pair even when the ascent stops at a local maximum. The ratio is
-    taken of amplitudes and then squared, so no gain under- or overflows.
+    |v^H H f|^2 = M |lam[i, j]|^2. The reference (_reference_amplitude,
+    computed here unless given as `opt_amp`) dominates every grid pair
+    even when the ascent stops at a local maximum. The ratio is taken of
+    amplitudes and then squared, so no gain under- or overflows.
     """
-    v_opt, f_opt = optimal_beams(ch.u, ch.b)
-    opt_amp = abs(np.vdot(ch.u.conj().T @ v_opt, ch.b.conj().T @ f_opt))
-    root_m, lam = math.sqrt(ch.cfg.m), ch.lam
-    opt_amp = max(opt_amp, root_m * abs(lam[ch.strongest]))
-    return (root_m * abs(lam[estimate.i_star, estimate.j_star]) / opt_amp) ** 2
+    if opt_amp is None:
+        opt_amp = _reference_amplitude(ch)
+    return (math.sqrt(ch.cfg.m) * abs(ch.lam[estimate.i_star, estimate.j_star]) / opt_amp) ** 2
 
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
@@ -199,29 +211,56 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, trial_index)))
 
 
+def _run_points(cfgs: tuple[ExperimentConfig, ...], trial_index: int) -> list[TrialRecord]:
+    """Trial `trial_index` at each config, records in their order: sample a
+    channel, scan it, decode, score success and BGR.
+
+    The configs must differ at most in snr_db and l, as the points of one
+    SNR or T sweep from sweep_points do. They share the trial's channel,
+    its plan (built to the largest l), the plan's noiseless readings,
+    ||H||_F and the BGR reference. A config of l rounds reads the plan's
+    first l rounds and, when there are several configs, first restores
+    the generator state saved after round l; then it draws its noise and
+    takes its own sigma, threshold, decode and BGR. Each record is the
+    one-config run's.
+    """
+    cfg = cfgs[0]
+    rng = trial_rng(cfg.seed, trial_index)
+    bs_irs = sample_paths(cfg.paths_bs_irs, cfg.rician_bs_irs_db, rng, with_bs_aod=True)
+    irs_user = sample_paths(cfg.paths_irs_user, cfg.irs_user_rician_db, rng)
+    ch = assemble_channels(bs_irs, irs_user, cfg.array)
+    fro = _frobenius(ch.h) if any(c.snr_db is not None for c in cfgs) else None
+    states = [] if len(cfgs) > 1 else None
+    plan = build_scan_plan(cfg.array, cfg.q, max(c.l for c in cfgs), cfg.mode, rng, states)
+    clean = plan.readings(ch.x, ch.y)
+    decode = decode_los if cfg.scenario == "los" else decode_nlos
+    estimates = []
+    for c in cfgs:
+        sigma = 0.0 if c.snr_db is None else _sigma(fro, _noise_scale(*ch.h.shape, c.snr_db),
+                                                     c.snr_db)
+        if states is not None:
+            rng.bit_generator.state = states[c.l - 1]
+        head = plan.head(c.l)
+        measurements = MeasurementSet(noisy_magnitude(clean[:c.l], sigma, rng), head)
+        if sigma > 0:
+            epsilon = rayleigh_threshold(sigma, c.p_fa)
+        else:
+            epsilon = 1e-9 * float(measurements.y.max())
+        estimates.append(decode(measurements, head, epsilon))
+    opt_amp = _reference_amplitude(ch)
+    return [TrialRecord(success=(e.i_star, e.j_star) == ch.strongest, bgr=bgr(ch, e, opt_amp),
+                        estimate=e) for e in estimates]
+
+
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
-    """Sample a channel, scan it, decode, score success and BGR.
+    """Sample a channel, scan it, decode, score success and BGR: the
+    one-config _run_points.
 
     With q = 1, R = 1 and L = 1 every grid pair is measured once with its
     own grid beams, v = sqrt(M) barD[:, i] and f = D[:, j]: that config
     is the exhaustive grid scan, T = M * N_t.
     """
-    rng = trial_rng(cfg.seed, trial_index)
-    bs_irs = sample_paths(cfg.paths_bs_irs, cfg.rician_bs_irs_db, rng, with_bs_aod=True)
-    irs_user = sample_paths(cfg.paths_irs_user, cfg.irs_user_rician_db, rng)
-    ch = assemble_channels(bs_irs, irs_user, cfg.array)
-    sigma = 0.0 if cfg.snr_db is None else snr_to_sigma(ch.h, cfg.snr_db)
-    plan = build_scan_plan(cfg.array, cfg.q, cfg.l, cfg.mode, rng)
-    measurements = synthesize_measurements((ch.x, ch.y), plan, sigma, rng)
-    if sigma > 0:
-        epsilon = rayleigh_threshold(sigma, cfg.p_fa)
-    else:
-        epsilon = 1e-9 * float(measurements.y.max())
-
-    decode = decode_los if cfg.scenario == "los" else decode_nlos
-    estimate = decode(measurements, plan, epsilon)
-    success = (estimate.i_star, estimate.j_star) == ch.strongest
-    return TrialRecord(success=success, bgr=bgr(ch, estimate), estimate=estimate)
+    return _run_points((cfg,), trial_index)[0]
 
 
 def _worker_count() -> int:
@@ -258,16 +297,22 @@ def _one_blas_thread() -> None:
 
 
 def run_trials(cfgs: list[ExperimentConfig], runner=run_trial) -> list[list[TrialRecord]]:
-    """Records of trials 0..cfg.trials-1 of each config in turn: serially
-    for one worker, else in one pool of IRSBEAM_WORKERS processes opened
-    for this call. `runner(cfg, t)` runs one trial."""
+    """Records of trials 0..cfg.trials-1 of each config in turn, run as
+    _map_trials runs them. `runner(cfg, t)` runs one trial."""
+    return _map_trials(runner, cfgs, [cfg.trials for cfg in cfgs])
+
+
+def _map_trials(runner, tasks: list, counts: list[int]) -> list[list]:
+    """[runner(task, t) for t < n] for each task and its count n in turn:
+    serially for one worker, else in one pool of IRSBEAM_WORKERS
+    processes opened for this call."""
     # a pool forks all its workers at once, so it opens no more than trials
-    workers = min(_worker_count(), max(cfg.trials for cfg in cfgs))
+    workers = min(_worker_count(), max(counts))
     if workers <= 1:
-        return [[runner(cfg, t) for t in range(cfg.trials)] for cfg in cfgs]
+        return [[runner(task, t) for t in range(n)] for task, n in zip(tasks, counts)]
     with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-        return [list(pool.map(runner, [cfg] * cfg.trials, range(cfg.trials),
-                              chunksize=max(1, cfg.trials // (8 * workers)))) for cfg in cfgs]
+        return [list(pool.map(runner, [task] * n, range(n), chunksize=max(1, n // (8 * workers))))
+                for task, n in zip(tasks, counts)]
 
 
 @dataclass(frozen=True)
@@ -347,10 +392,18 @@ def sweep_points(cfg: ExperimentConfig,
 
 def sweep(cfg: ExperimentConfig, axis: str | None) -> list[SweepRow]:
     """Aggregate success rate and BGR along one sweep axis, or at the one
-    point cfg for axis None, every point run in one process pool."""
+    point cfg for axis None, every point run in one process pool.
+
+    On the SNR and T axes one _run_points task runs trial t at every point,
+    so each trial's channel and plan are drawn once, not once per point;
+    the M axis runs each point alone. Every record is run_trial's.
+    """
     points = sweep_points(cfg, axis)
-    records = run_trials([point_cfg for _, _, point_cfg in points], run_trial)
-    return [aggregate(recs, var, value, cfg.seed)
+    cfgs = tuple(point_cfg for _, _, point_cfg in points)
+    groups = [cfgs] if axis in ("snr", "T") else [(c,) for c in cfgs]
+    by_group = _map_trials(_run_points, groups, [cfg.trials] * len(groups))
+    records = [recs for trials in by_group for recs in zip(*trials)]
+    return [aggregate(list(recs), var, value, cfg.seed)
             for (var, value, _), recs in zip(points, records)]
 
 

@@ -61,6 +61,16 @@ class TestTheoryCommand:
             0.9863, abs=5e-4
         )
 
+    def test_whole_axis_bin_prints_its_bounds(self, capsys):
+        # R = N_t (V = 1), a point `irsbeam run` scores: the bounds print,
+        # and the sample complexity says that no L reaches a target
+        rc = main(["theory", "--m", "16", "--nt", "4", "--q", "4", "--r", "4", "--l", "1"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[:3]] == ["p_lower_los", "p_nm_round", "p_lower_nlos"]
+        assert lines[-1] == ("  none: one bin of all 4 indices singles none out,"
+                             " so no L reaches the target")
+
     def test_more_nonzeros_than_bins_fails_before_printing(self, capsys):
         # U*V = 4*4 = 16 bins cannot hold K = 100 nonzero entries
         with pytest.raises(InvalidParameterError, match="more nonzeros than bins"):
@@ -200,7 +210,7 @@ class TestOutputPath:
             raise AssertionError("work started before the output was opened")
 
         monkeypatch.setenv("IRSBEAM_WORKERS", "1")
-        monkeypatch.setattr(harness, "run_trial", fail)
+        monkeypatch.setattr(harness, "_run_points", fail)  # the trial core of run and sweep
         monkeypatch.setattr(cli, "build_scan_plan", fail)
 
     def test_patched_trial_is_the_one_run_calls(self, config_path, tmp_path, no_work):

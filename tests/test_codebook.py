@@ -1,5 +1,6 @@
 import base64
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from irsbeam.arrays import ArrayConfig, cascade_dictionary, dft_dictionary
 from irsbeam.codebook import (
     CONSTANT_MODULUS,
     IDEAL_SPARSE,
+    ScanPlan,
     build_scan_plan,
     optimize_constant_modulus,
     plan_from_json,
@@ -329,6 +331,28 @@ class TestPlanStacks:
         plan = plan_from_json(plan_to_json(build_scan_plan(SMALL, 2, 3, mode, rng=17)))
         self._check(plan)
         assert plan.cm_iters is None
+
+    @pytest.mark.parametrize("mode", [IDEAL_SPARSE, CONSTANT_MODULUS])
+    def test_head_is_the_plan_of_fewer_rounds(self, mode):
+        # the first l rounds of a plan are the plan of l rounds from the
+        # same generator, and `states` holds the generator after each round
+        states = []
+        rng = np.random.default_rng(19)
+        full = build_scan_plan(SMALL, 2, 4, mode, rng, states)
+        assert len(states) == 4 and states[-1] == rng.bit_generator.state
+        for l in (1, 2, 4):
+            rng = np.random.default_rng(19)
+            want = build_scan_plan(SMALL, 2, l, mode, rng)
+            head = full.head(l)
+            self._check(head)
+            for f in fields(ScanPlan):
+                got, ref = getattr(head, f.name), getattr(want, f.name)
+                if isinstance(ref, np.ndarray):
+                    assert np.array_equal(got, ref), f.name
+                else:
+                    assert got == ref, f.name
+            assert states[l - 1] == rng.bit_generator.state
+        assert full.head(4) is full
 
     def test_stacks_cannot_be_written(self):
         plan = build_scan_plan(SMALL, 2, 2, rng=18)

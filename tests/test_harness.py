@@ -23,6 +23,7 @@ from irsbeam.arrays import (
     dft_dictionary,
 )
 from irsbeam.channel import assemble_channels, sample_paths
+from irsbeam.codebook import CONSTANT_MODULUS, IDEAL_SPARSE, ScanPlan
 from irsbeam.config import parse_config, parse_config_text
 from irsbeam.decoder import AlignmentEstimate
 from irsbeam.errors import InvalidParameterError
@@ -454,21 +455,22 @@ class TestTrials:
         # read from the dense lam give the same records
         cfgs = [replace(ACCEPTANCE_CFG, scenario=s, snr_db=-20.0) for s in ("los", "nlos")]
         want = [run_trial(cfg, t) for cfg in cfgs for t in range(50)]
-        channels, forms = [], []
-        real_assemble, real_synthesize = harness.assemble_channels, harness.synthesize_measurements
+        channels, factors = [], []
+        real_assemble, real_readings = harness.assemble_channels, ScanPlan.readings
 
         def assemble(*args):
             channels.append(real_assemble(*args))
             return channels[-1]
 
-        def synthesize(lam, *args):
-            forms.append(type(lam))
-            return real_synthesize(channels[-1].lam, *args)
+        def readings(plan, x, y):
+            ch = channels[-1]
+            factors.append(x is ch.x and y is ch.y)
+            return real_readings(plan, ch.lam, np.eye(ch.lam.shape[1]))
 
         monkeypatch.setattr(harness, "assemble_channels", assemble)
-        monkeypatch.setattr(harness, "synthesize_measurements", synthesize)
+        monkeypatch.setattr(ScanPlan, "readings", readings)
         got = [run_trial(cfg, t) for cfg in cfgs for t in range(50)]
-        assert forms == [tuple] * 100
+        assert factors == [True] * 100
         assert got == want
 
     @pytest.mark.parametrize("scenario", ["los", "nlos"])
@@ -509,7 +511,74 @@ def test_every_trial_scores_a_bgr_in_unit_interval(cfg, t):
     assert math.isfinite(ratio) and 0.0 <= ratio <= 1.0
 
 
+@st.composite
+def small_sweeps(draw):
+    """A small config and an axis to sweep: SNR, T (noisy or noiseless) or
+    M; ideal-sparse or constant-modulus, LOS or NLOS, P = 1 or 2."""
+    cfg = ExperimentConfig(
+        array=SMALL, q=draw(st.sampled_from([4, 8])), l=draw(st.integers(1, 3)),
+        mode=draw(st.sampled_from([IDEAL_SPARSE, CONSTANT_MODULUS])),
+        scenario=draw(st.sampled_from(["los", "nlos"])),
+        snr_db=draw(st.none() | st.sampled_from([-20.0, 0.0])),
+        snr_sweep=tuple(draw(st.lists(st.sampled_from([-30.0, -10.0, 0.0, 10.0]),
+                                      min_size=1, max_size=3))),
+        t_sweep=tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))),
+        m_sweep=(16, 32), paths_bs_irs=draw(st.integers(1, 2)),
+        trials=draw(st.integers(1, 2)), seed=draw(st.integers(0, 2**32)),
+    )
+    return cfg, draw(st.sampled_from(["snr", "T", "M"]))
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_sweeps())
+def test_sweep_records_equal_per_point_trials(drawn):
+    # a sweep draws each trial's channel and plan once for all SNR or T
+    # points; every record it aggregates is still the point's own run_trial
+    cfg, axis = drawn
+    got = []
+
+    def keep(records, *args):
+        got.append(records)
+        return aggregate(records, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("IRSBEAM_WORKERS", "1")
+        mp.setattr(harness, "aggregate", keep)
+        sweep(cfg, axis)
+    want = [[run_trial(point, t) for t in range(cfg.trials)]
+            for _, _, point in sweep_points(cfg, axis)]
+    assert got == want
+
+
 class TestSweeps:
+    @pytest.mark.parametrize("axis,key,values", [
+        ("snr", "snr_sweep", (-10.0, 0.0, 10.0)), ("T", "t_sweep", (1, 3, 2)),
+        ("M", "m_sweep", (16, 32, 64)),
+    ])
+    def test_snr_and_t_sweeps_draw_each_channel_once(self, monkeypatch, axis, key, values):
+        calls = []
+        real = harness.assemble_channels
+
+        def assemble(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setenv("IRSBEAM_WORKERS", "1")
+        monkeypatch.setattr(harness, "assemble_channels", assemble)
+        cfg = replace(SMALL_CFG, trials=5, **{key: values})
+        sweep(cfg, axis)
+        # the M axis changes the array, so each of its points draws its own
+        assert len(calls) == 5 * (3 if axis == "M" else 1)
+
+    @pytest.mark.parametrize("axis", ["snr", "T"])
+    def test_pooled_sweep_csv_equals_serial(self, monkeypatch, axis):
+        cfg = ExperimentConfig(array=SMALL, q=4, l=2, snr_sweep=(-10.0, 0.0, 10.0),
+                               t_sweep=(3, 1, 2), scenario="nlos", trials=5, seed=23)
+        monkeypatch.setenv("IRSBEAM_WORKERS", "2")
+        pooled = rows_to_csv(sweep(cfg, axis))
+        monkeypatch.setenv("IRSBEAM_WORKERS", "1")
+        assert rows_to_csv(sweep(cfg, axis)) == pooled
+
     def test_t_axis_values_and_points(self):
         cfg = ExperimentConfig(array=SMALL, q=4, l=2, t_sweep=(1, 2, 4), trials=2)
         pts = sweep_points(cfg, "T")

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import g_chain
+from irsbeam.arrays import ArrayConfig
 from irsbeam.errors import InvalidParameterError
+from irsbeam.harness import ExperimentConfig
 from irsbeam.theory import (
     PlanProbe,
     _p_single,
@@ -36,6 +38,29 @@ def g_brute(x, y, z):
         if not inter:
             empty += 1
     return empty / total
+
+
+def g_direct(x, y, z):
+    """g_exact as one inclusion-exclusion sum for this y alone: each
+    binomial raised to the power y, then one exact division."""
+    if y == 0:
+        return float(z == 1)
+    n = z - 1
+    empty = sum((-1) ** j * math.comb(n, j) * math.comb(n - j, x - 1 - j) ** y
+                for j in range(x))
+    return empty / math.comb(n, x - 1) ** y
+
+
+@st.composite
+def probes(draw):
+    """PlanProbes over every bin size that divides its axis, q = m and
+    r = n_t included."""
+    m, n_t = draw(st.sampled_from([1, 2, 4, 16, 64, 256])), draw(st.sampled_from([1, 2, 8, 32]))
+    q = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    r = draw(st.sampled_from([d for d in range(1, n_t + 1) if n_t % d == 0]))
+    bins = (m // q) * (n_t // r)
+    return PlanProbe(m=m, n_t=n_t, q=q, r=r, l=draw(st.integers(0, 12)),
+                     k=draw(st.integers(1, min(bins, 4))))
 
 
 class TestSingleRound:
@@ -184,6 +209,19 @@ class TestMultipath:
         ]
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
+    @settings(deadline=None)
+    @given(probes())
+    def test_equals_the_per_count_mixture_bit_for_bit(self, probe):
+        # the binomials are shared across NM-round counts; the bound is
+        # still the mixture of one exact sum per count
+        p = p_nm_round(probe)
+        total = 0.0
+        for l in range(probe.l + 1):
+            w = math.comb(probe.l, l) * p**l * (1.0 - p) ** (probe.l - l)
+            total += g_direct(probe.q, l, probe.m) * g_direct(probe.r, l, probe.n_t) * w
+        assert p_lower_nlos(probe).hex() == min(max(total, 0.0), 1.0).hex()
+        assert g_exact(probe.q, probe.l, probe.m).hex() == g_direct(probe.q, probe.l, probe.m).hex()
+
     def test_binomial_mixture_identity(self):
         probe = PlanProbe(m=16, n_t=8, q=4, r=2, l=4, k=2)
         p_nm = p_nm_round(probe)
@@ -236,12 +274,47 @@ class TestPlanning:
         assert t < 256 * 128
 
 
+class TestSingleBinAxis:
+    """A bin of a whole axis (q = m, U = 1, or r = n_t, V = 1) is a point
+    the harness scores; its bounds are defined and no L reaches a target."""
+
+    @settings(deadline=None)
+    @given(st.sampled_from([1, 2, 4]), st.sampled_from([1, 2, 4]), st.sampled_from([1, 2, 8]),
+           st.data())
+    def test_probe_accepts_every_point_a_config_accepts(self, m_y, m_z, n_t, data):
+        m = m_y * m_z
+        q = data.draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+        r = data.draw(st.sampled_from([d for d in range(1, n_t + 1) if n_t % d == 0]))
+        cfg = ExperimentConfig(array=ArrayConfig(n_t=n_t, m_y=m_y, m_z=m_z, r=r), q=q, l=2)
+        probe = PlanProbe(m=cfg.array.m, n_t=n_t, q=q, r=r, l=cfg.l)
+        for p in (p_lower_los(probe), p_nm_round(probe), p_lower_nlos(probe)):
+            assert 0.0 <= p <= 1.0
+
+    def test_whole_axis_bin_bounds(self):
+        for probe in (PlanProbe(m=16, n_t=4, q=4, r=4, l=1), PlanProbe(m=16, n_t=8, q=16, r=2, l=3)):
+            assert p_lower_los(probe) == p_lower_nlos(probe) == 0.0
+            assert p_nm_round(probe) == 1.0
+
+    def test_axis_of_one_index_always_succeeds(self):
+        assert _p_single(1, 0, 1) == _p_single(1, 3, 1) == 1.0
+        assert p_lower_los(PlanProbe(m=1, n_t=8, q=1, r=1, l=2)) == 1.0
+        assert min_rounds(1, 1, 0.99) == 1
+
+    @pytest.mark.parametrize("q,m", [(16, 16), (2, 2)])
+    def test_single_bin_reaches_no_target(self, q, m):
+        with pytest.raises(InvalidParameterError, match="no L reaches"):
+            min_rounds(q, m, 0.9)
+
+    def test_sample_complexity_of_single_bin_axis_raises(self):
+        with pytest.raises(InvalidParameterError, match="no L reaches"):
+            sample_complexity(PlanProbe(m=16, n_t=4, q=4, r=4, l=1), 0.9)
+
+
 class TestProbeValidation:
     def test_rejects_bad_q(self):
-        with pytest.raises(InvalidParameterError):
-            PlanProbe(m=16, n_t=8, q=16, r=2, l=1)
-        with pytest.raises(InvalidParameterError):
-            PlanProbe(m=16, n_t=8, q=3, r=2, l=1)
+        for q in (0, 3, 32):  # not a divisor of m, or larger than m
+            with pytest.raises(InvalidParameterError):
+                PlanProbe(m=16, n_t=8, q=q, r=2, l=1)
 
     def test_rejects_negative_l(self):
         with pytest.raises(InvalidParameterError):
