@@ -296,23 +296,20 @@ def _one_blas_thread() -> None:
                 return
 
 
-def run_trials(cfgs: list[ExperimentConfig], runner=run_trial) -> list[list[TrialRecord]]:
-    """Records of trials 0..cfg.trials-1 of each config in turn, run as
-    _map_trials runs them. `runner(cfg, t)` runs one trial."""
-    return _map_trials(runner, cfgs, [cfg.trials for cfg in cfgs])
-
-
-def _map_trials(runner, tasks: list, counts: list[int]) -> list[list]:
-    """[runner(task, t) for t < n] for each task and its count n in turn:
-    serially for one worker, else in one pool of IRSBEAM_WORKERS
-    processes opened for this call."""
+def run_trials(cfgs: list, runner=run_trial, counts: list[int] | None = None) -> list[list]:
+    """[runner(task, t) for t < n] for each task of cfgs and its trial
+    count n in turn: serially for one worker, else in one pool of
+    IRSBEAM_WORKERS processes opened for this call. A task is a config,
+    run for its own trials, unless `counts` gives each task's n."""
+    if counts is None:
+        counts = [cfg.trials for cfg in cfgs]
     # a pool forks all its workers at once, so it opens no more than trials
     workers = min(_worker_count(), max(counts))
     if workers <= 1:
-        return [[runner(task, t) for t in range(n)] for task, n in zip(tasks, counts)]
+        return [[runner(task, t) for t in range(n)] for task, n in zip(cfgs, counts)]
     with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
         return [list(pool.map(runner, [task] * n, range(n), chunksize=max(1, n // (8 * workers))))
-                for task, n in zip(tasks, counts)]
+                for task, n in zip(cfgs, counts)]
 
 
 @dataclass(frozen=True)
@@ -401,7 +398,7 @@ def sweep(cfg: ExperimentConfig, axis: str | None) -> list[SweepRow]:
     points = sweep_points(cfg, axis)
     cfgs = tuple(point_cfg for _, _, point_cfg in points)
     groups = [cfgs] if axis in ("snr", "T") else [(c,) for c in cfgs]
-    by_group = _map_trials(_run_points, groups, [cfg.trials] * len(groups))
+    by_group = run_trials(groups, _run_points, [cfg.trials] * len(groups))
     records = [recs for trials in by_group for recs in zip(*trials)]
     return [aggregate(list(recs), var, value, cfg.seed)
             for (var, value, _), recs in zip(points, records)]
