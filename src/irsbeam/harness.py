@@ -189,7 +189,7 @@ def _reference_amplitude(ch: CascadeChannel) -> float:
     best grid pair's."""
     v_opt, f_opt = optimal_beams(ch.u, ch.b)
     opt_amp = abs(np.vdot(ch.u.conj().T @ v_opt, ch.b.conj().T @ f_opt))
-    return max(opt_amp, math.sqrt(ch.cfg.m) * abs(ch.lam[ch.strongest]))
+    return max(opt_amp, math.sqrt(ch.cfg.m) * abs(ch.entry(*ch.strongest)))
 
 
 def bgr(ch: CascadeChannel, estimate: AlignmentEstimate, opt_amp: float | None = None) -> float:
@@ -203,7 +203,7 @@ def bgr(ch: CascadeChannel, estimate: AlignmentEstimate, opt_amp: float | None =
     """
     if opt_amp is None:
         opt_amp = _reference_amplitude(ch)
-    return (math.sqrt(ch.cfg.m) * abs(ch.lam[estimate.i_star, estimate.j_star]) / opt_amp) ** 2
+    return (math.sqrt(ch.cfg.m) * abs(ch.entry(estimate.i_star, estimate.j_star)) / opt_amp) ** 2
 
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
@@ -218,11 +218,12 @@ def _run_points(cfgs: tuple[ExperimentConfig, ...], trial_index: int) -> list[Tr
     The configs must differ at most in snr_db and l, as the points of one
     SNR or T sweep from sweep_points do. They share the trial's channel,
     its plan (built to the largest l), the plan's noiseless readings,
-    ||H||_F and the BGR reference. A config of l rounds reads the plan's
-    first l rounds and, when there are several configs, first restores
-    the generator state saved after round l; then it draws its noise and
-    takes its own sigma, threshold, decode and BGR. Each record is the
-    one-config run's.
+    ||H||_F and the BGR reference. ||H||_F is taken only when some config
+    has an SNR, so a noiseless trial forms no M x N_t array. A config of
+    l rounds reads the plan's first l rounds and, when there are several
+    configs, first restores the generator state saved after round l; then
+    it draws its noise and takes its own sigma, threshold, decode and
+    BGR. Each record is the one-config run's.
     """
     cfg = cfgs[0]
     rng = trial_rng(cfg.seed, trial_index)
@@ -236,8 +237,8 @@ def _run_points(cfgs: tuple[ExperimentConfig, ...], trial_index: int) -> list[Tr
     decode = decode_los if cfg.scenario == "los" else decode_nlos
     estimates = []
     for c in cfgs:
-        sigma = 0.0 if c.snr_db is None else _sigma(fro, _noise_scale(*ch.h.shape, c.snr_db),
-                                                     c.snr_db)
+        sigma = 0.0 if c.snr_db is None else _sigma(
+            fro, _noise_scale(c.array.m, c.array.n_t, c.snr_db), c.snr_db)
         if states is not None:
             rng.bit_generator.state = states[c.l - 1]
         head = plan.head(c.l)

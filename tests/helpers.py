@@ -23,12 +23,17 @@ def channel_from_lambda(lam: np.ndarray, cfg: ArrayConfig) -> CascadeChannel:
     """The cascade channel whose beamspace image is `lam`: factors
     u = barD lam and b = D, so h = barD lam D^H, and lam = lam I."""
     u = cascade_dictionary(cfg) @ lam
-    b = dft_dictionary(cfg.n_t)
-    i, j = np.unravel_index(int(np.argmax(np.abs(lam))), lam.shape)
     return CascadeChannel(
-        h=u @ b.conj().T, lam=lam, strongest=(int(i), int(j)),
-        x=lam, y=np.eye(cfg.n_t, dtype=complex), u=u, b=b, cfg=cfg,
+        strongest=strongest_entry(lam), x=lam, y=np.eye(cfg.n_t, dtype=complex),
+        u=u, b=dft_dictionary(cfg.n_t), cfg=cfg,
     )
+
+
+def strongest_entry(lam: np.ndarray) -> tuple[int, int]:
+    """The largest |lam| entry of a dense matrix, lowest row then column
+    on ties (np.argmax scans in C order)."""
+    i, j = np.unravel_index(int(np.argmax(np.abs(lam))), lam.shape)
+    return int(i), int(j)
 
 
 def exhaustive(cfg):

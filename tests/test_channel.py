@@ -14,6 +14,8 @@ from irsbeam.arrays import (
 )
 from irsbeam.channel import (
     PathSet,
+    _row_products,
+    _strongest,
     assemble_channels,
     noisy_magnitude,
     sample_paths,
@@ -22,7 +24,12 @@ from irsbeam.codebook import build_scan_plan
 from irsbeam.decoder import synthesize_measurements
 from irsbeam.errors import InvalidParameterError
 
-from helpers import channel_from_lambda, exhaustive_scan, noisy_magnitude_per_matrix
+from helpers import (
+    channel_from_lambda,
+    exhaustive_scan,
+    noisy_magnitude_per_matrix,
+    strongest_entry,
+)
 
 CFG = ArrayConfig(n_t=8, m_y=4, m_z=4, r=2)
 
@@ -203,6 +210,71 @@ class TestAssemble:
         ch = assemble_channels(bs_irs, irs_user, CFG)
         expect = cascade_dictionary(CFG).conj().T @ ch.h @ dft_dictionary(CFG.n_t)
         np.testing.assert_allclose(ch.lam, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
+
+
+@st.composite
+def factors_with_ties(draw):
+    """Beamspace factors x (M x P) and y (P x N_t), P = 1..4, with exact
+    ties planted at the strongest entry (a copy of its row of x or its
+    column of y elsewhere), near ties (its row of x turned by a phase and
+    moved by a few ulps), or all zero, at scales of 2^-400, 1 and 2^400."""
+    p = draw(st.integers(1, 4))
+    m, n_t = draw(st.integers(1, 48)), draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((m, p)) + 1j * rng.standard_normal((m, p))
+    y = rng.standard_normal((p, n_t)) + 1j * rng.standard_normal((p, n_t))
+    for kind in draw(st.lists(st.sampled_from(["row", "column", "near"]), max_size=3)):
+        i, j = strongest_entry(x @ y)
+        if kind == "row":
+            x[draw(st.integers(0, m - 1))] = x[i]
+        elif kind == "column":
+            y[:, draw(st.integers(0, n_t - 1))] = y[:, j]
+        else:
+            turn = np.exp(1j * draw(st.floats(0, 2 * np.pi)))
+            x[draw(st.integers(0, m - 1))] = x[i] * turn * (1 + draw(st.integers(-3, 3)) * 2.0**-52)
+    if draw(st.integers(0, 9)) == 0:
+        x[:] = 0
+    return x * 2.0 ** draw(st.sampled_from([-400, 0, 400])), y
+
+
+class TestStrongest:
+    @settings(deadline=None, max_examples=300)
+    @given(factors_with_ties())
+    def test_equals_argmax_of_the_dense_product(self, factors):
+        x, y = factors
+        lam = x @ y
+        i, j = _strongest(x, y)
+        assert (i, j) == strongest_entry(lam)
+        assert np.array_equal(_row_products(x, y, [i]), lam[[i]])
+
+    @settings(deadline=None, max_examples=100)
+    @given(small_cascades, st.sampled_from([-400, -1, 1, 400]))
+    def test_ignores_an_exact_power_of_two_on_u(self, case, k):
+        m_y, m_z, n_t, p, pp, seed = case
+        cfg = ArrayConfig(n_t=n_t, m_y=m_y, m_z=m_z, r=1)
+        rng = np.random.default_rng(seed)
+        bs_irs = sample_paths(p, 0.0, rng, with_bs_aod=True)
+        irs_user = sample_paths(pp, 0.0, rng)
+        ch = assemble_channels(bs_irs, irs_user, cfg)
+        scaled = assemble_channels(replace(bs_irs, gains=bs_irs.gains * 2.0**k), irs_user, cfg)
+        assert np.array_equal(scaled.u, ch.u * 2.0**k)
+        assert scaled.strongest == ch.strongest == strongest_entry(ch.lam)
+
+    @pytest.mark.parametrize("paths", [1, 2, 3])
+    def test_acceptance_size_entries_are_rows_of_the_dense_product(self, paths):
+        # the strongest entry, and the two entries BGR reads, are those of
+        # the whole x @ y bit for bit, on the channels a trial samples
+        cfg = ArrayConfig(n_t=128, m_y=16, m_z=16, r=8)
+        rng = np.random.default_rng(60 + paths)
+        for _ in range(60):
+            ch = assemble_channels(
+                sample_paths(paths, 13.2, rng, with_bs_aod=True), sample_paths(2, 0.0, rng), cfg
+            )
+            lam = ch.lam
+            assert ch.strongest == strongest_entry(lam)
+            i, j = rng.integers(cfg.m), rng.integers(cfg.n_t)
+            for entry in (ch.strongest, (i, j)):
+                assert ch.entry(*entry) == lam[entry]
 
 
 def test_merged_row_construction_identity():

@@ -91,6 +91,34 @@ for scenario in ("los", "nlos"):
         print(repr(rec), repr(rec.estimate))
 """
 
+# ru_minflt of 200 acceptance-size trials at -20 dB in a fresh process,
+# after three warm-up trials, and whether the cascade dictionary was built
+FAULTS_SCRIPT = """
+import resource
+from irsbeam.arrays import ArrayConfig, _cascade_dictionary_cached
+from irsbeam.harness import ExperimentConfig, run_trial
+cfg = ExperimentConfig(array=ArrayConfig(n_t=128, m_y=16, m_z=16, r=8),
+                       q=16, l=7, snr_db=-20.0, seed=77)
+for t in range(3):
+    run_trial(cfg, t)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for t in range(3, 203):
+    run_trial(cfg, t)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults, _cascade_dictionary_cached.cache_info().currsize)
+"""
+
+
+def _fresh_python(script: str, threads: str) -> str:
+    """The stdout of `script` in a fresh interpreter that imports this
+    package, with `threads` BLAS threads."""
+    src = str(Path(irsbeam.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True,
+    ).stdout
+
 
 # a value of the wrong type for each field kind
 WRONG_FIELD_TYPES = [
@@ -420,23 +448,14 @@ class TestTrials:
         assert all(r.estimate.candidate_count == SMALL.m * SMALL.n_t for r in ungated)
 
     def test_records_do_not_depend_on_blas_thread_count(self):
-        def records(threads: str) -> str:
-            src = str(Path(irsbeam.__file__).resolve().parents[1])
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-            return subprocess.run(
-                [sys.executable, "-c", RECORDS_SCRIPT], env=env, check=True,
-                capture_output=True, text=True,
-            ).stdout
-
-        one = records("1")
+        one = _fresh_python(RECORDS_SCRIPT, "1")
         assert one.count("TrialRecord") == 80
-        assert records("2") == one
+        assert _fresh_python(RECORDS_SCRIPT, "2") == one
 
-    def test_warm_trial_peak_allocation_is_bounded(self):
-        # a trial that allocates less than this reuses the heap pages the
-        # previous trial freed instead of faulting in fresh ones
-        cfg = replace(ACCEPTANCE_CFG, snr_db=-20.0)
+    @staticmethod
+    def _warm_trial_peak(snr_db) -> int:
+        """The largest tracemalloc peak of five warm acceptance-size trials."""
+        cfg = replace(ACCEPTANCE_CFG, snr_db=snr_db)
         for t in range(3):  # build the dictionaries outside the traced trials
             run_trial(cfg, t)
         peaks = []
@@ -448,7 +467,26 @@ class TestTrials:
                 peaks.append(tracemalloc.get_traced_memory()[1] - before)
             finally:
                 tracemalloc.stop()
-        assert max(peaks) <= 1.8e6
+        return max(peaks)
+
+    def test_warm_trial_peak_allocation_is_bounded(self):
+        # a trial that allocates less than this reuses the heap pages the
+        # previous trial freed instead of faulting in fresh ones. One
+        # M x N_t complex array is 512 KB: a noisy trial forms only h,
+        # for ||H||_F
+        assert self._warm_trial_peak(-20.0) <= 0.8e6
+
+    def test_noiseless_trial_forms_no_dense_matrix(self):
+        assert self._warm_trial_peak(None) <= 0.3e6
+
+    def test_fresh_process_reuses_its_heap_pages(self):
+        # a process that never builds the cascade dictionary keeps glibc's
+        # heap-trim threshold low, so a trial that frees a dense matrix
+        # hands its pages back and faults them in again on the next trial
+        pytest.importorskip("resource")
+        faults, dictionaries = map(int, _fresh_python(FAULTS_SCRIPT, "1").split())
+        assert dictionaries == 0
+        assert faults < 20 * 200
 
     def test_records_equal_a_run_that_reads_the_dense_lam(self, monkeypatch):
         # run_trial reads its rounds from lam's factors; the same trials
