@@ -227,14 +227,27 @@ def noisy_magnitude(
     """
     if not 0 <= sigma < np.inf:
         raise InvalidParameterError(f"sigma must be finite and >= 0, got {sigma}")
-    if sigma > 0:
-        if rng is None:
-            raise InvalidParameterError("sigma > 0 needs an rng to draw the noise")
-        noise = rng.standard_normal(z.shape[:-2] + (2,) + z.shape[-2:])
-        # the roundings of complex (re + 1j im) * sigma / sqrt(2): numpy
-        # divides a complex by a real through the real's reciprocal
-        noise *= sigma
-        noise *= 1.0 / np.sqrt(2.0)
-        z = z + (noise[..., 0, :, :] + 1j * noise[..., 1, :, :])
-    return np.abs(z)
+    if sigma == 0:
+        return np.abs(z)
+    if rng is None:
+        raise InvalidParameterError("sigma > 0 needs an rng to draw the noise")
+    normals = draw_normals(z.shape, rng)
+    return _noised_magnitude(z, normals, sigma, out=normals)
+
+
+def draw_normals(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """The normals noisy_magnitude draws for readings of `shape`: per
+    matrix its real parts, then its imaginary parts, on an axis of 2."""
+    return rng.standard_normal(shape[:-2] + (2,) + shape[-2:])
+
+
+def _noised_magnitude(z: np.ndarray, normals: np.ndarray, sigma: float,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """|z + N|, N = sigma (re + 1j im) / sqrt(2) of draw_normals' `normals`,
+    scaled into `out` (None: a new array, so they can noise at another sigma)."""
+    # the roundings of complex (re + 1j im) * sigma / sqrt(2): numpy
+    # divides a complex by a real through the real's reciprocal
+    noise = np.multiply(normals, sigma, out=out)
+    noise *= 1.0 / np.sqrt(2.0)
+    return np.abs(z + (noise[..., 0, :, :] + 1j * noise[..., 1, :, :]))
 

@@ -17,8 +17,10 @@ from .arrays import ArrayConfig
 from .channel import (
     AlignmentEstimate,
     CascadeChannel,
+    _noised_magnitude,
     assemble_channels,
     db_to_power,
+    draw_normals,
     noisy_magnitude,
     sample_paths,
 )
@@ -36,6 +38,7 @@ _BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads6
 # gain below which the alternation stops.
 BGR_MAX_ITERS = 100
 BGR_TOL = 1e-8
+_ZERO_CHANNEL = "channel must be finite and nonzero to score BGR"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -164,8 +167,9 @@ def optimal_beams(u: np.ndarray, b: np.ndarray):
     top eigenvector of the P x P matrix (u^H u)(b^H b). The objective is
     non-decreasing. u and b are first scaled to unit peak by exact powers
     of two and the stopping rule is relative, so the beams ignore scale.
+    InvalidParameterError unless u and b are finite and h is nonzero.
     """
-    u, b = (a * np.ldexp(1.0, -np.frexp(np.abs(a).max())[1]) for a in (u, b))
+    u, b = _unit_peak(u), _unit_peak(b)
     gram = b.conj().T @ b
     vals, vecs = np.linalg.eig((u.conj().T @ u) @ gram)
     x = vecs[:, np.argmax(vals.real)]
@@ -174,8 +178,8 @@ def optimal_beams(u: np.ndarray, b: np.ndarray):
         v = np.exp(1j * np.angle(u @ (gram @ x)))
         w = u.conj().T @ v
         nrm = np.linalg.norm(b @ w)
-        if nrm == 0:
-            break
+        if nrm == 0:  # the objective never falls, and starts above 0 unless h = 0
+            raise InvalidParameterError(_ZERO_CHANNEL)
         x = w / nrm
         if nrm - obj <= BGR_TOL * obj:
             break
@@ -183,12 +187,24 @@ def optimal_beams(u: np.ndarray, b: np.ndarray):
     return v, b @ x
 
 
+def _unit_peak(a: np.ndarray) -> np.ndarray:
+    """a scaled by the power of two that brings its peak magnitude into
+    [0.5, 1); InvalidParameterError unless a is finite and nonzero."""
+    peak = np.abs(a).max()
+    if not 0 < peak < np.inf:  # a NaN fails both comparisons
+        raise InvalidParameterError(_ZERO_CHANNEL)
+    return a * np.ldexp(1.0, -np.frexp(peak)[1])
+
+
 def _reference_amplitude(ch: CascadeChannel) -> float:
     """The full-CSI amplitude bgr divides by: the larger of the alternating
     maximizer's, from the channel's rank-P factors `u` and `b`, and the
-    best grid pair's."""
+    best grid pair's. InvalidParameterError for a zero or non-finite
+    channel (optimal_beams) and where the maximizer's under- or overflows."""
     v_opt, f_opt = optimal_beams(ch.u, ch.b)
     opt_amp = abs(np.vdot(ch.u.conj().T @ v_opt, ch.b.conj().T @ f_opt))
+    if not 0 < opt_amp < math.inf:
+        raise InvalidParameterError(f"{_ZERO_CHANNEL}: its reference amplitude is {opt_amp}")
     return max(opt_amp, math.sqrt(ch.cfg.m) * abs(ch.entry(*ch.strongest)))
 
 
@@ -200,6 +216,7 @@ def bgr(ch: CascadeChannel, estimate: AlignmentEstimate, opt_amp: float | None =
     computed here unless given as `opt_amp`) dominates every grid pair
     even when the ascent stops at a local maximum. The ratio is taken of
     amplitudes and then squared, so no gain under- or overflows.
+    InvalidParameterError for a channel that is zero or not finite.
     """
     if opt_amp is None:
         opt_amp = _reference_amplitude(ch)
@@ -220,10 +237,13 @@ def _run_points(cfgs: tuple[ExperimentConfig, ...], trial_index: int) -> list[Tr
     its plan (built to the largest l), the plan's noiseless readings,
     ||H||_F and the BGR reference. ||H||_F is taken only when some config
     has an SNR, so a noiseless trial forms no M x N_t array. A config of
-    l rounds reads the plan's first l rounds and, when there are several
-    configs, first restores the generator state saved after round l; then
-    it draws its noise and takes its own sigma, threshold, decode and
-    BGR. Each record is the one-config run's.
+    l rounds reads the plan's first l rounds. When there are several
+    configs, the noisy ones of l rounds share one noise draw: the
+    generator state saved after round l is restored once and the normals
+    drawn once, and each config scales them by its own sigma. Each then
+    takes its own threshold and decode, and BGR is scored once per
+    distinct estimate. Each record is the one-config run's, which draws
+    as noisy_magnitude does.
     """
     cfg = cfgs[0]
     rng = trial_rng(cfg.seed, trial_index)
@@ -235,22 +255,33 @@ def _run_points(cfgs: tuple[ExperimentConfig, ...], trial_index: int) -> list[Tr
     plan = build_scan_plan(cfg.array, cfg.q, max(c.l for c in cfgs), cfg.mode, rng, states)
     clean = plan.readings(ch.x, ch.y)
     decode = decode_los if cfg.scenario == "los" else decode_nlos
+    normals = {}  # round count -> the noise draw its configs share
     estimates = []
     for c in cfgs:
         sigma = 0.0 if c.snr_db is None else _sigma(
             fro, _noise_scale(c.array.m, c.array.n_t, c.snr_db), c.snr_db)
-        if states is not None:
-            rng.bit_generator.state = states[c.l - 1]
-        head = plan.head(c.l)
-        measurements = MeasurementSet(noisy_magnitude(clean[:c.l], sigma, rng), head)
+        head, z = plan.head(c.l), clean[:c.l]
+        if states is None or sigma == 0:
+            y = noisy_magnitude(z, sigma, rng)
+        else:
+            if c.l not in normals:
+                rng.bit_generator.state = states[c.l - 1]
+                normals[c.l] = draw_normals(z.shape, rng)
+            y = _noised_magnitude(z, normals[c.l], sigma)
+        measurements = MeasurementSet(y, head)
         if sigma > 0:
             epsilon = rayleigh_threshold(sigma, c.p_fa)
         else:
             epsilon = 1e-9 * float(measurements.y.max())
         estimates.append(decode(measurements, head, epsilon))
     opt_amp = _reference_amplitude(ch)
-    return [TrialRecord(success=(e.i_star, e.j_star) == ch.strongest, bgr=bgr(ch, e, opt_amp),
-                        estimate=e) for e in estimates]
+    scores, records = {}, []  # scores: (i*, j*) -> its BGR
+    for e in estimates:
+        key = (e.i_star, e.j_star)
+        if key not in scores:
+            scores[key] = bgr(ch, e, opt_amp)
+        records.append(TrialRecord(success=key == ch.strongest, bgr=scores[key], estimate=e))
+    return records
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
@@ -393,8 +424,9 @@ def sweep(cfg: ExperimentConfig, axis: str | None) -> list[SweepRow]:
     point cfg for axis None, every point run in one process pool.
 
     On the SNR and T axes one _run_points task runs trial t at every point,
-    so each trial's channel and plan are drawn once, not once per point;
-    the M axis runs each point alone. Every record is run_trial's.
+    so each trial's channel and plan are drawn once, not once per point,
+    and its noise once per distinct L; the M axis runs each point alone.
+    Every record is run_trial's.
     """
     points = sweep_points(cfg, axis)
     cfgs = tuple(point_cfg for _, _, point_cfg in points)

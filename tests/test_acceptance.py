@@ -22,7 +22,7 @@ from irsbeam.harness import (
 )
 from irsbeam.theory import PlanProbe, g_exact, p_lower_los, p_lower_nlos, p_nm_round
 
-from helpers import channel_from_lambda, exhaustive, exhaustive_scan
+from helpers import channel_from_lambda, exhaustive, exhaustive_scan, strongest_entry
 
 PAPER = ArrayConfig(n_t=128, m_y=16, m_z=16, r=4)
 WIDE = ArrayConfig(n_t=128, m_y=16, m_z=16, r=8)
@@ -36,12 +36,17 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def planted(m, n_t, k, rng, magnitudes=None):
-    """Beamspace matrix with k nonzero entries at random positions/phases."""
-    lam = np.zeros((m, n_t), complex)
+    """An m x n_t beamspace matrix with k nonzero entries at random
+    positions and phases, as its rank-k factor pair (X, Y): column p of X
+    holds entry p's value in the entry's row, and row p of Y is the
+    identity row of the entry's column."""
     pos = rng.choice(m * n_t, size=k, replace=False)
     mags = np.ones(k) if magnitudes is None else magnitudes
-    lam.flat[pos] = mags * np.exp(1j * rng.uniform(0, 2 * np.pi, k))
-    return lam
+    rows, cols = np.divmod(pos, n_t)
+    x, y = np.zeros((m, k), complex), np.zeros((k, n_t), complex)
+    x[rows, np.arange(k)] = mags * np.exp(1j * rng.uniform(0, 2 * np.pi, k))
+    y[np.arange(k), cols] = 1.0
+    return x, y
 
 
 def test_criterion_1_single_path_bound_values():
@@ -107,10 +112,10 @@ def test_criterion_5_noiseless_single_path_monte_carlo():
     hits = 0
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((1005, t)))
-        lam = planted(256, 128, 1, rng)
-        truth = np.unravel_index(np.argmax(np.abs(lam)), lam.shape)
+        x, y = planted(256, 128, 1, rng)
+        truth = strongest_entry(x @ y)
         plan = build_scan_plan(PAPER, 32, 4, rng=rng)
-        ms = synthesize_measurements(lam, plan, 0.0)
+        ms = synthesize_measurements((x, y), plan, 0.0)
         eps = 1e-9 * max(float(y.max()) for y in ms.y)
         est = decode_los(ms, plan, eps)
         hits += (est.i_star, est.j_star) == truth
@@ -126,10 +131,10 @@ def test_criterion_6_noiseless_multipath_monte_carlo():
     hits = 0
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((1006, t)))
-        lam = planted(256, 128, 4, rng, magnitudes=rng.uniform(0.4, 1.0, 4))
-        truth = np.unravel_index(np.argmax(np.abs(lam)), lam.shape)
+        x, y = planted(256, 128, 4, rng, magnitudes=rng.uniform(0.4, 1.0, 4))
+        truth = strongest_entry(x @ y)
         plan = build_scan_plan(PAPER, 32, 5, rng=rng)
-        ms = synthesize_measurements(lam, plan, 0.0)
+        ms = synthesize_measurements((x, y), plan, 0.0)
         eps = 1e-6 * max(float(y.max()) for y in ms.y)
         est = decode_nlos(ms, plan, eps)
         hits += (est.i_star, est.j_star) == truth

@@ -14,9 +14,11 @@ from irsbeam.arrays import (
 )
 from irsbeam.channel import (
     PathSet,
+    _noised_magnitude,
     _row_products,
     _strongest,
     assemble_channels,
+    draw_normals,
     noisy_magnitude,
     sample_paths,
 )
@@ -367,6 +369,24 @@ class TestNoisyMagnitude:
         assert np.array_equal(measurements.y[0], want)
         u, v = np.unravel_index(np.argmax(want), want.shape)
         assert (est.i_star, est.j_star) == (rnd.c_design[u, 0], rnd.a_supports[v, 0])
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.integers(1, 5), min_size=2, max_size=4),
+           st.floats(1e-300, 1e300), st.floats(1e-300, 1e300), st.integers(0, 2**32 - 1))
+    def test_shared_draw_equals_noisy_magnitude(self, shape, sigma, other, seed):
+        # the draw and the scale step of a sweep's shared noise, against
+        # noisy_magnitude: the same values, bit for bit, from the same
+        # stream, with another sigma scaled from the draw first
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want_rng, got_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        want = noisy_magnitude(z, sigma, want_rng)
+        normals = draw_normals(z.shape, got_rng)
+        kept = normals.copy()
+        _noised_magnitude(z, normals, other)
+        assert np.array_equal(normals, kept)
+        assert np.array_equal(_noised_magnitude(z, normals, sigma), want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
     def test_bad_sigma_rejected(self, sigma):

@@ -22,7 +22,7 @@ from irsbeam.arrays import (
     cascade_dictionary,
     dft_dictionary,
 )
-from irsbeam.channel import assemble_channels, sample_paths
+from irsbeam.channel import CascadeChannel, assemble_channels, sample_paths
 from irsbeam.codebook import CONSTANT_MODULUS, IDEAL_SPARSE, ScanPlan
 from irsbeam.config import parse_config, parse_config_text
 from irsbeam.decoder import AlignmentEstimate
@@ -223,6 +223,44 @@ class TestOptimalBeams:
 
 
 class TestBgr:
+    @pytest.mark.parametrize("fill", [0.0, np.nan, np.inf])
+    def test_zero_or_non_finite_channel_rejected(self, fill):
+        # an all-zero channel scored nan with a RuntimeWarning, and a
+        # non-finite one raised numpy's LinAlgError from eig
+        zero = channel_from_lambda(np.zeros((SMALL.m, SMALL.n_t), complex), SMALL)
+        ch = replace(zero, u=np.full_like(zero.u, fill), x=np.full_like(zero.x, fill))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="finite and nonzero"):
+                bgr(ch, AlignmentEstimate(0, 0, 1, (), 0.0))
+            with pytest.raises(InvalidParameterError, match="finite and nonzero"):
+                optimal_beams(ch.u, ch.b)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_channel_beyond_the_float_range_rejected(self, scale):
+        # finite, nonzero factors whose h = u b^H over- or underflows: the
+        # score was nan (inf / inf, or 0 / 0 with a RuntimeWarning)
+        rng = np.random.default_rng(5)
+        ch = channel_from_lambda(rng.standard_normal((SMALL.m, SMALL.n_t)) + 0j, SMALL)
+        ch = replace(ch, u=scale * ch.u, b=scale * ch.b, x=scale * ch.x, y=scale * ch.y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="finite and nonzero"):
+                bgr(ch, AlignmentEstimate(*ch.strongest, 1, (), 0.0))
+
+    def test_channel_whose_factors_cancel_rejected(self):
+        # two paths with the same IRS factor and opposite BS factors, all
+        # ones, so every product is exact and h = u b^H is exactly 0
+        u = np.ones((SMALL.m, 2), complex)
+        b = np.ones((SMALL.n_t, 2), complex) * [1, -1]
+        ch = CascadeChannel(strongest=(0, 0), x=cascade_dictionary(SMALL).conj().T @ u,
+                            y=b.conj().T @ dft_dictionary(SMALL.n_t), u=u, b=b, cfg=SMALL)
+        assert not (u @ b.conj().T).any()
+        with pytest.raises(InvalidParameterError, match="finite and nonzero"):
+            optimal_beams(ch.u, ch.b)
+        with pytest.raises(InvalidParameterError, match="finite and nonzero"):
+            bgr(ch, AlignmentEstimate(0, 0, 1, (), 0.0))
+
     def test_correct_grid_estimate_on_grid_channel(self):
         # single beamspace entry: estimate == strongest gives the best grid
         # pair, which the full-CSI reference can only match or beat
@@ -446,6 +484,35 @@ class TestTrials:
         ungated = [r for r in records if r.estimate.detector_threshold == 0.0]
         assert ungated
         assert all(r.estimate.candidate_count == SMALL.m * SMALL.n_t for r in ungated)
+
+    @pytest.mark.parametrize("axis,changes,draws", [
+        ("snr", {"snr_sweep": (-10.0, 0.0, 10.0)}, 1),
+        ("T", {"t_sweep": (1, 3, 3, 2)}, 3),  # once per distinct L
+        (None, {}, 1),
+        (None, {"snr_db": None}, 0),
+        ("T", {"snr_db": None, "t_sweep": (1, 3, 2)}, 0),
+    ])
+    def test_noise_draws_per_trial_index(self, monkeypatch, axis, changes, draws):
+        # each trial's generator counts its (L, 2, U, V) noise draws; a
+        # path set draws its gains as a 2-axis array
+        sizes = {}
+        real = harness.trial_rng
+
+        class CountingGenerator(np.random.Generator):
+            def standard_normal(self, size=None, *args, **kwargs):
+                self.sizes.append(size)
+                return super().standard_normal(size, *args, **kwargs)
+
+        def counting_rng(seed, t):
+            rng = CountingGenerator(real(seed, t).bit_generator)
+            rng.sizes = sizes.setdefault(t, [])
+            return rng
+
+        monkeypatch.setenv("IRSBEAM_WORKERS", "1")
+        monkeypatch.setattr(harness, "trial_rng", counting_rng)
+        sweep(replace(SMALL_CFG, trials=3, **changes), axis)
+        assert {t: sum(s is not None and len(s) == 4 for s in drawn)
+                for t, drawn in sizes.items()} == {t: draws for t in range(3)}
 
     def test_records_do_not_depend_on_blas_thread_count(self):
         one = _fresh_python(RECORDS_SCRIPT, "1")
