@@ -215,39 +215,21 @@ def assemble_channels(
     return CascadeChannel(strongest=_strongest(x, y), x=x, y=y, u=u, b=b, cfg=cfg)
 
 
-def noisy_magnitude(
-    z: np.ndarray, sigma: float, rng: np.random.Generator | None
-) -> np.ndarray:
-    """|z + N| with N circular complex Gaussian of variance sigma**2 per
-    entry; |z| when sigma is 0.
-
-    z is a matrix or a stack of matrices. Each matrix in turn draws its
-    real parts, then its imaginary parts, so a stack draws the stream
-    that its matrices would draw one by one.
-    """
-    if not 0 <= sigma < np.inf:
-        raise InvalidParameterError(f"sigma must be finite and >= 0, got {sigma}")
-    if sigma == 0:
-        return np.abs(z)
-    if rng is None:
-        raise InvalidParameterError("sigma > 0 needs an rng to draw the noise")
-    normals = draw_normals(z.shape, rng)
-    return _noised_magnitude(z, normals, sigma, out=normals)
-
-
 def draw_normals(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """The normals noisy_magnitude draws for readings of `shape`: per
-    matrix its real parts, then its imaginary parts, on an axis of 2."""
+    """The noise draw for readings of `shape`, a matrix or a stack of
+    matrices: per matrix its real parts, then its imaginary parts, on an
+    axis of 2, so a stack draws the stream its matrices would draw one by
+    one."""
     return rng.standard_normal(shape[:-2] + (2,) + shape[-2:])
 
 
-def _noised_magnitude(z: np.ndarray, normals: np.ndarray, sigma: float,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """|z + N|, N = sigma (re + 1j im) / sqrt(2) of draw_normals' `normals`,
-    scaled into `out` (None: a new array, so they can noise at another sigma)."""
+def _noised_magnitude(z: np.ndarray, normals: np.ndarray, sigma: float) -> np.ndarray:
+    """|z + N|, N circular complex Gaussian of variance sigma**2 per entry:
+    sigma (re + 1j im) / sqrt(2) of draw_normals' `normals`, scaled into a
+    new array, so the same draw can noise z at another sigma."""
     # the roundings of complex (re + 1j im) * sigma / sqrt(2): numpy
     # divides a complex by a real through the real's reciprocal
-    noise = np.multiply(normals, sigma, out=out)
+    noise = normals * sigma
     noise *= 1.0 / np.sqrt(2.0)
     return np.abs(z + (noise[..., 0, :, :] + 1j * noise[..., 1, :, :]))
 

@@ -369,10 +369,10 @@ def build_scan_plan(
     return encode_rounds(cfg, c_design, a_supports, mode, seed=seed)
 
 
-def _round_doc(rnd: RoundEncoding) -> dict:
-    doc = {"c_design": rnd.c_design.tolist(), "a_supports": rnd.a_supports.tolist()}
-    if rnd.cm_beams is not None:
-        doc["cm_beams"] = base64.b64encode(rnd.cm_beams.astype("<c16").tobytes()).decode()
+def _round_doc(plan: ScanPlan, l: int) -> dict:
+    doc = {"c_design": plan.c_design[l].tolist(), "a_supports": plan.a_supports[l].tolist()}
+    if plan.cm_beams is not None:
+        doc["cm_beams"] = base64.b64encode(plan.cm_beams[l].astype("<c16").tobytes()).decode()
     return doc
 
 
@@ -387,7 +387,7 @@ def plan_to_json(plan: ScanPlan) -> str:
         "q": plan.q,
         "mode": plan.mode,
         "seed": plan.seed,
-        "rounds": [_round_doc(rnd) for rnd in plan.rounds],
+        "rounds": [_round_doc(plan, l) for l in range(plan.l)],
     }
     return json.dumps(doc, indent=2)
 

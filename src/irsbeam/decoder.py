@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import AlignmentEstimate, noisy_magnitude
+from .channel import AlignmentEstimate, _noised_magnitude, draw_normals
 from .codebook import ScanPlan
 from .errors import InvalidParameterError
 
@@ -64,11 +64,19 @@ def synthesize_measurements(
     images. `lam` is Lambda's rank-P factor pair (X, Y), Lambda = X Y, as
     `CascadeChannel.x` and `.y`, or Lambda (M x N_t) itself, read as the
     pair (Lambda, I). The plan forms the noiseless readings
-    (ScanPlan.readings), one L x U x V stack, noised here in one draw,
-    round by round.
+    (ScanPlan.readings), one L x U x V stack, noised here as a trial
+    noises them: one draw_normals, round by round, scaled by sigma.
+    InvalidParameterError unless sigma is finite and >= 0, and has an
+    rng to draw from when positive.
     """
+    if not 0 <= sigma < np.inf:
+        raise InvalidParameterError(f"sigma must be finite and >= 0, got {sigma}")
+    if sigma > 0 and rng is None:
+        raise InvalidParameterError("sigma > 0 needs an rng to draw the noise")
     x, y = lam if isinstance(lam, tuple) else (lam, np.eye(lam.shape[1]))
-    return MeasurementSet(y=noisy_magnitude(plan.readings(x, y), sigma, rng), plan=plan)
+    z = plan.readings(x, y)
+    y = np.abs(z) if sigma == 0 else _noised_magnitude(z, draw_normals(z.shape, rng), sigma)
+    return MeasurementSet(y=y, plan=plan)
 
 
 def _sum_rounds(parts: np.ndarray) -> np.ndarray:
@@ -115,6 +123,12 @@ def _decode(
     round (every entry a candidate; for NLOS every round NM), not over the
     NM rounds: a constant-modulus bin may own no rows, so an empty
     candidate set does not imply that every round was selected.
+
+    The gate decides only at low SNR and small p_fa. At the acceptance
+    size (LOS, seed 3, 150 trials per cell), against the ungated decode
+    at epsilon 0: at the default p_fa = 0.1 no decision moved at -50, -40
+    or -30 dB; at p_fa = 0.01, 31 and 12 moved at -50 and -40 dB; at
+    p_fa = 1e-3, 105 and 59; at -30 dB none moved at any of these p_fa.
     """
     if plan is not measurements.plan:
         raise InvalidParameterError("decode with the plan the measurements were taken with")

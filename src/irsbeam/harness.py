@@ -21,7 +21,6 @@ from .channel import (
     assemble_channels,
     db_to_power,
     draw_normals,
-    noisy_magnitude,
     sample_paths,
 )
 from .codebook import IDEAL_SPARSE, build_scan_plan, check_round_shape
@@ -237,13 +236,14 @@ def _run_points(cfgs: tuple[ExperimentConfig, ...], trial_index: int) -> list[Tr
     its plan (built to the largest l), the plan's noiseless readings,
     ||H||_F and the BGR reference. ||H||_F is taken only when some config
     has an SNR, so a noiseless trial forms no M x N_t array. A config of
-    l rounds reads the plan's first l rounds. When there are several
-    configs, the noisy ones of l rounds share one noise draw: the
-    generator state saved after round l is restored once and the normals
-    drawn once, and each config scales them by its own sigma. Each then
-    takes its own threshold and decode, and BGR is scored once per
-    distinct estimate. Each record is the one-config run's, which draws
-    as noisy_magnitude does.
+    l rounds reads the plan's first l rounds. A noiseless config reads
+    their magnitudes; the noisy configs of l rounds share one noise draw
+    (draw_normals), taken after round l of the plan: with several
+    configs the generator state saved there is restored first, and one
+    config draws right after its plan. Each config scales the draw by its
+    own sigma into a new array, takes its own threshold and decode, and
+    BGR is scored once per distinct estimate. So each record is the one
+    its config's run_trial gives.
     """
     cfg = cfgs[0]
     rng = trial_rng(cfg.seed, trial_index)
@@ -261,13 +261,11 @@ def _run_points(cfgs: tuple[ExperimentConfig, ...], trial_index: int) -> list[Tr
         sigma = 0.0 if c.snr_db is None else _sigma(
             fro, _noise_scale(c.array.m, c.array.n_t, c.snr_db), c.snr_db)
         head, z = plan.head(c.l), clean[:c.l]
-        if states is None or sigma == 0:
-            y = noisy_magnitude(z, sigma, rng)
-        else:
-            if c.l not in normals:
+        if sigma > 0 and c.l not in normals:
+            if states is not None:
                 rng.bit_generator.state = states[c.l - 1]
-                normals[c.l] = draw_normals(z.shape, rng)
-            y = _noised_magnitude(z, normals[c.l], sigma)
+            normals[c.l] = draw_normals(z.shape, rng)
+        y = np.abs(z) if sigma == 0 else _noised_magnitude(z, normals[c.l], sigma)
         measurements = MeasurementSet(y, head)
         if sigma > 0:
             epsilon = rayleigh_threshold(sigma, c.p_fa)
@@ -286,7 +284,8 @@ def _run_points(cfgs: tuple[ExperimentConfig, ...], trial_index: int) -> list[Tr
 
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
     """Sample a channel, scan it, decode, score success and BGR: the
-    one-config _run_points.
+    one-config _run_points, so one draw of noise follows the plan, and the
+    record a run_trials group of (cfg,) gives for trial_index.
 
     With q = 1, R = 1 and L = 1 every grid pair is measured once with its
     own grid beams, v = sqrt(M) barD[:, i] and f = D[:, j]: that config
@@ -328,20 +327,22 @@ def _one_blas_thread() -> None:
                 return
 
 
-def run_trials(cfgs: list, runner=run_trial, counts: list[int] | None = None) -> list[list]:
-    """[runner(task, t) for t < n] for each task of cfgs and its trial
-    count n in turn: serially for one worker, else in one pool of
-    IRSBEAM_WORKERS processes opened for this call. A task is a config,
-    run for its own trials, unless `counts` gives each task's n."""
-    if counts is None:
-        counts = [cfg.trials for cfg in cfgs]
+def run_trials(groups: list[tuple[ExperimentConfig, ...]]) -> list[list[TrialRecord]]:
+    """One record list per config of the groups, in order: each group is
+    a tuple of configs that _run_points runs together for trials
+    t < the group's `trials`. Serially for one worker, else in one pool
+    of IRSBEAM_WORKERS processes opened for this call."""
+    counts = [group[0].trials for group in groups]
     # a pool forks all its workers at once, so it opens no more than trials
     workers = min(_worker_count(), max(counts))
     if workers <= 1:
-        return [[runner(task, t) for t in range(n)] for task, n in zip(cfgs, counts)]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-        return [list(pool.map(runner, [task] * n, range(n), chunksize=max(1, n // (8 * workers))))
-                for task, n in zip(cfgs, counts)]
+        by_group = [[_run_points(group, t) for t in range(n)] for group, n in zip(groups, counts)]
+    else:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+            by_group = [list(pool.map(_run_points, [group] * n, range(n),
+                                      chunksize=max(1, n // (8 * workers))))
+                        for group, n in zip(groups, counts)]
+    return [list(recs) for trials in by_group for recs in zip(*trials)]
 
 
 @dataclass(frozen=True)
@@ -421,20 +422,18 @@ def sweep_points(cfg: ExperimentConfig,
 
 def sweep(cfg: ExperimentConfig, axis: str | None) -> list[SweepRow]:
     """Aggregate success rate and BGR along one sweep axis, or at the one
-    point cfg for axis None, every point run in one process pool.
+    point cfg for axis None, in one run_trials call.
 
-    On the SNR and T axes one _run_points task runs trial t at every point,
-    so each trial's channel and plan are drawn once, not once per point,
-    and its noise once per distinct L; the M axis runs each point alone.
-    Every record is run_trial's.
+    The SNR or T points form one group, so one _run_points task runs trial
+    t at every point: each trial's channel and plan are drawn once, not
+    once per point, and its noise once per distinct L. Each M point is a
+    group of its own. Every record is run_trial's.
     """
     points = sweep_points(cfg, axis)
     cfgs = tuple(point_cfg for _, _, point_cfg in points)
     groups = [cfgs] if axis in ("snr", "T") else [(c,) for c in cfgs]
-    by_group = run_trials(groups, _run_points, [cfg.trials] * len(groups))
-    records = [recs for trials in by_group for recs in zip(*trials)]
-    return [aggregate(list(recs), var, value, cfg.seed)
-            for (var, value, _), recs in zip(points, records)]
+    return [aggregate(recs, var, value, cfg.seed)
+            for (var, value, _), recs in zip(points, run_trials(groups))]
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:

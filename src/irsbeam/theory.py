@@ -59,22 +59,18 @@ def p_lower_los(probe: PlanProbe) -> float:
     return _p_single(probe.q, probe.l, probe.m) * _p_single(probe.r, probe.l, probe.n_t)
 
 
-def g_exact(x: int, y: int, z: int) -> float:
-    """Probability that y independent uniform (x-1)-subsets of a (z-1)-set
-    have an empty common intersection.
-
-    Inclusion-exclusion summed in exact integers, rounded once by the division.
-    y = 0 degenerates: the empty intersection convention makes the common
-    set the whole universe, so the probability is 0 unless the universe
-    itself is empty.
-    """
-    return _g_by_rounds(x, y, z)[y]
-
-
 def _g_by_rounds(x: int, y_max: int, z: int) -> list[float]:
-    """[g_exact(x, y, z) for y = 0..y_max]: the big-integer terms
-    C(z-1, j) and C(z-1-j, x-1-j) are formed once and raised to each y
-    by one product per term, with one exact division per y."""
+    """[g(x, y, z) for y = 0..y_max], g(x, y, z) the probability that y
+    independent uniform (x-1)-subsets of a (z-1)-set have an empty common
+    intersection.
+
+    Inclusion-exclusion summed in exact integers, rounded once by the
+    division: the big-integer terms C(z-1, j) and C(z-1-j, x-1-j) are
+    formed once and raised to each y by one product per term, with one
+    exact division per y. y = 0 degenerates: the empty intersection
+    convention makes the common set the whole universe, so the
+    probability is 0 unless the universe itself is empty.
+    """
     if not 1 <= x <= z:
         raise InvalidParameterError("need 1 <= x <= z")
     n = z - 1

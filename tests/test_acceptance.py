@@ -20,7 +20,7 @@ from irsbeam.harness import (
     run_trials,
     sweep,
 )
-from irsbeam.theory import PlanProbe, g_exact, p_lower_los, p_lower_nlos, p_nm_round
+from irsbeam.theory import PlanProbe, _g_by_rounds, p_lower_los, p_lower_nlos, p_nm_round
 
 from helpers import channel_from_lambda, exhaustive, exhaustive_scan, strongest_entry
 
@@ -100,7 +100,7 @@ def test_criterion_4_cover_probability_enumeration():
     for z in range(2, 9):
         for x in range(1, z + 1):
             for y in range(0, 4):
-                worst = max(worst, abs(g_exact(x, y, z) - brute(x, y, z)))
+                worst = max(worst, abs(_g_by_rounds(x, y, z)[y] - brute(x, y, z)))
     report(4, "exact disambiguation probability vs enumeration", worst < 1e-12,
            f"max abs err {worst:.2e}")
 
@@ -168,7 +168,7 @@ def test_criterion_8a_success_non_decreasing_in_rounds():
     rates, errs = [], []
     cfgs = [ExperimentConfig(array=WIDE, q=16, l=l, snr_db=-20.0, trials=500, seed=81)
             for l in range(2, 9)]
-    for cfg, records in zip(cfgs, run_trials(cfgs)):
+    for cfg, records in zip(cfgs, run_trials([(c,) for c in cfgs])):
         row = aggregate(records, "T", cfg.l, cfg.seed)
         rates.append(row.success_rate)
         errs.append(row.stderr)
@@ -187,7 +187,7 @@ def test_criterion_8b_low_budget_beats_ninety_percent():
     # 7 rounds of 16x16 bins = 1792 measurements vs 32768 exhaustive (5.5%)
     trials = 500
     cfg = ExperimentConfig(array=WIDE, q=16, l=7, snr_db=-20.0, trials=trials, seed=82)
-    records, base = run_trials([cfg, exhaustive(cfg)])
+    records, base = run_trials([(cfg,), (exhaustive(cfg),)])
     rate = sum(r.success for r in records) / trials
     mean_bgr = float(np.mean([r.bgr for r in records]))
     base_bgr = float(np.mean([r.bgr for r in base]))
@@ -202,7 +202,8 @@ def test_criterion_8c_success_flat_in_surface_size():
                          snr_db=-20.0, trials=500, seed=83)
         for m, (m_y, m_z) in [(64, (8, 8)), (128, (16, 8)), (256, (16, 16))]
     ]
-    rates = [sum(r.success for r in records) / 500 for records in run_trials(cfgs)]
+    rates = [sum(r.success for r in records) / 500
+             for records in run_trials([(c,) for c in cfgs])]
     spread = max(rates) - min(rates)
     report(83, "success varies < 5 points across surface sizes at fixed bins",
            spread < 0.05, "rates " + " ".join(f"{r:.3f}" for r in rates))

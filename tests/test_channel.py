@@ -19,7 +19,6 @@ from irsbeam.channel import (
     _strongest,
     assemble_channels,
     draw_normals,
-    noisy_magnitude,
     sample_paths,
 )
 from irsbeam.codebook import build_scan_plan
@@ -373,14 +372,15 @@ class TestNoisyMagnitude:
     @settings(deadline=None, max_examples=100)
     @given(st.lists(st.integers(1, 5), min_size=2, max_size=4),
            st.floats(1e-300, 1e300), st.floats(1e-300, 1e300), st.integers(0, 2**32 - 1))
-    def test_shared_draw_equals_noisy_magnitude(self, shape, sigma, other, seed):
-        # the draw and the scale step of a sweep's shared noise, against
-        # noisy_magnitude: the same values, bit for bit, from the same
+    def test_shared_draw_equals_per_matrix_noise(self, shape, sigma, other, seed):
+        # the draw and the scale step of a trial's noise, against the
+        # per-matrix oracle: the same values, bit for bit, from the same
         # stream, with another sigma scaled from the draw first
         rng = np.random.default_rng(seed)
         z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         want_rng, got_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        want = noisy_magnitude(z, sigma, want_rng)
+        want = np.array([noisy_magnitude_per_matrix(m, sigma, want_rng)
+                         for m in z.reshape(-1, *z.shape[-2:])]).reshape(z.shape)
         normals = draw_normals(z.shape, got_rng)
         kept = normals.copy()
         _noised_magnitude(z, normals, other)
@@ -394,7 +394,6 @@ class TestNoisyMagnitude:
         ch = channel_from_lambda(np.eye(4, dtype=complex), ArrayConfig(n_t=4, m_y=2, m_z=2, r=1))
         plan = build_scan_plan(ch.cfg, 2, 1, rng=0)
         calls = (
-            lambda: noisy_magnitude(np.ones(3), sigma, rng),
             lambda: synthesize_measurements(ch.lam, plan, sigma, rng),
             lambda: exhaustive_scan(ch, sigma, rng),
         )
@@ -403,5 +402,7 @@ class TestNoisyMagnitude:
                 call()
 
     def test_noise_without_rng_rejected(self):
+        ch = channel_from_lambda(np.eye(4, dtype=complex), ArrayConfig(n_t=4, m_y=2, m_z=2, r=1))
+        plan = build_scan_plan(ch.cfg, 2, 1, rng=0)
         with pytest.raises(InvalidParameterError, match="rng"):
-            noisy_magnitude(np.ones(3), 0.5, None)
+            synthesize_measurements(ch.lam, plan, 0.5)

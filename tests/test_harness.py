@@ -25,7 +25,7 @@ from irsbeam.arrays import (
 from irsbeam.channel import CascadeChannel, assemble_channels, sample_paths
 from irsbeam.codebook import CONSTANT_MODULUS, IDEAL_SPARSE, ScanPlan
 from irsbeam.config import parse_config, parse_config_text
-from irsbeam.decoder import AlignmentEstimate
+from irsbeam.decoder import AlignmentEstimate, _decode, decode_los
 from irsbeam.errors import InvalidParameterError
 from irsbeam.harness import (
     BGR_MAX_ITERS,
@@ -46,7 +46,7 @@ from irsbeam.harness import (
     trial_rng,
 )
 
-from helpers import channel_from_lambda, exhaustive
+from helpers import channel_from_lambda, exhaustive, grid_decode
 
 SMALL = ArrayConfig(n_t=16, m_y=4, m_z=4, r=4)
 SMALL_CFG = ExperimentConfig(array=SMALL, q=4, l=3, trials=4, seed=7)
@@ -72,9 +72,10 @@ def _openblas_threads():
     return None
 
 
-def _blas_threads_runner(cfg, t):
-    """A trial runner that reports its worker's BLAS thread count."""
-    return _openblas_threads()[0]()
+def _blas_threads_runner(cfgs, t):
+    """A stand-in for _run_points that reports its worker's BLAS thread
+    count as each config's record."""
+    return [_openblas_threads()[0]()] * len(cfgs)
 
 
 # Prints every field of seeded LOS and NLOS records at -30 dB, exactly.
@@ -372,10 +373,29 @@ class TestTrials:
         b = run_trial(SMALL_CFG, 0)
         assert a == b
 
+    def test_detector_gate_decides_a_low_snr_trial(self, monkeypatch):
+        # at p_fa = 1e-3 and -50 dB the gate moves decisions: this trial
+        # decodes the best candidate of the full score grid, which is not
+        # the ungated argmax (the decode at epsilon 0)
+        seen = []
+
+        def spy(measurements, plan, epsilon):
+            seen.append((measurements, plan))
+            return decode_los(measurements, plan, epsilon)
+
+        monkeypatch.setattr(harness, "decode_los", spy)
+        cfg = replace(ACCEPTANCE_CFG, seed=3, snr_db=-50.0, p_fa=1e-3)
+        est = run_trial(cfg, 0).estimate
+        ((measurements, plan),) = seen
+        assert est == grid_decode(measurements, plan, est.detector_threshold)
+        assert est.candidate_count < cfg.array.m * cfg.array.n_t
+        ungated = _decode(measurements, plan, 0.0)
+        assert (ungated.i_star, ungated.j_star) != (est.i_star, est.j_star)
+
     def test_noiseless_trial_mostly_succeeds(self, monkeypatch):
         monkeypatch.setenv("IRSBEAM_WORKERS", "1")
         cfg = ExperimentConfig(array=SMALL, q=4, l=4, snr_db=None, trials=40, seed=11)
-        (records,) = run_trials([cfg])
+        (records,) = run_trials([(cfg,)])
         # the 4x4 aperture has strong off-grid leakage, so near-ties between
         # beamspace entries cap the exact-index rate well below 1
         assert sum(r.success for r in records) / len(records) >= 0.75
@@ -383,16 +403,16 @@ class TestTrials:
     def test_baseline_noiseless_always_succeeds(self, monkeypatch):
         monkeypatch.setenv("IRSBEAM_WORKERS", "1")
         cfg = ExperimentConfig(array=SMALL, q=4, l=1, snr_db=None, trials=20, seed=12)
-        (records,) = run_trials([exhaustive(cfg)])
+        (records,) = run_trials([(exhaustive(cfg),)])
         assert all(r.success for r in records)
 
     def test_parallel_matches_serial(self, monkeypatch):
         cfg = ExperimentConfig(array=SMALL, q=4, l=2, trials=6, seed=13)
         monkeypatch.setenv("IRSBEAM_WORKERS", "1")
-        (serial,) = run_trials([cfg])
+        (serial,) = run_trials([(cfg,)])
         assert all(0.0 < r.bgr <= 1.0 for r in serial)
         monkeypatch.setenv("IRSBEAM_WORKERS", "2")
-        assert run_trials([cfg]) == [serial]
+        assert run_trials([(cfg,)]) == [serial]
 
     def test_pool_workers_run_one_blas_thread(self, monkeypatch):
         blas = _openblas_threads()
@@ -401,9 +421,10 @@ class TestTrials:
         get, put = blas
         before = get()
         monkeypatch.setenv("IRSBEAM_WORKERS", "2")
+        monkeypatch.setattr(harness, "_run_points", _blas_threads_runner)
         put(2)  # forked workers inherit two threads; the initializer sets one
         try:
-            counts = run_trials([replace(SMALL_CFG, trials=4)], _blas_threads_runner)
+            counts = run_trials([(replace(SMALL_CFG, trials=4),)])
             assert get() == 2  # the caller's count is left as it was
         finally:
             put(before)
@@ -447,25 +468,35 @@ class TestTrials:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
         cfg = replace(SMALL_CFG, trials=3)
+        # an SNR group, a T group with a repeated L, and one-config groups
+        # with their own trial counts: one record list per config, each
+        # its run_trial records
+        groups = [
+            tuple(replace(cfg, snr_db=s) for s in (-10.0, 0.0, 10.0)),
+            tuple(replace(cfg, l=l) for l in (3, 1, 3)),
+            (replace(cfg, trials=2),),
+            (replace(cfg, trials=4, scenario="nlos"),),
+        ]
+        want = [[run_trial(c, t) for t in range(c.trials)] for group in groups for c in group]
         monkeypatch.setenv("IRSBEAM_WORKERS", "1")
-        (serial,) = run_trials([cfg])
+        assert run_trials(groups) == want
         monkeypatch.setenv("IRSBEAM_WORKERS", "512")
-        assert run_trials([cfg]) == [serial]
-        # one pool for all configs, as large as the largest trial count
-        assert run_trials([replace(cfg, trials=2), cfg]) == [serial[:2], serial]
-        assert run_trials([replace(cfg, trials=1)]) == [serial[:1]]  # one trial: no pool
-        assert opened == [3, 3]
+        assert run_trials(groups) == want
+        # one pool for all groups, as large as the largest trial count
+        assert opened == [4]
+        assert run_trials([(replace(cfg, trials=1),)]) == [want[-2][:1]]  # one trial: no pool
+        assert opened == [4]
 
     def test_non_integer_worker_count_rejected(self, monkeypatch):
         monkeypatch.setenv("IRSBEAM_WORKERS", "two")
         with pytest.raises(InvalidParameterError, match="IRSBEAM_WORKERS"):
-            run_trials([SMALL_CFG])
+            run_trials([(SMALL_CFG,)])
 
     @pytest.mark.parametrize("env", ["0", "-3"])
     def test_worker_count_below_one_rejected(self, monkeypatch, env):
         monkeypatch.setenv("IRSBEAM_WORKERS", env)
         with pytest.raises(InvalidParameterError, match="IRSBEAM_WORKERS"):
-            run_trials([SMALL_CFG])
+            run_trials([(SMALL_CFG,)])
 
     def test_default_workers_follow_cpu_affinity(self, monkeypatch):
         monkeypatch.delenv("IRSBEAM_WORKERS", raising=False)
@@ -589,7 +620,7 @@ class TestTrials:
         cfg = ExperimentConfig(
             array=SMALL, q=4, l=4, scenario="nlos", snr_db=-5.0, trials=3, seed=14,
         )
-        for rec in run_trials([cfg])[0]:
+        for rec in run_trials([(cfg,)])[0]:
             assert isinstance(rec.success, bool)
             assert rec.estimate.nm_rounds is not None
 

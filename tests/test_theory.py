@@ -12,8 +12,8 @@ from irsbeam.errors import InvalidParameterError
 from irsbeam.harness import ExperimentConfig
 from irsbeam.theory import (
     PlanProbe,
+    _g_by_rounds,
     _p_single,
-    g_exact,
     min_rounds,
     p_lower_los,
     p_lower_nlos,
@@ -41,8 +41,8 @@ def g_brute(x, y, z):
 
 
 def g_direct(x, y, z):
-    """g_exact as one inclusion-exclusion sum for this y alone: each
-    binomial raised to the power y, then one exact division."""
+    """_g_by_rounds(x, y, z)[y] as one inclusion-exclusion sum for this y
+    alone: each binomial raised to the power y, then one exact division."""
     if y == 0:
         return float(z == 1)
     n = z - 1
@@ -97,40 +97,40 @@ class TestSingleRound:
 
 class TestCoverProbability:
     def test_zero_rounds_convention(self):
-        assert g_exact(4, 0, 16) == 0.0
+        assert _g_by_rounds(4, 0, 16)[0] == 0.0
 
     def test_single_round_cannot_disambiguate(self):
-        assert g_exact(4, 1, 16) == 0.0
-        assert g_exact(2, 1, 8) == 0.0
+        assert _g_by_rounds(4, 1, 16)[1] == 0.0
+        assert _g_by_rounds(2, 1, 8)[1] == 0.0
 
     def test_singleton_bin_always_succeeds(self):
-        assert g_exact(1, 3, 8) == 1.0
+        assert _g_by_rounds(1, 3, 8)[3] == 1.0
 
     def test_full_bin_never_succeeds(self):
-        assert g_exact(8, 1, 8) == 0.0
+        assert _g_by_rounds(8, 1, 8)[1] == 0.0
 
     def test_brute_force_enumeration(self):
         worst = 0.0
         for z in range(2, 9):
             for x in range(2, z + 1):
                 for y in range(0, 4):
-                    worst = max(worst, abs(g_exact(x, y, z) - g_brute(x, y, z)))
+                    worst = max(worst, abs(_g_by_rounds(x, y, z)[y] - g_brute(x, y, z)))
         assert worst < 1e-12
 
     @settings(deadline=None)
     @given(st.integers(1, 128), st.data(), st.integers(0, 6))
     def test_equals_exact_chain(self, z, data, y):
         x = data.draw(st.integers(1, z))
-        assert g_exact(x, y, z) == float(g_chain(x, y, z))
+        assert _g_by_rounds(x, y, z)[y] == float(g_chain(x, y, z))
 
     def test_cancelling_terms_give_exact_zero(self):
         # one subset of 127 from 255 is never empty; a full bin never
         # disambiguates, however many rounds
-        assert g_exact(128, 1, 256) == 0.0
-        assert g_exact(256, 3, 256) == 0.0
+        assert _g_by_rounds(128, 1, 256)[1] == 0.0
+        assert _g_by_rounds(256, 3, 256)[3] == 0.0
 
     def test_monotone_increasing_in_rounds(self):
-        vals = [g_exact(32, y, 256) for y in range(1, 12)]
+        vals = [_g_by_rounds(32, y, 256)[y] for y in range(1, 12)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
         assert all(0.0 <= v <= 1.0 for v in vals)
 
@@ -138,7 +138,7 @@ class TestCoverProbability:
         # the closed union-bound form is a lower bound on the exact value
         for y in range(2, 10):
             lb = 1 - 255 * (31 / 255) ** y
-            assert g_exact(32, y, 256) >= min(max(lb, 0.0), 1.0) - 1e-12
+            assert _g_by_rounds(32, y, 256)[y] >= min(max(lb, 0.0), 1.0) - 1e-12
 
 
 class TestNmRound:
@@ -220,7 +220,8 @@ class TestMultipath:
             w = math.comb(probe.l, l) * p**l * (1.0 - p) ** (probe.l - l)
             total += g_direct(probe.q, l, probe.m) * g_direct(probe.r, l, probe.n_t) * w
         assert p_lower_nlos(probe).hex() == min(max(total, 0.0), 1.0).hex()
-        assert g_exact(probe.q, probe.l, probe.m).hex() == g_direct(probe.q, probe.l, probe.m).hex()
+        g = _g_by_rounds(probe.q, probe.l, probe.m)[probe.l]
+        assert g.hex() == g_direct(probe.q, probe.l, probe.m).hex()
 
     def test_binomial_mixture_identity(self):
         probe = PlanProbe(m=16, n_t=8, q=4, r=2, l=4, k=2)
@@ -228,8 +229,8 @@ class TestMultipath:
         total = 0.0
         for l_nm in range(probe.l + 1):
             w = math.comb(probe.l, l_nm) * p_nm**l_nm * (1 - p_nm) ** (probe.l - l_nm)
-            g_row = g_exact(probe.q, l_nm, probe.m)
-            g_col = g_exact(probe.r, l_nm, probe.n_t)
+            g_row = _g_by_rounds(probe.q, l_nm, probe.m)[l_nm]
+            g_col = _g_by_rounds(probe.r, l_nm, probe.n_t)[l_nm]
             total += g_row * g_col * w
         assert p_lower_nlos(probe) == pytest.approx(total, rel=1e-12)
 
