@@ -59,7 +59,15 @@ def steering_vector(freq, n: int) -> np.ndarray:
     if n < 1:
         raise InvalidParameterError(f"steering vector length must be >= 1, got {n}")
     # this operation order keeps each column bit-identical to a 1-frequency call
-    return np.exp(np.multiply.outer(1j * np.pi * np.arange(n), freq)) / np.sqrt(n)
+    return np.exp(np.multiply.outer(_phase_steps(n), freq)) / np.sqrt(n)
+
+
+@lru_cache(maxsize=32)
+def _phase_steps(n: int) -> np.ndarray:
+    """j*pi*k for k = 0..n-1, the exponent steps of every steering vector of length n."""
+    steps = 1j * np.pi * np.arange(n)
+    steps.setflags(write=False)
+    return steps
 
 
 def ula_response(angle, cfg: ArrayConfig) -> np.ndarray:

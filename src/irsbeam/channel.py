@@ -93,9 +93,8 @@ class AlignmentEstimate:
 
 
 def _argmax_2d(a: np.ndarray) -> tuple[int, int]:
-    # np.argmax scans C-order, which is exactly lowest-row-then-column.
-    i, j = np.unravel_index(int(np.argmax(a)), a.shape)
-    return int(i), int(j)
+    # argmax scans C-order, which is exactly lowest-row-then-column.
+    return divmod(int(a.argmax()), a.shape[1])
 
 
 def _row_products(x: np.ndarray, y: np.ndarray, rows) -> np.ndarray:
@@ -103,20 +102,24 @@ def _row_products(x: np.ndarray, y: np.ndarray, rows) -> np.ndarray:
     OpenBLAS passes a one-row product to its matrix-vector kernel, whose
     sums round differently at some P, so unless x has one row the first
     row is read twice."""
-    read = [*rows, rows[0]] if len(x) > 1 else rows
-    return (x[read] @ y)[:len(rows)]
+    if x.shape[0] == 1:
+        return x[rows] @ y
+    return (x[[*rows, rows[0]]] @ y)[:-1]
 
 
-def _strongest(x: np.ndarray, y: np.ndarray) -> tuple[int, int]:
-    """The (row, col) np.argmax(np.abs(x @ y)) gives, lowest row then
-    column on ties, from a few rows of x @ y.
+def _strongest(x: np.ndarray, y: np.ndarray) -> list[tuple[int, int]]:
+    """For each of B factor pairs (x B x M x P, y B x P x N_t), the
+    (row, col) np.argmax(np.abs(x @ y)) gives, lowest row then column on
+    ties, from a few rows of x @ y.
 
     x and y are first scaled to unit peak by exact powers of two, which
     scales every product exactly and keeps it normal at any channel
     scale. Row i is bounded by b_i = |x_i| @ max_j |y_:,j|. The row
     products (_row_products) are taken of the highest-bound row, whose
     largest magnitude is s, then of every row, in ascending order, with
-    b_i >= s (1 - delta), and the argmax is taken over those rows.
+    b_i >= s (1 - delta), and the argmax is taken over those rows. The
+    scaling and the bounds are stacked over the pairs; each pair's rows
+    are its own.
 
     delta = (4P + 8) u, u = 2^-53, covers the rounding, so no skipped row
     holds an entry that reaches s. Each part of an entry is a sum of 2P
@@ -128,15 +131,21 @@ def _strongest(x: np.ndarray, y: np.ndarray) -> tuple[int, int]:
     once. A skipped row's entries then stay below s once delta exceeds
     (7 + (2 sqrt(2) + 1) P) u plus terms of order P^2 u^2.
     """
-    ax, ay = np.abs(x), np.abs(y).max(axis=1)
-    sx, sy = (np.ldexp(1.0, -np.frexp(a.max())[1]) for a in (ax, ay))
-    x, y = x * sx, y * sy
-    bound = (ax * sx) @ (ay * sy)
-    top = int(np.argmax(bound))
-    s = np.abs(_row_products(x, y, [top])).max()
-    rows = np.flatnonzero(bound >= s * (1.0 - (4 * x.shape[1] + 8) * 2.0**-53))
-    i, j = _argmax_2d(np.abs(_row_products(x, y, rows)))
-    return int(rows[i]), j
+    ax, ay = np.abs(x), np.abs(y).max(axis=2)
+    sx = np.ldexp(1.0, -np.frexp(ax.max(axis=(1, 2)))[1])[:, None, None]
+    sy = np.ldexp(1.0, -np.frexp(ay.max(axis=1))[1])[:, None]
+    x, y = x * sx, y * sy[..., None]
+    bounds = ((ax * sx) @ (ay * sy)[..., None])[..., 0]
+    slack = 1.0 - (4 * x.shape[2] + 8) * 2.0**-53
+    found = []
+    for xk, yk, bound, top in zip(x, y, bounds, bounds.argmax(axis=1).tolist()):
+        mags = np.abs(_row_products(xk, yk, [top]))
+        rows = (bound >= mags.max() * slack).nonzero()[0]
+        if rows.tolist() != [top]:  # the top row alone is kept in most channels
+            mags = np.abs(_row_products(xk, yk, rows))
+        i, j = _argmax_2d(mags)
+        found.append((int(rows[i]), j))
+    return found
 
 
 def db_to_power(db: float, name: str) -> float:
@@ -193,34 +202,55 @@ def assemble_channels(
     Y = B^H D, both kept on the channel. X is taken through barD's
     Kronecker factors, so the M x M cascade dictionary is neither built
     nor read, and the strongest entry from a few rows of lam
-    (_strongest), so no M x N_t matrix is formed.
+    (_strongest), so no M x N_t matrix is formed. This is the block of
+    one of _assemble.
     """
-    if bs_irs.bs_aod is None:
+    return _assemble([(bs_irs, irs_user)], cfg)[0][0]
+
+
+def _assemble(pairs: list[tuple[PathSet, PathSet]], cfg: ArrayConfig):
+    """The channels of B trials' (BS-IRS, IRS-user) path sets, all with
+    the path counts of the first pair, and the stacks their factors are
+    slices of: (channels, (x, y, u, b)), x B x M x P, y B x P x N_t,
+    u B x M x P and b B x N_t x P.
+
+    Every stage is one call over the block: one IRS response call over
+    each trial's angles of both links, one BS response call, and stacked
+    products whose every slice is the product a trial of its own takes,
+    in the same layout, so a channel does not depend on its block.
+    """
+    if any(bs.bs_aod is None for bs, _ in pairs):
         raise InvalidParameterError("BS-IRS path set needs BS departure angles")
     m, m_y, m_z, n_t = cfg.m, cfg.m_y, cfg.m_z, cfg.n_t
-    h_r = upa_response(irs_user.azimuth, irs_user.elevation, cfg) @ irs_user.gains
-    h_r *= np.sqrt(m / irs_user.path_count)
-    u = (
-        np.conj(h_r)[:, None]
-        * upa_response(bs_irs.azimuth, bs_irs.elevation, cfg)
-        * bs_irs.gains
-        * np.sqrt(n_t * m / bs_irs.path_count)
-    )
-    b = ula_response(bs_irs.bs_aod, cfg)
+    p, n_irs = len(pairs[0][0].gains), len(pairs[0][0].gains) + len(pairs[0][1].gains)
+    # per trial: the IRS azimuths of both links, their elevations, the BS AoDs
+    angles = np.concatenate([a for bs, iu in pairs for a in (
+        bs.azimuth, iu.azimuth, bs.elevation, iu.elevation, bs.bs_aod)]).reshape(len(pairs), -1)
+    gains = np.concatenate([g for bs, iu in pairs for g in (bs.gains, iu.gains)]).reshape(len(pairs), -1)
+    irs = upa_response(angles[:, :n_irs], angles[:, n_irs:2 * n_irs], cfg).transpose(1, 0, 2)
+    h_r = (irs[..., p:] @ gains[:, p:, None])[..., 0]
+    h_r *= np.sqrt(m / (n_irs - p))
+    u = np.conj(h_r)[..., None] * irs[..., :p] * gains[:, None, :p] * np.sqrt(n_t * m / p)
+    # each trial's b in the layout of its own response, for the products that read it
+    b = np.ascontiguousarray(ula_response(angles[:, 2 * n_irs:], cfg).transpose(1, 0, 2))
     # barD^H = F_{m_y}^H kron F_{m_z}^H acts on each path's column of u,
     # laid out m_y x m_z, as F_{m_y}^H W F_{m_z}^H^T
-    w = u.T.reshape(-1, m_y, m_z)
-    x = (cascade_factor_h(m_y) @ w @ cascade_factor_h(m_z).T).reshape(-1, m).T
-    y = b.conj().T @ dft_dictionary(n_t)
-    return CascadeChannel(strongest=_strongest(x, y), x=x, y=y, u=u, b=b, cfg=cfg)
+    w = u.transpose(0, 2, 1).reshape(-1, p, m_y, m_z)
+    x = (cascade_factor_h(m_y) @ w @ cascade_factor_h(m_z).T).reshape(-1, p, m).transpose(0, 2, 1)
+    y = b.conj().transpose(0, 2, 1) @ dft_dictionary(n_t)
+    channels = [CascadeChannel(strongest=s, x=x[k], y=y[k], u=u[k], b=b[k], cfg=cfg)
+                for k, s in enumerate(_strongest(x, y))]
+    return channels, (x, y, u, b)
 
 
-def draw_normals(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+def draw_normals(shape: tuple[int, ...], rng: np.random.Generator,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """The noise draw for readings of `shape`, a matrix or a stack of
     matrices: per matrix its real parts, then its imaginary parts, on an
     axis of 2, so a stack draws the stream its matrices would draw one by
-    one."""
-    return rng.standard_normal(shape[:-2] + (2,) + shape[-2:])
+    one. Drawn into `out`, a C-contiguous float array of that shape, when
+    given."""
+    return rng.standard_normal(shape[:-2] + (2,) + shape[-2:], out=out)
 
 
 def _noised_magnitude(z: np.ndarray, normals: np.ndarray, sigma: float) -> np.ndarray:

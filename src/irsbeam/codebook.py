@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -105,13 +105,6 @@ class ScanPlan:
     def q(self) -> int:
         return self.c_design.shape[2]
 
-    def head(self, l: int) -> ScanPlan:
-        """The plan of its first l rounds, views of its stacks; itself at l = L."""
-        if l == self.l:
-            return self
-        stacks = {f.name: getattr(self, f.name) for f in fields(self)[3:]}
-        return replace(self, **{k: s if s is None else s[:l] for k, s in stacks.items()})
-
     @cached_property
     def rounds(self) -> tuple[RoundEncoding, ...]:
         stacks = [getattr(self, f.name) for f in fields(RoundEncoding)[1:]]
@@ -120,25 +113,34 @@ class ScanPlan:
 
     def readings(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The noiseless readings of every round, L x U x V, of
-        Lambda = X Y with X M x P and Y P x N_t.
+        Lambda = X Y with X M x P and Y P x N_t. Given stacks of B pairs,
+        X B x M x P and Y B x P x N_t, the plan's rounds form B groups of
+        L/B consecutive rounds, and group k reads pair k.
 
         Each round's rows C^H X: an ideal-sparse row bin sums the rows of X
         in its design set, scaled by sqrt(M/q); a constant-modulus beam v
         reads (barD^H v)^H X from cm_image. Each precoder sums the columns
         of Y in its support, scaled by 1/sqrt(R). Both bin sums gather all
         L rounds with the bin's members on a leading axis, so every bin is
-        summed in member order, whatever P. The rows times the column sums
-        is a sum of P outer products; nothing of size M x N_t is made.
+        summed in member order, whatever P and B. The rows times the column
+        sums is a sum of P outer products; nothing of size M x N_t is made.
         """
         l, u, q = self.c_design.shape
         v, r = self.a_supports.shape[1:]
         if not l:
             raise InvalidParameterError("a plan with at least one round required")
+        if x.ndim == 2:
+            x, y = x[None], y[None]
+        per = l // len(x)  # rounds per pair
 
         def bin_sums(a: np.ndarray, members: np.ndarray) -> np.ndarray:
             # rows of `a` by bin member, summed over that leading axis as real
-            # and imaginary parts: numpy sums a lone complex bin pairwise
-            parts = np.asarray(a, dtype=complex).take(members.transpose(2, 0, 1).ravel(), axis=0)
+            # and imaginary parts: numpy sums a lone complex bin pairwise.
+            # The stacked pairs' rows follow one another
+            if len(a) > 1:
+                members = members + (np.arange(l) // per * a.shape[1])[:, None, None]
+            a = np.asarray(a, dtype=complex).reshape(-1, a.shape[2])
+            parts = a.take(members.transpose(2, 0, 1).ravel(), axis=0)
             return parts.view(float).reshape(members.shape[2], -1).sum(axis=0).view(complex)
 
         scale = 1.0 / np.sqrt(r)
@@ -146,8 +148,8 @@ class ScanPlan:
             rows = bin_sums(x, self.c_design).reshape(l, u, -1)
             scale *= np.sqrt(self.cfg.m / q)
         else:
-            rows = np.stack([image.conj().T @ x for image in self.cm_image])
-        y_bins = bin_sums(y.T, self.a_supports).reshape(l, 1, v, -1)
+            rows = np.stack([image.conj().T @ x[k // per] for k, image in enumerate(self.cm_image)])
+        y_bins = bin_sums(y.transpose(0, 2, 1), self.a_supports).reshape(l, 1, v, -1)
         z = rows[..., :1] * y_bins[..., 0]
         for p in range(1, y_bins.shape[-1]):
             z += rows[..., p:p + 1] * y_bins[..., p]
@@ -356,14 +358,24 @@ def build_scan_plan(
     seed = int(rng) if isinstance(rng, (int, np.integer)) else None
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
+    return _shuffled_plan(cfg, q, l, mode, [rng], None if states is None else [states], seed)
+
+
+def _shuffled_plan(cfg: ArrayConfig, q: int, l: int, mode: str, rngs: list,
+                   states: list[list] | None = None, seed: int | None = None) -> ScanPlan:
+    """The plan of len(rngs) groups of l rounds: group k holds the rounds
+    build_scan_plan draws from rngs[k], with their states appended to
+    states[k] when states is given, and each group's rounds are that
+    plan's. The rounds are sorted and encoded (encode_rounds) together."""
     # per round the rows' permutation, then the columns', as rng.permutation draws them
-    c_design, a_supports = (np.arange(n)[None].repeat(l, axis=0) for n in (cfg.m, cfg.n_t))
-    for rows, cols in zip(c_design, a_supports):
-        rng.shuffle(rows)
-        rng.shuffle(cols)
-        if states is not None:
-            states.append(rng.bit_generator.state)
-    c_design, a_supports = c_design.reshape(l, -1, q), a_supports.reshape(l, -1, cfg.r)
+    c_design, a_supports = (np.arange(n)[None].repeat(len(rngs) * l, axis=0) for n in (cfg.m, cfg.n_t))
+    for k, rng in enumerate(rngs):
+        for rows, cols in zip(c_design[k * l:k * l + l], a_supports[k * l:k * l + l]):
+            rng.shuffle(rows)
+            rng.shuffle(cols)
+            if states is not None:
+                states[k].append(rng.bit_generator.state)
+    c_design, a_supports = c_design.reshape(len(c_design), -1, q), a_supports.reshape(len(c_design), -1, cfg.r)
     c_design.sort(axis=2)
     a_supports.sort(axis=2)
     return encode_rounds(cfg, c_design, a_supports, mode, seed=seed)

@@ -45,11 +45,17 @@ class MeasurementSet:
         # readings are magnitudes: a complex one is refused, not cast to its real part
         if y.dtype.kind not in "biuf":
             raise InvalidParameterError(f"measurements must be real numbers, not {y.dtype}")
-        y = y.astype(float, copy=False)
-        # a NaN fails both comparisons
-        if not (y.min() >= 0 and y.max() < np.inf):
-            raise InvalidParameterError("measurements must be finite and nonnegative")
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "y", _checked(y.astype(float, copy=False)))
+
+
+def _checked(y: np.ndarray) -> np.ndarray:
+    """y, a float array of readings, or InvalidParameterError unless every
+    reading is finite and nonnegative: the MeasurementSet check, made
+    once for a stack of scans."""
+    # a NaN fails both comparisons
+    if not (y.min() >= 0 and y.max() < np.inf):
+        raise InvalidParameterError("measurements must be finite and nonnegative")
+    return y
 
 
 def synthesize_measurements(
@@ -93,7 +99,29 @@ def _decode(
     epsilon: float,
     nm_rounds: tuple[int, ...] | None = None,
 ) -> AlignmentEstimate:
-    """Probability-product decoding over the NM rounds (None: every round).
+    """Probability-product decoding over the NM rounds (None: every round),
+    ascending: _decode_scans of this one scan."""
+    if plan is not measurements.plan:
+        raise InvalidParameterError("decode with the plan the measurements were taken with")
+    rounds = None
+    if nm_rounds is not None:
+        rounds = np.zeros((1, plan.l), dtype=bool)
+        rounds[0, list(nm_rounds)] = True
+    return _decode_scans(measurements.y[None], plan.row_bin[None], plan.col_bin[None],
+                         np.array([epsilon]), rounds)[0]
+
+
+def _decode_scans(
+    y: np.ndarray,
+    row_bin: np.ndarray,
+    col_bin: np.ndarray,
+    epsilon: np.ndarray,
+    rounds: np.ndarray | None = None,
+) -> list[AlignmentEstimate]:
+    """Probability-product decoding of S scans of L rounds (y S x L x U x V,
+    threshold epsilon[s]) over each scan's NM rounds, the True entries of
+    rounds[s] (None: every round). Scan s was taken with the plan whose
+    bin maps are row_bin[s] (L x M) and col_bin[s] (L x N_t).
 
     Candidates are the entries with a bin reading y >= epsilon in at least
     one of those rounds, the magnitude test the NM count uses. Among them
@@ -106,18 +134,20 @@ def _decode(
     row bin, and column j's bound the largest in its column bin. Bounds
     and scores are summed in round order from round 0, and floating-point
     addition is monotone, so no score exceeds its row's or its column's
-    bound. The seed score s* is the best candidate score in the
-    highest-bound row that holds a candidate. The best entry then lies in
-    the sub-grid of the candidate rows and the columns whose bounds reach
-    s*, usually a few rows and columns; exact ties, or a seed whose
-    candidates all score -inf, can keep up to all M x N_t. Its scores
-    are summed in the same order, so the entry, and every tie, is the one
-    an argmax over the full score grid picks. The candidate count comes
-    from each round's gate packed to bits over the columns, OR-ed over
-    the rounds.
+    bound. A round outside the NM rounds adds +0.0 to a bound, which
+    leaves every sum as the one over the NM rounds alone. The seed score
+    s* is the best candidate score in the highest-bound row that holds a
+    candidate. The best entry then lies in the sub-grid of the candidate
+    rows and the columns whose bounds reach s*, usually a few rows and
+    columns; exact ties, or a seed whose candidates all score -inf, can
+    keep up to all M x N_t. Its scores are summed in the same order, so
+    the entry, and every tie, is the one an argmax over the full score
+    grid picks. The candidate count comes from each round's gate packed
+    to bits over the columns, OR-ed over the rounds.
 
-    The decoded rounds' bin maps are slices of the plan's row_bin and
-    col_bin stacks.
+    The log readings, gates, candidate bits and the row and column bounds
+    are taken for all scans at once; the candidate count, the seed row
+    and the sub-grid are each scan's own.
 
     With no candidate the result is the decode at epsilon 0 over every
     round (every entry a candidate; for NLOS every round NM), not over the
@@ -130,56 +160,72 @@ def _decode(
     or -30 dB; at p_fa = 0.01, 31 and 12 moved at -50 and -40 dB; at
     p_fa = 1e-3, 105 and 59; at -30 dB none moved at any of these p_fa.
     """
-    if plan is not measurements.plan:
-        raise InvalidParameterError("decode with the plan the measurements were taken with")
-    rounds = slice(None) if nm_rounds is None else list(nm_rounds)
-    y = measurements.y[rounds]
-    n, u, v = y.shape
+    scans, n, u, v = y.shape
+    n_t = col_bin.shape[2]
     with np.errstate(divide="ignore"):
         log_y = np.log(y)
-    # entry (i, j) reads, in the k-th decoded round, row row_at[k, i] of
-    # the n*U rows of the readings and column col_bin[k, j] of that row
-    offsets = np.arange(n)[:, None]
-    row_at = plan.row_bin[rounds] + offsets * u
-    col_bin = plan.col_bin[rounds]
+    # entry (i, j) reads, in round k of scan s, row row_at[s, k, i] of the
+    # scans*n*U rows of the readings and column col_bin[s, k, j] of that row
+    offsets = np.arange(scans * n).reshape(scans, n, 1)
+    row_at = row_bin + offsets * u
     col_at = col_bin + offsets * v
 
     # each round's gate gathered over the columns and packed to bits over
-    # them (n x U x bytes), gathered over the rows (n x M x bytes), OR-ed
-    gate = (y >= epsilon).transpose(0, 2, 1).reshape(n * v, u).take(col_at, axis=0)
-    bits = np.packbits(np.ascontiguousarray(gate.transpose(0, 2, 1)), axis=-1)
-    cand = np.bitwise_or.reduce(bits.reshape(n * u, -1).take(row_at, axis=0), axis=0)
-    n_candidates = int(np.count_nonzero(np.unpackbits(cand)))
-    if n_candidates == 0:
-        every = None if nm_rounds is None else tuple(range(plan.l))
-        return _decode(measurements, plan, 0.0, every)
+    # them (scans x n x U x bytes), gathered over the rows (scans x n x M x bytes),
+    # OR-ed over the rounds
+    gate = y >= epsilon[:, None, None, None]
+    if rounds is not None:
+        gate &= rounds[:, :, None, None]
+    gate = gate.transpose(0, 1, 3, 2).reshape(scans * n * v, u).take(col_at, axis=0)
+    bits = np.packbits(np.ascontiguousarray(gate.transpose(0, 1, 3, 2)), axis=-1)
+    cand = np.bitwise_or.reduce(bits.reshape(scans * n * u, -1).take(row_at, axis=0), axis=1)
 
-    def scores(rows, cols) -> np.ndarray:
-        return _sum_rounds(log_y.take(row_at[:, rows, None] * v + col_bin[:, None, cols]))
+    row_parts, col_parts = log_y.max(axis=3), log_y.max(axis=2)
+    if rounds is not None:
+        row_parts = np.where(rounds[..., None], row_parts, 0.0)
+        col_parts = np.where(rounds[..., None], col_parts, 0.0)
+    row_bounds = _sum_rounds(row_parts.take(row_at).transpose(1, 0, 2))
+    col_bounds = _sum_rounds(col_parts.take(col_at).transpose(1, 0, 2))
+    estimates = []
+    for k, (cand_k, any_k, row_bound, col_bound, eps) in enumerate(zip(
+            cand, cand.any(axis=2), row_bounds, col_bounds, epsilon.tolist())):
+        count = int(np.count_nonzero(np.unpackbits(cand_k)))
+        if count == 0:
+            every = None if rounds is None else np.ones((1, n), dtype=bool)
+            estimates += _decode_scans(y[k:k + 1], row_bin[k:k + 1], col_bin[k:k + 1],
+                                       np.zeros(1), every)
+            continue
+        # the per-scan index arrays below come from ndarray methods, which
+        # cost less per call than numpy's function wrappers
+        nm = None if rounds is None else rounds[k].nonzero()[0]
+        at, bins = (row_at[k], col_bin[k]) if nm is None else (row_at[k][nm], col_bin[k][nm])
 
-    def candidates(rows) -> np.ndarray:
-        return np.unpackbits(cand[rows], axis=-1, count=plan.cfg.n_t).view(bool)
+        def scores(rows, cols) -> np.ndarray:
+            return _sum_rounds(log_y.take(at[:, rows, None] * v + bins[:, None, cols]))
 
-    row_bound = _sum_rounds(log_y.max(axis=2).take(row_at))
-    col_bound = _sum_rounds(log_y.max(axis=1).take(col_at))
-    cand_rows = np.flatnonzero(cand.any(axis=1))
-    # the seed row as a one-element index array, so its scores keep a row axis
-    seed = cand_rows[[np.argmax(row_bound[cand_rows])]]
-    s_star = scores(seed, slice(None))[candidates(seed)].max()
-    rows = cand_rows[row_bound[cand_rows] >= s_star]
-    cols = np.flatnonzero(col_bound >= s_star)
-    sub = scores(rows, cols)
-    np.copyto(sub, -np.inf, where=~candidates(rows)[:, cols])
-    best = int(np.argmax(sub))
-    if sub.flat[best] == -np.inf:
-        i = cand_rows[0]
-        j = np.argmax(candidates(i))
-    else:
-        i, j = rows[best // len(cols)], cols[best % len(cols)]
-    return AlignmentEstimate(
-        i_star=int(i), j_star=int(j), candidate_count=n_candidates,
-        nm_rounds=nm_rounds, detector_threshold=epsilon,
-    )
+        def candidates(rows) -> np.ndarray:
+            return np.unpackbits(cand_k[rows], axis=-1, count=n_t).view(bool)
+
+        cand_rows = any_k.nonzero()[0]
+        # the seed row as a one-element index array, so its scores keep a row axis
+        seed = cand_rows[[row_bound[cand_rows].argmax()]]
+        s_star = scores(seed, slice(None))[candidates(seed)].max()
+        rows = cand_rows[row_bound[cand_rows] >= s_star]
+        cols = (col_bound >= s_star).nonzero()[0]
+        sub = scores(rows, cols)
+        np.copyto(sub, -np.inf, where=~candidates(rows)[:, cols])
+        best = int(sub.argmax())
+        if sub.flat[best] == -np.inf:
+            i = cand_rows[0]
+            j = candidates(i).argmax()
+        else:
+            i, j = rows[best // len(cols)], cols[best % len(cols)]
+        estimates.append(AlignmentEstimate(
+            i_star=int(i), j_star=int(j), candidate_count=count,
+            nm_rounds=None if nm is None else tuple(nm.tolist()),
+            detector_threshold=eps,
+        ))
+    return estimates
 
 
 def decode_los(
@@ -201,9 +247,15 @@ def decode_nlos(
     Rounds with the fewest nulltons (readings y < epsilon) are taken as
     multiton-free (NM); only those contribute probability factors.
     """
-    counts = np.count_nonzero(measurements.y < epsilon, axis=(1, 2))
-    nm = tuple(np.flatnonzero(counts == counts.min()).tolist())
-    return _decode(measurements, plan, epsilon, nm)
+    nm = np.flatnonzero(_nm_rounds(measurements.y[None], np.array([epsilon]))[0])
+    return _decode(measurements, plan, epsilon, tuple(nm.tolist()))
+
+
+def _nm_rounds(y: np.ndarray, epsilon: np.ndarray) -> np.ndarray:
+    """Per scan of y (S x L x U x V, thresholds epsilon) its NM rounds as
+    an S x L mask: the rounds with the fewest nulltons."""
+    counts = np.count_nonzero(y < epsilon[:, None, None, None], axis=(2, 3))
+    return counts == counts.min(axis=1, keepdims=True)
 
 
 def rayleigh_threshold(sigma: float, p_fa: float) -> float:

@@ -17,14 +17,14 @@ from .arrays import ArrayConfig
 from .channel import (
     AlignmentEstimate,
     CascadeChannel,
+    _assemble,
     _noised_magnitude,
-    assemble_channels,
     db_to_power,
     draw_normals,
     sample_paths,
 )
-from .codebook import IDEAL_SPARSE, build_scan_plan, check_round_shape
-from .decoder import MeasurementSet, decode_los, decode_nlos, rayleigh_threshold
+from .codebook import IDEAL_SPARSE, _shuffled_plan, check_round_shape
+from .decoder import _checked, _decode_scans, _nm_rounds, rayleigh_threshold
 from .errors import InvalidParameterError, check_field_types
 
 WORKERS_ENV = "IRSBEAM_WORKERS"
@@ -125,8 +125,7 @@ def snr_to_sigma(h: np.ndarray, snr_db: float) -> float:
     power of two, so sigma scales with h over the float range.
     InvalidParameterError unless sigma is positive and finite.
     """
-    m, n_t = h.shape
-    return _sigma(_frobenius(h), _noise_scale(m, n_t, snr_db), snr_db)
+    return float(_sigma([_frobenius(h)], *h.shape, snr_db)[0])
 
 
 def _frobenius(h: np.ndarray) -> tuple[float, int]:
@@ -145,13 +144,15 @@ def _frobenius(h: np.ndarray) -> tuple[float, int]:
     return math.sqrt(np.einsum("i,i", x, x)), e
 
 
-def _sigma(fro: tuple[float, int], den: float, snr_db: float) -> float:
-    """||h||_F / den from _frobenius's (f, e)."""
-    f, e = fro
-    sigma = f / den if e == 0 else float(np.ldexp(f / den, e))
-    if not 0 < sigma < math.inf:
-        raise InvalidParameterError(f"snr_db = {snr_db} gives noise std {sigma} for this channel")
-    return sigma
+def _sigma(fro: list[tuple[float, int]], m: int, n_t: int, snr_db: float) -> np.ndarray:
+    """||h||_F / _noise_scale at snr_db of each channel, from _frobenius's
+    (f, e). InvalidParameterError unless each is positive and finite."""
+    den = _noise_scale(m, n_t, snr_db)
+    sigma = [f / den if e == 0 else float(np.ldexp(f / den, e)) for f, e in fro]
+    for value in sigma:
+        if not 0 < value < math.inf:
+            raise InvalidParameterError(f"snr_db = {snr_db} gives noise std {value} for this channel")
+    return np.array(sigma)
 
 
 def optimal_beams(u: np.ndarray, b: np.ndarray):
@@ -169,14 +170,18 @@ def optimal_beams(u: np.ndarray, b: np.ndarray):
     InvalidParameterError unless u and b are finite and h is nonzero.
     """
     u, b = _unit_peak(u), _unit_peak(b)
+    u_h = u.conj().T
     gram = b.conj().T @ b
-    vals, vecs = np.linalg.eig((u.conj().T @ u) @ gram)
-    x = vecs[:, np.argmax(vals.real)]
+    vals, vecs = np.linalg.eig((u_h @ u) @ gram)
+    x = vecs[:, vals.real.argmax()]
     obj = 0.0
     for _ in range(BGR_MAX_ITERS):
-        v = np.exp(1j * np.angle(u @ (gram @ x)))
-        w = u.conj().T @ v
-        nrm = np.linalg.norm(b @ w)
+        hf = u @ (gram @ x)
+        v = np.exp(1j * np.arctan2(hf.imag, hf.real))  # np.angle, with no wrapper
+        w = u_h @ v
+        bw = b @ w
+        # ||b w|| as np.linalg.norm takes it: two dot products, real and imaginary
+        nrm = math.sqrt(bw.real.dot(bw.real) + bw.imag.dot(bw.imag))
         if nrm == 0:  # the objective never falls, and starts above 0 unless h = 0
             raise InvalidParameterError(_ZERO_CHANNEL)
         x = w / nrm
@@ -186,39 +191,85 @@ def optimal_beams(u: np.ndarray, b: np.ndarray):
     return v, b @ x
 
 
+def _lockstep_beams(u: np.ndarray, b: np.ndarray):
+    """optimal_beams of each pair of the stacks u (B x M x P) and b
+    (B x N_t x P): v B x M and f B x N_t. The pairs step in lockstep, each
+    frozen once it stops, so each takes the steps it takes alone and its
+    every product is the one it takes alone, with one call per step for
+    the whole stack."""
+    u, b = _unit_peak(u), _unit_peak(b)
+    u_h = u.conj().transpose(0, 2, 1)
+    gram = b.conj().transpose(0, 2, 1) @ b
+    vals, vecs = np.linalg.eig((u_h @ u) @ gram)
+    x = vecs[np.arange(len(u)), :, vals.real.argmax(axis=1), None]
+    objs, going = [0.0] * len(u), range(len(u))  # going: the pairs still stepping
+    for step in range(BGR_MAX_ITERS):
+        hf = u @ (gram @ x)
+        v_step = np.exp(1j * np.arctan2(hf.imag, hf.real))  # np.angle, with no wrapper
+        w = u_h @ v_step
+        bw = (b @ w)[..., 0]
+        # ||b w|| as np.linalg.norm takes it: two dot products, real and imaginary
+        nrms = [math.sqrt(re.dot(re) + im.dot(im)) for re, im in zip(bw.real, bw.imag)]
+        nrm = np.array(nrms)
+        # the objective never falls, and starts above 0 unless h = 0
+        if step == 0 and 0.0 in nrms:
+            raise InvalidParameterError(_ZERO_CHANNEL)
+        if len(going) == len(u):
+            v, x = v_step, w / nrm[:, None, None]
+        else:  # a stopped pair keeps the beams of its last step
+            v[going], x[going] = v_step[going], w[going] / nrm[going, None, None]
+        going = [k for k in going if not nrms[k] - objs[k] <= BGR_TOL * objs[k]]
+        if not going:
+            break
+        objs = nrms
+    return v[..., 0], (b @ x)[..., 0]
+
+
 def _unit_peak(a: np.ndarray) -> np.ndarray:
-    """a scaled by the power of two that brings its peak magnitude into
-    [0.5, 1); InvalidParameterError unless a is finite and nonzero."""
-    peak = np.abs(a).max()
-    if not 0 < peak < np.inf:  # a NaN fails both comparisons
-        raise InvalidParameterError(_ZERO_CHANNEL)
+    """a, a matrix or a stack of them, with each matrix scaled by the
+    power of two that brings its peak magnitude into [0.5, 1);
+    InvalidParameterError unless a is finite and no matrix is zero."""
+    peak = np.abs(a).max(axis=(-2, -1), keepdims=True)
+    for value in peak.ravel().tolist():
+        if not 0 < value < math.inf:  # a NaN fails both comparisons
+            raise InvalidParameterError(_ZERO_CHANNEL)
     return a * np.ldexp(1.0, -np.frexp(peak)[1])
 
 
-def _reference_amplitude(ch: CascadeChannel) -> float:
-    """The full-CSI amplitude bgr divides by: the larger of the alternating
-    maximizer's, from the channel's rank-P factors `u` and `b`, and the
-    best grid pair's. InvalidParameterError for a zero or non-finite
-    channel (optimal_beams) and where the maximizer's under- or overflows."""
-    v_opt, f_opt = optimal_beams(ch.u, ch.b)
-    opt_amp = abs(np.vdot(ch.u.conj().T @ v_opt, ch.b.conj().T @ f_opt))
-    if not 0 < opt_amp < math.inf:
-        raise InvalidParameterError(f"{_ZERO_CHANNEL}: its reference amplitude is {opt_amp}")
-    return max(opt_amp, math.sqrt(ch.cfg.m) * abs(ch.entry(*ch.strongest)))
+def _reference_amplitudes(channels: list[CascadeChannel], u: np.ndarray,
+                          b: np.ndarray) -> list[tuple[float, float]]:
+    """Per channel of the block whose stacked factors are u and b, the
+    full-CSI amplitude bgr divides by, and the best grid pair's (the
+    strongest entry's) amplitude. The first is the larger of the
+    alternating maximizer's, from the rank-P factors, and the second.
+    InvalidParameterError for a zero or non-finite channel (optimal_beams)
+    and where the maximizer's under- or overflows."""
+    amps = []
+    # a block of one takes its pair's own loop: numpy costs more per call
+    # on a stack of one than on the matrix, and the stack gains only from
+    # two pairs on
+    beams = zip(*_lockstep_beams(u, b)) if len(u) > 1 else [optimal_beams(u[0], b[0])]
+    for ch, (v_opt, f_opt) in zip(channels, beams):
+        opt_amp = abs(np.vdot(ch.u.conj().T @ v_opt, ch.b.conj().T @ f_opt))
+        if not 0 < opt_amp < math.inf:
+            raise InvalidParameterError(f"{_ZERO_CHANNEL}: its reference amplitude is {opt_amp}")
+        grid = math.sqrt(ch.cfg.m) * abs(ch.entry(*ch.strongest))
+        amps.append((max(opt_amp, grid), grid))
+    return amps
 
 
 def bgr(ch: CascadeChannel, estimate: AlignmentEstimate, opt_amp: float | None = None) -> float:
     """Beamforming gain ratio of the grid-aligned estimate vs full CSI.
 
     Grid pair (i, j), v = sqrt(M) barD_R[:, i] and f = D[:, j], has gain
-    |v^H H f|^2 = M |lam[i, j]|^2. The reference (_reference_amplitude,
+    |v^H H f|^2 = M |lam[i, j]|^2. The reference (_reference_amplitudes,
     computed here unless given as `opt_amp`) dominates every grid pair
     even when the ascent stops at a local maximum. The ratio is taken of
     amplitudes and then squared, so no gain under- or overflows.
     InvalidParameterError for a channel that is zero or not finite.
     """
     if opt_amp is None:
-        opt_amp = _reference_amplitude(ch)
+        ((opt_amp, _),) = _reference_amplitudes([ch], ch.u[None], ch.b[None])
     return (math.sqrt(ch.cfg.m) * abs(ch.entry(estimate.i_star, estimate.j_star)) / opt_amp) ** 2
 
 
@@ -227,71 +278,108 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, trial_index)))
 
 
-def _run_points(cfgs: tuple[ExperimentConfig, ...], trial_index: int) -> list[TrialRecord]:
-    """Trial `trial_index` at each config, records in their order: sample a
-    channel, scan it, decode, score success and BGR.
+def _block_size(cfgs: tuple[ExperimentConfig, ...]) -> int:
+    """The most trials of a group that one block runs: B with
+    B * L * U * V <= M * N_t, L the group's largest l, or 1. A block's
+    noiseless readings, and each of its noise draws, then hold no more
+    numbers than one M x N_t matrix."""
+    cfg = cfgs[0]
+    a = cfg.array
+    readings = max(c.l for c in cfgs) * (a.m // cfg.q) * (a.n_t // a.r)
+    return max(1, a.m * a.n_t // readings)
 
-    The configs must differ at most in snr_db and l, as the points of one
-    SNR or T sweep from sweep_points do. They share the trial's channel,
-    its plan (built to the largest l), the plan's noiseless readings,
-    ||H||_F and the BGR reference. ||H||_F is taken only when some config
-    has an SNR, so a noiseless trial forms no M x N_t array. A config of
-    l rounds reads the plan's first l rounds. A noiseless config reads
-    their magnitudes; the noisy configs of l rounds share one noise draw
-    (draw_normals), taken after round l of the plan: with several
-    configs the generator state saved there is restored first, and one
-    config draws right after its plan. Each config scales the draw by its
-    own sigma into a new array, takes its own threshold and decode, and
-    BGR is scored once per distinct estimate. So each record is the one
-    its config's run_trial gives.
+
+def _run_block(cfgs: tuple[ExperimentConfig, ...], trials) -> list[list[TrialRecord]]:
+    """Trials `trials` at each config of a group: per trial, its records
+    in the configs' order. Each samples a channel, scans it, decodes,
+    scores success and BGR.
+
+    The configs differ at most in snr_db and l (run_trials checks this),
+    so per trial they share its channel, its plan (built to the largest
+    l), the plan's noiseless readings, ||H||_F (taken only when some
+    config has an SNR) and the BGR reference. A trial keeps its own
+    generator and draw order: paths, plan, then noise. A config of l
+    rounds reads the plan's first l rounds. A noiseless config reads their
+    magnitudes; the noisy configs of l rounds share one noise draw
+    (draw_normals), taken after round l of the plan: with several configs
+    the generator state saved there is restored first, and one config
+    draws right after its plan. Each config scales the draw by its own
+    sigma into a new array and takes its own threshold and decode, and
+    BGR is scored once per distinct estimate.
+
+    The array stages run once over the block: the responses and factors
+    (_assemble), the plans' sort and bin maps (_shuffled_plan), the
+    readings, and per config the noise, its check and the decode's
+    readings-wide half (_decode_scans), and the BGR reference
+    (_reference_amplitudes). ||H||_F, the strongest entry's rows, the
+    decode's seed row and sub-grid and BGR are each trial's own, and no
+    array holds a trial axis and an M x N_t one. Every stacked product is,
+    slice by slice, the one a trial alone takes, so each record is the one
+    its config's run_trial gives, whatever the block.
     """
     cfg = cfgs[0]
-    rng = trial_rng(cfg.seed, trial_index)
-    bs_irs = sample_paths(cfg.paths_bs_irs, cfg.rician_bs_irs_db, rng, with_bs_aod=True)
-    irs_user = sample_paths(cfg.paths_irs_user, cfg.irs_user_rician_db, rng)
-    ch = assemble_channels(bs_irs, irs_user, cfg.array)
-    fro = _frobenius(ch.h) if any(c.snr_db is not None for c in cfgs) else None
-    states = [] if len(cfgs) > 1 else None
-    plan = build_scan_plan(cfg.array, cfg.q, max(c.l for c in cfgs), cfg.mode, rng, states)
-    clean = plan.readings(ch.x, ch.y)
-    decode = decode_los if cfg.scenario == "los" else decode_nlos
-    normals = {}  # round count -> the noise draw its configs share
-    estimates = []
+    a = cfg.array
+    l_max = max(c.l for c in cfgs)
+    rngs = [trial_rng(cfg.seed, t) for t in trials]
+    n_trials = len(rngs)
+    channels, (x, y, u, b) = _assemble(
+        [(sample_paths(cfg.paths_bs_irs, cfg.rician_bs_irs_db, rng, with_bs_aod=True),
+          sample_paths(cfg.paths_irs_user, cfg.irs_user_rician_db, rng)) for rng in rngs], a)
+    if any(c.snr_db is not None for c in cfgs):
+        fro = [_frobenius(ch.h) for ch in channels]
+    states = [[] for _ in rngs] if len(cfgs) > 1 else None
+    plan = _shuffled_plan(a, cfg.q, l_max, cfg.mode, rngs, states)
+    clean = plan.readings(x, y).reshape(n_trials, l_max, plan.c_design.shape[1], -1)
+    row_bin = plan.row_bin.reshape(n_trials, l_max, -1)
+    col_bin = plan.col_bin.reshape(n_trials, l_max, -1)
+
+    found, normals = [], {}  # found: each config's estimates; normals: l -> the draws
     for c in cfgs:
-        sigma = 0.0 if c.snr_db is None else _sigma(
-            fro, _noise_scale(c.array.m, c.array.n_t, c.snr_db), c.snr_db)
-        head, z = plan.head(c.l), clean[:c.l]
-        if sigma > 0 and c.l not in normals:
-            if states is not None:
-                rng.bit_generator.state = states[c.l - 1]
-            normals[c.l] = draw_normals(z.shape, rng)
-        y = np.abs(z) if sigma == 0 else _noised_magnitude(z, normals[c.l], sigma)
-        measurements = MeasurementSet(y, head)
-        if sigma > 0:
-            epsilon = rayleigh_threshold(sigma, c.p_fa)
+        z = clean[:, :c.l]
+        if c.snr_db is None:
+            ys = np.abs(z)
+            eps = 1e-9 * ys.max(axis=(1, 2, 3))
         else:
-            epsilon = 1e-9 * float(measurements.y.max())
-        estimates.append(decode(measurements, head, epsilon))
-    opt_amp = _reference_amplitude(ch)
-    scores, records = {}, []  # scores: (i*, j*) -> its BGR
-    for e in estimates:
-        key = (e.i_star, e.j_star)
-        if key not in scores:
-            scores[key] = bgr(ch, e, opt_amp)
-        records.append(TrialRecord(success=key == ch.strongest, bgr=scores[key], estimate=e))
+            if c.l not in normals:
+                if states is not None:
+                    for rng, saved in zip(rngs, states):
+                        rng.bit_generator.state = saved[c.l - 1]
+                normals[c.l] = np.empty((n_trials, c.l, 2, *z.shape[2:]))
+                for rng, out in zip(rngs, normals[c.l]):
+                    draw_normals(z.shape[1:], rng, out)
+            sigma = _sigma(fro, a.m, a.n_t, c.snr_db)
+            ys = _noised_magnitude(z, normals[c.l], sigma[:, None, None, None, None])
+            # the threshold scales with sigma exactly
+            eps = sigma * rayleigh_threshold(1.0, c.p_fa)
+        ys = _checked(ys)
+        rounds = _nm_rounds(ys, eps) if c.scenario == "nlos" else None
+        found.append(_decode_scans(ys, row_bin[:, :c.l], col_bin[:, :c.l], eps, rounds))
+
+    records = []
+    for ch, (opt_amp, grid), estimates in zip(channels, _reference_amplitudes(channels, u, b),
+                                              zip(*found)):
+        scores = {ch.strongest: (grid / opt_amp) ** 2}  # (i*, j*) -> its BGR, as bgr scores it
+        for est in estimates:
+            key = (est.i_star, est.j_star)
+            if key not in scores:
+                scores[key] = bgr(ch, est, opt_amp)
+        records.append([TrialRecord(success=(est.i_star, est.j_star) == ch.strongest,
+                                    bgr=scores[est.i_star, est.j_star], estimate=est)
+                        for est in estimates])
     return records
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
     """Sample a channel, scan it, decode, score success and BGR: the
-    one-config _run_points, so one draw of noise follows the plan, and the
-    record a run_trials group of (cfg,) gives for trial_index.
+    block of one trial at one config, so one draw of noise follows the
+    plan, and the record a run_trials group of (cfg,) gives for
+    trial_index.
 
     With q = 1, R = 1 and L = 1 every grid pair is measured once with its
     own grid beams, v = sqrt(M) barD[:, i] and f = D[:, j]: that config
     is the exhaustive grid scan, T = M * N_t.
     """
-    return _run_points((cfg,), trial_index)[0]
+    return _run_block((cfg,), [trial_index])[0][0]
 
 
 def _worker_count() -> int:
@@ -327,21 +415,46 @@ def _one_blas_thread() -> None:
                 return
 
 
+def _check_group(group: tuple[ExperimentConfig, ...]) -> None:
+    """InvalidParameterError unless the group holds configs that differ at
+    most in snr_db and l: its trials share one channel and plan."""
+    shared = [[getattr(c, f.name) for f in fields(c) if f.name not in ("snr_db", "l")]
+              for c in group]
+    if not shared or any(other != shared[0] for other in shared[1:]):
+        raise InvalidParameterError("a group needs configs that differ at most in snr_db and l")
+
+
+def _blocks(group: tuple[ExperimentConfig, ...], workers: int) -> list[range]:
+    """The group's trials t < trials cut into consecutive blocks of at
+    most _block_size; with several workers, of at most a quarter of each
+    worker's share, so the pool has tasks to balance."""
+    n = group[0].trials
+    size = _block_size(group)
+    if workers > 1:
+        size = min(size, -(-n // (4 * workers)))
+    return [range(t, min(n, t + size)) for t in range(0, n, size)]
+
+
 def run_trials(groups: list[tuple[ExperimentConfig, ...]]) -> list[list[TrialRecord]]:
     """One record list per config of the groups, in order: each group is
-    a tuple of configs that _run_points runs together for trials
-    t < the group's `trials`. Serially for one worker, else in one pool
-    of IRSBEAM_WORKERS processes opened for this call."""
-    counts = [group[0].trials for group in groups]
+    a tuple of configs, differing at most in snr_db and l, that
+    _run_block runs together for trials t < the group's `trials`, block
+    by block (_blocks). Serially for one worker, else in one pool of
+    IRSBEAM_WORKERS processes opened for this call, one block per task.
+    InvalidParameterError for any other group, before any trial."""
+    for group in groups:
+        _check_group(group)
     # a pool forks all its workers at once, so it opens no more than trials
-    workers = min(_worker_count(), max(counts))
+    workers = min(_worker_count(), max(group[0].trials for group in groups))
+    tasks = [(k, group, block) for k, group in enumerate(groups) for block in _blocks(group, workers)]
     if workers <= 1:
-        by_group = [[_run_points(group, t) for t in range(n)] for group, n in zip(groups, counts)]
+        done = [_run_block(group, block) for _, group, block in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-            by_group = [list(pool.map(_run_points, [group] * n, range(n),
-                                      chunksize=max(1, n // (8 * workers))))
-                        for group, n in zip(groups, counts)]
+            done = list(pool.map(_run_block, *zip(*[task[1:] for task in tasks])))
+    by_group = [[] for _ in groups]
+    for (k, _, _), records in zip(tasks, done):
+        by_group[k] += records
     return [list(recs) for trials in by_group for recs in zip(*trials)]
 
 
@@ -424,9 +537,10 @@ def sweep(cfg: ExperimentConfig, axis: str | None) -> list[SweepRow]:
     """Aggregate success rate and BGR along one sweep axis, or at the one
     point cfg for axis None, in one run_trials call.
 
-    The SNR or T points form one group, so one _run_points task runs trial
-    t at every point: each trial's channel and plan are drawn once, not
-    once per point, and its noise once per distinct L. Each M point is a
+    The SNR or T points form one group, whose trials run in blocks
+    (_run_block) at every point: each trial's channel and plan are drawn
+    once, not once per point, and its noise once per distinct L, and a
+    block's array stages run once for all its trials. Each M point is a
     group of its own. Every record is run_trial's.
     """
     points = sweep_points(cfg, axis)

@@ -2,11 +2,12 @@
 studies, the exhaustive grid scan as a scan with singleton bins, the
 dense beamspace coefficients of ideal-sparse beams, the per-beam
 effective support of a constant-modulus beam, round-by-round noisy
-readings, readings summed bin member by bin member, the full-grid decode the
+readings, readings summed bin member by bin member, a plan's run of
+rounds, the full-grid decode the
 bound decode must equal, and the empty-intersection probability as an
 exact Markov chain."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from math import comb
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from irsbeam.arrays import ArrayConfig, cascade_dictionary, dft_dictionary
 from irsbeam.channel import AlignmentEstimate, CascadeChannel
-from irsbeam.codebook import IDEAL_SPARSE, build_scan_plan
+from irsbeam.codebook import IDEAL_SPARSE, ScanPlan, build_scan_plan
 from irsbeam.decoder import decode_los, rayleigh_threshold, synthesize_measurements
 from irsbeam.harness import ExperimentConfig
 
@@ -97,6 +98,13 @@ def round_readings(lam: np.ndarray, rnd) -> np.ndarray:
     z = rows.take(rnd.a_supports.T.ravel(), axis=1).reshape(u, r, v).sum(axis=1)
     z *= scale
     return z
+
+
+def plan_rounds(plan: ScanPlan, start: int, l: int) -> ScanPlan:
+    """The plan of `plan`'s l rounds from round `start`: views of its
+    stacks, the other fields as they are."""
+    stacks = {f.name: getattr(plan, f.name) for f in fields(ScanPlan)[3:]}
+    return replace(plan, **{k: s if s is None else s[start:start + l] for k, s in stacks.items()})
 
 
 def sequential_readings(x: np.ndarray, y: np.ndarray, plan) -> np.ndarray:

@@ -168,7 +168,8 @@ def test_criterion_8a_success_non_decreasing_in_rounds():
     rates, errs = [], []
     cfgs = [ExperimentConfig(array=WIDE, q=16, l=l, snr_db=-20.0, trials=500, seed=81)
             for l in range(2, 9)]
-    for cfg, records in zip(cfgs, run_trials([(c,) for c in cfgs])):
+    # one T group: each trial's channel and plan are drawn once for every L
+    for cfg, records in zip(cfgs, run_trials([tuple(cfgs)])):
         row = aggregate(records, "T", cfg.l, cfg.seed)
         rates.append(row.success_rate)
         errs.append(row.stderr)

@@ -13,6 +13,7 @@ from irsbeam.arrays import (
     upa_response,
 )
 from irsbeam.channel import (
+    _assemble,
     PathSet,
     _noised_magnitude,
     _row_products,
@@ -238,13 +239,32 @@ def factors_with_ties(draw):
     return x * 2.0 ** draw(st.sampled_from([-400, 0, 400])), y
 
 
+@pytest.mark.parametrize("p,pp", [(1, 1), (1, 2), (2, 2), (3, 1)])
+def test_block_channels_are_each_pairs_channel(p, pp):
+    # every stacked product of a block is, slice by slice, the product one
+    # pair takes alone: the same bits in the same layout, and the same
+    # strongest entry
+    cfg = ArrayConfig(n_t=32, m_y=8, m_z=4, r=4)
+    rng = np.random.default_rng(p * 10 + pp)
+    pairs = [(sample_paths(p, 13.2, rng, with_bs_aod=True), sample_paths(pp, 0.0, rng))
+             for _ in range(7)]
+    block, stacks = _assemble(pairs, cfg)
+    for k, (ch, pair) in enumerate(zip(block, pairs)):
+        one = assemble_channels(*pair, cfg)
+        assert ch.strongest == one.strongest
+        for name, stack in zip(("x", "y", "u", "b"), stacks):
+            got, want = getattr(ch, name), getattr(one, name)
+            assert got.strides == want.strides, name
+            assert got.tobytes() == want.tobytes() == stack[k].tobytes(), name
+
+
 class TestStrongest:
     @settings(deadline=None, max_examples=300)
     @given(factors_with_ties())
     def test_equals_argmax_of_the_dense_product(self, factors):
         x, y = factors
         lam = x @ y
-        i, j = _strongest(x, y)
+        ((i, j),) = _strongest(x[None], y[None])
         assert (i, j) == strongest_entry(lam)
         assert np.array_equal(_row_products(x, y, [i]), lam[[i]])
 
@@ -387,6 +407,12 @@ class TestNoisyMagnitude:
         assert np.array_equal(normals, kept)
         assert np.array_equal(_noised_magnitude(z, normals, sigma), want)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        # drawn into a given array, as a block draws each trial's noise
+        out_rng = np.random.default_rng(seed + 1)
+        out = np.empty(kept.shape)
+        assert draw_normals(z.shape, out_rng, out) is out
+        assert out.tobytes() == kept.tobytes()
+        assert out_rng.bit_generator.state == got_rng.bit_generator.state
 
     @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
     def test_bad_sigma_rejected(self, sigma):

@@ -111,6 +111,21 @@ class TestRunCommand:
         assert int(row[2]) == 2
         assert int(row[7]) == 9
 
+    def test_second_call_sees_none_of_the_first_calls_flags(self, config_path, tmp_path,
+                                                            monkeypatch):
+        # main builds its parser once per process; a flag given to one
+        # call is gone from the next, which reads the config's seed and
+        # trial count
+        monkeypatch.setenv("IRSBEAM_WORKERS", "1")
+        rows = []
+        for name, flags in (("flags", ["--seed", "9", "--trials", "2"]), ("none", [])):
+            out = tmp_path / f"{name}.csv"
+            assert main(["run", "--config", config_path, "--out", str(out), *flags]) == 0
+            rows.append(out.read_text().strip().splitlines()[1].split(","))
+        assert (rows[0][2], rows[0][7]) == ("2", "9")
+        assert (rows[1][2], rows[1][7]) == ("4", "5")
+        assert cli._parser() is cli._parser()
+
     def test_bad_bin_size_fails_before_pool_starts(self, tmp_path, monkeypatch):
         def no_pool(*args, **kwargs):
             pytest.fail("a process pool was started for an invalid config")
@@ -210,7 +225,7 @@ class TestOutputPath:
             raise AssertionError("work started before the output was opened")
 
         monkeypatch.setenv("IRSBEAM_WORKERS", "1")
-        monkeypatch.setattr(harness, "_run_points", fail)  # the trial core of run and sweep
+        monkeypatch.setattr(harness, "_run_block", fail)  # the trial core of run and sweep
         monkeypatch.setattr(cli, "build_scan_plan", fail)
 
     def test_patched_trial_is_the_one_run_calls(self, config_path, tmp_path, no_work):

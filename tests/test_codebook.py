@@ -13,6 +13,7 @@ from irsbeam.codebook import (
     CONSTANT_MODULUS,
     IDEAL_SPARSE,
     ScanPlan,
+    _shuffled_plan,
     build_scan_plan,
     optimize_constant_modulus,
     plan_from_json,
@@ -21,7 +22,7 @@ from irsbeam.codebook import (
 from irsbeam.errors import InvalidParameterError
 from irsbeam.harness import ExperimentConfig
 
-from helpers import effective_support, sparse_amplitudes
+from helpers import effective_support, plan_rounds, sparse_amplitudes
 
 CFG = ArrayConfig(n_t=128, m_y=16, m_z=16, r=4)
 SMALL = ArrayConfig(n_t=8, m_y=2, m_z=2, r=2)
@@ -343,7 +344,7 @@ class TestPlanStacks:
         for l in (1, 2, 4):
             rng = np.random.default_rng(19)
             want = build_scan_plan(SMALL, 2, l, mode, rng)
-            head = full.head(l)
+            head = plan_rounds(full, 0, l)
             self._check(head)
             for f in fields(ScanPlan):
                 got, ref = getattr(head, f.name), getattr(want, f.name)
@@ -352,7 +353,33 @@ class TestPlanStacks:
                 else:
                     assert got == ref, f.name
             assert states[l - 1] == rng.bit_generator.state
-        assert full.head(4) is full
+
+    @pytest.mark.parametrize("mode", [IDEAL_SPARSE, CONSTANT_MODULUS])
+    def test_block_groups_are_each_generators_plan(self, mode):
+        # a block plan's k-th group of rounds is the plan build_scan_plan
+        # draws from the k-th generator, with the same saved states, and
+        # the group reads the k-th of stacked factor pairs as that plan
+        # reads the pair alone, bit for bit
+        seeds, l = (5, 6, 7), 3
+        states = [[] for _ in seeds]
+        block = _shuffled_plan(SMALL, 2, l, mode, [np.random.default_rng(s) for s in seeds], states)
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((3, SMALL.m, 2)) + 1j * rng.standard_normal((3, SMALL.m, 2))
+        y = rng.standard_normal((3, 2, SMALL.n_t)) + 1j * rng.standard_normal((3, 2, SMALL.n_t))
+        z = block.readings(x, y)
+        for k, seed in enumerate(seeds):
+            saved = []
+            want = build_scan_plan(SMALL, 2, l, mode, np.random.default_rng(seed), saved)
+            part = plan_rounds(block, k * l, l)
+            self._check(part)
+            for f in fields(ScanPlan):
+                got, ref = getattr(part, f.name), getattr(want, f.name)
+                if isinstance(ref, np.ndarray):
+                    assert np.array_equal(got, ref), f.name
+                else:
+                    assert got == ref, f.name
+            assert states[k] == saved
+            assert z[k * l:(k + 1) * l].tobytes() == want.readings(x[k], y[k]).tobytes()
 
     def test_stacks_cannot_be_written(self):
         plan = build_scan_plan(SMALL, 2, 2, rng=18)

@@ -16,6 +16,8 @@ from irsbeam.codebook import (
 from irsbeam.decoder import (
     MeasurementSet,
     _decode,
+    _decode_scans,
+    _nm_rounds,
     decode_los,
     decode_nlos,
     rayleigh_threshold,
@@ -734,6 +736,30 @@ def _corner_plan():
     columns {0, 1} in bin 0, rows {2, 3} and columns {2, 3} in bin 1."""
     halves = [[0, 1], [2, 3]]
     return handmade_plan(ArrayConfig(n_t=4, m_y=2, m_z=2, r=2), [(halves, halves)] * 2)
+
+
+class TestStackedScans:
+    """_decode_scans over a stack of scans, each with its own plan,
+    threshold and rounds, gives each scan's own decode."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(decode_cases(), st.integers(0, 3), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_stack_equals_each_scan_alone(self, case, extra, nlos, seed):
+        # the drawn scan and `extra` more on plans of its shape, with
+        # readings that hold exact zeros and thresholds of their own
+        ms, epsilon, _ = case
+        rng = np.random.default_rng(seed)
+        plan = ms.plan
+        sets = [ms] + [MeasurementSet(rng.exponential(size=ms.y.shape) * (rng.random(ms.y.shape) < 0.8),
+                                      build_scan_plan(plan.cfg, plan.q, plan.l, plan.mode, rng))
+                       for _ in range(extra)]
+        eps = np.array([epsilon, *rng.choice([0.0, 0.5, epsilon], size=extra)])
+        y = np.array([m.y for m in sets])
+        rounds = _nm_rounds(y, eps) if nlos else None
+        got = _decode_scans(y, np.array([m.plan.row_bin for m in sets]),
+                            np.array([m.plan.col_bin for m in sets]), eps, rounds)
+        decode = decode_nlos if nlos else decode_los
+        assert got == [decode(m, m.plan, e) for m, e in zip(sets, eps.tolist())]
 
 
 class TestBoundDecodeMatchesGrid:

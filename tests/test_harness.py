@@ -23,9 +23,9 @@ from irsbeam.arrays import (
     dft_dictionary,
 )
 from irsbeam.channel import CascadeChannel, assemble_channels, sample_paths
-from irsbeam.codebook import CONSTANT_MODULUS, IDEAL_SPARSE, ScanPlan
+from irsbeam.codebook import CONSTANT_MODULUS, IDEAL_SPARSE, ScanPlan, build_scan_plan
 from irsbeam.config import parse_config, parse_config_text
-from irsbeam.decoder import AlignmentEstimate, _decode, decode_los
+from irsbeam.decoder import AlignmentEstimate, _decode, synthesize_measurements
 from irsbeam.errors import InvalidParameterError
 from irsbeam.harness import (
     BGR_MAX_ITERS,
@@ -72,10 +72,10 @@ def _openblas_threads():
     return None
 
 
-def _blas_threads_runner(cfgs, t):
-    """A stand-in for _run_points that reports its worker's BLAS thread
+def _blas_threads_runner(cfgs, trials):
+    """A stand-in for _run_block that reports its worker's BLAS thread
     count as each config's record."""
-    return [_openblas_threads()[0]()] * len(cfgs)
+    return [[_openblas_threads()[0]()] * len(cfgs) for _ in trials]
 
 
 # Prints every field of seeded LOS and NLOS records at -30 dB, exactly.
@@ -108,6 +108,18 @@ for t in range(3, 203):
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 print(faults, _cascade_dictionary_cached.cache_info().currsize)
 """
+
+
+def _trial_measurements(cfg, t):
+    """The measurements and plan of run_trial(cfg, t), drawn stage by
+    stage through the public functions, as the trial draws them."""
+    rng = trial_rng(cfg.seed, t)
+    ch = assemble_channels(
+        sample_paths(cfg.paths_bs_irs, cfg.rician_bs_irs_db, rng, with_bs_aod=True),
+        sample_paths(cfg.paths_irs_user, cfg.irs_user_rician_db, rng), cfg.array)
+    plan = build_scan_plan(cfg.array, cfg.q, cfg.l, cfg.mode, rng)
+    sigma = 0.0 if cfg.snr_db is None else snr_to_sigma(ch.h, cfg.snr_db)
+    return synthesize_measurements((ch.x, ch.y), plan, sigma, rng), plan
 
 
 def _fresh_python(script: str, threads: str) -> str:
@@ -373,20 +385,13 @@ class TestTrials:
         b = run_trial(SMALL_CFG, 0)
         assert a == b
 
-    def test_detector_gate_decides_a_low_snr_trial(self, monkeypatch):
+    def test_detector_gate_decides_a_low_snr_trial(self):
         # at p_fa = 1e-3 and -50 dB the gate moves decisions: this trial
         # decodes the best candidate of the full score grid, which is not
         # the ungated argmax (the decode at epsilon 0)
-        seen = []
-
-        def spy(measurements, plan, epsilon):
-            seen.append((measurements, plan))
-            return decode_los(measurements, plan, epsilon)
-
-        monkeypatch.setattr(harness, "decode_los", spy)
         cfg = replace(ACCEPTANCE_CFG, seed=3, snr_db=-50.0, p_fa=1e-3)
         est = run_trial(cfg, 0).estimate
-        ((measurements, plan),) = seen
+        measurements, plan = _trial_measurements(cfg, 0)
         assert est == grid_decode(measurements, plan, est.detector_threshold)
         assert est.candidate_count < cfg.array.m * cfg.array.n_t
         ungated = _decode(measurements, plan, 0.0)
@@ -421,7 +426,7 @@ class TestTrials:
         get, put = blas
         before = get()
         monkeypatch.setenv("IRSBEAM_WORKERS", "2")
-        monkeypatch.setattr(harness, "_run_points", _blas_threads_runner)
+        monkeypatch.setattr(harness, "_run_block", _blas_threads_runner)
         put(2)  # forked workers inherit two threads; the initializer sets one
         try:
             counts = run_trials([(replace(SMALL_CFG, trials=4),)])
@@ -591,19 +596,25 @@ class TestTrials:
         # read from the dense lam give the same records
         cfgs = [replace(ACCEPTANCE_CFG, scenario=s, snr_db=-20.0) for s in ("los", "nlos")]
         want = [run_trial(cfg, t) for cfg in cfgs for t in range(50)]
-        channels, factors = [], []
-        real_assemble, real_readings = harness.assemble_channels, ScanPlan.readings
+        blocks, factors = [], []
+        real_assemble, real_readings = harness._assemble, ScanPlan.readings
 
         def assemble(*args):
-            channels.append(real_assemble(*args))
-            return channels[-1]
+            blocks.append(real_assemble(*args))
+            return blocks[-1]
 
         def readings(plan, x, y):
-            ch = channels[-1]
-            factors.append(x is ch.x and y is ch.y)
-            return real_readings(plan, ch.lam, np.eye(ch.lam.shape[1]))
+            # the block's own factor stacks, read as the stack of its
+            # channels' dense lam and I
+            channels, (xs, ys, _, _) = blocks[-1]
+            factors.append(x is xs and y is ys and len(channels) == 1
+                           and x[0].tobytes() == channels[0].x.tobytes()
+                           and y[0].tobytes() == channels[0].y.tobytes())
+            lam = np.stack([ch.lam for ch in channels])
+            n_t = lam.shape[-1]
+            return real_readings(plan, lam, np.broadcast_to(np.eye(n_t), (len(lam), n_t, n_t)))
 
-        monkeypatch.setattr(harness, "assemble_channels", assemble)
+        monkeypatch.setattr(harness, "_assemble", assemble)
         monkeypatch.setattr(ScanPlan, "readings", readings)
         got = [run_trial(cfg, t) for cfg in cfgs for t in range(50)]
         assert factors == [True] * 100
@@ -623,6 +634,166 @@ class TestTrials:
         for rec in run_trials([(cfg,)])[0]:
             assert isinstance(rec.success, bool)
             assert rec.estimate.nm_rounds is not None
+
+
+@st.composite
+def block_partitions(draw):
+    """A small group, LOS or NLOS, ideal-sparse or constant-modulus, P = 1
+    or 2: one config, an SNR group (a noiseless point among them) or a T
+    group with a repeated L; and a partition of its trials into blocks."""
+    cfg = ExperimentConfig(
+        array=SMALL, q=draw(st.sampled_from([2, 4, 8])), l=draw(st.integers(1, 3)),
+        mode=draw(st.sampled_from([IDEAL_SPARSE, IDEAL_SPARSE, CONSTANT_MODULUS])),
+        scenario=draw(st.sampled_from(["los", "nlos"])),
+        snr_db=draw(st.none() | st.sampled_from([-30.0, 0.0])),
+        paths_bs_irs=draw(st.integers(1, 2)), trials=draw(st.integers(1, 7)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    kind = draw(st.sampled_from(["one", "snr", "T"]))
+    if kind == "snr":
+        snrs = draw(st.lists(st.none() | st.sampled_from([-30.0, -10.0, 10.0]), min_size=2, max_size=4))
+        group = tuple(replace(cfg, snr_db=s) for s in snrs)
+    elif kind == "T":
+        group = tuple(replace(cfg, l=l) for l in draw(st.lists(st.integers(1, 4), min_size=2, max_size=4)))
+    else:
+        group = (cfg,)
+    sizes, left = [], cfg.trials
+    while left:
+        sizes.append(draw(st.integers(1, left)))
+        left -= sizes[-1]
+    return group, sizes
+
+
+class TestBlocks:
+    """A group's trials run in blocks: a block's records are its trials'
+    run_trial records, whatever the block, its size or the partition."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(block_partitions())
+    def test_any_partition_gives_run_trials_records(self, drawn):
+        group, sizes = drawn
+        got, start = [], 0
+        for size in sizes:
+            got += harness._run_block(group, range(start, start + size))
+            start += size
+        assert got == [[run_trial(c, t) for c in group] for t in range(start)]
+
+    @pytest.mark.parametrize("scenario", ["los", "nlos"])
+    def test_acceptance_size_blocks_of_one_seven_and_the_bound(self, scenario):
+        cfg = replace(ACCEPTANCE_CFG, scenario=scenario, seed=29, trials=20)
+        groups = [
+            tuple(replace(cfg, snr_db=s) for s in (-30.0, -20.0, -10.0, 0.0)),
+            tuple(replace(cfg, snr_db=-20.0, l=l) for l in (2, 7, 7, 4)),
+            (replace(cfg, snr_db=None, paths_bs_irs=1),),
+        ]
+        for group in groups:
+            want = [[run_trial(c, t) for c in group] for t in range(cfg.trials)]
+            bound = harness._block_size(group)
+            assert bound == 18
+            for size in (1, 7, bound):
+                got = [recs for start in range(0, cfg.trials, size)
+                       for recs in harness._run_block(group, range(start, min(cfg.trials, start + size)))]
+                assert got == want, size
+
+    def test_block_size_is_derived_from_the_group(self):
+        # B * L * U * V <= M * N_t with L the group's largest l; a singleton
+        # (exhaustive) config reads M * N_t numbers per trial, so runs alone
+        cfg = ACCEPTANCE_CFG
+        assert harness._block_size((cfg,)) == 18  # 7 * 16 * 16 = 1792 of 32768
+        assert harness._block_size((replace(cfg, l=2), replace(cfg, l=8))) == 16
+        assert harness._block_size((exhaustive(cfg),)) == 1
+        assert harness._block_size((replace(cfg, l=100),)) == 1
+
+    @pytest.mark.parametrize("workers,sizes", [("1", [5, 5, 5, 5, 3]), ("2", [3] * 7 + [2])])
+    def test_trials_run_in_consecutive_blocks(self, monkeypatch, workers, sizes):
+        # serially in blocks of the bound (5 here: 3 * 4 * 4 of 256); in a
+        # pool, one block per task, of at most a quarter of each worker's share
+        blocks = []
+        real = harness._run_block
+
+        def spy(group, trials):
+            blocks.append(trials)
+            return real(group, trials)
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setenv("IRSBEAM_WORKERS", workers)
+        monkeypatch.setattr(harness, "_run_block", spy)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        cfg = replace(SMALL_CFG, trials=23)
+        (records,) = run_trials([(cfg,)])
+        assert [len(b) for b in blocks] == sizes
+        assert [t for b in blocks for t in b] == list(range(23))
+        assert records == [run_trial(cfg, t) for t in range(23)]
+
+    @pytest.mark.parametrize("scenario", ["los", "nlos"])
+    def test_group_of_configs_that_differ_in_more_than_snr_and_l_rejected(self, monkeypatch,
+                                                                         scenario):
+        # the configs of a group share one channel and plan per trial, so a
+        # group that differs in its seed or scenario fails before any trial
+        def fail(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setenv("IRSBEAM_WORKERS", "1")
+        monkeypatch.setattr(harness, "_run_block", fail)
+        cfg = replace(SMALL_CFG, scenario=scenario)
+        for other in (replace(cfg, seed=9, scenario="nlos"), replace(cfg, trials=5),
+                      replace(cfg, p_fa=0.2), replace(cfg, q=8)):
+            with pytest.raises(InvalidParameterError, match="differ at most in snr_db and l"):
+                run_trials([(cfg,), (cfg, other)])
+        with pytest.raises(InvalidParameterError, match="differ at most in snr_db and l"):
+            run_trials([()])
+
+    def test_block_forms_no_array_of_every_trial_and_entry(self):
+        # a block of the bound (18 trials at the acceptance size) at four
+        # SNR points allocates less than one B x M x N_t complex array
+        cfg = replace(ACCEPTANCE_CFG, scenario="nlos")
+        group = tuple(replace(cfg, snr_db=s) for s in (-30.0, -20.0, -10.0, 0.0))
+        block = range(harness._block_size(group))
+        harness._run_block(group, block)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            harness._run_block(group, block)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < len(block) * cfg.array.m * cfg.array.n_t * 16
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_stacked_reference_beams_are_each_pairs_own(self, monkeypatch, p):
+        # a stack of pairs that stop at different steps: each keeps the
+        # beams of its own last step, bit for bit as optimal_beams computes
+        # them for the pair alone
+        rng = np.random.default_rng(31)
+        channels = [assemble_channels(sample_paths(p, 13.2, rng, with_bs_aod=True),
+                                      sample_paths(2, 0.0, rng), ACCEPTANCE_CFG.array)
+                    for _ in range(12)]
+        alone = [optimal_beams(ch.u, ch.b) for ch in channels]
+        v, f = harness._lockstep_beams(np.array([ch.u for ch in channels]),
+                                       np.array([ch.b for ch in channels]))
+        for k, (v1, f1) in enumerate(alone):
+            assert v[k].tobytes() == v1.tobytes() and f[k].tobytes() == f1.tobytes()
+        steps = []  # the fewest steps that give each pair its beams
+        for ch, (v1, _) in zip(channels, alone):
+            k = 1
+            monkeypatch.setattr(harness, "BGR_MAX_ITERS", k)
+            while optimal_beams(ch.u, ch.b)[0].tobytes() != v1.tobytes():
+                k += 1
+                monkeypatch.setattr(harness, "BGR_MAX_ITERS", k)
+            steps.append(k)
+        assert len(set(steps)) > 1
 
 
 @st.composite
@@ -693,14 +864,14 @@ class TestSweeps:
     ])
     def test_snr_and_t_sweeps_draw_each_channel_once(self, monkeypatch, axis, key, values):
         calls = []
-        real = harness.assemble_channels
+        real = harness._assemble
 
-        def assemble(*args):
-            calls.append(args[2])
-            return real(*args)
+        def assemble(pairs, array):
+            calls.extend([array] * len(pairs))
+            return real(pairs, array)
 
         monkeypatch.setenv("IRSBEAM_WORKERS", "1")
-        monkeypatch.setattr(harness, "assemble_channels", assemble)
+        monkeypatch.setattr(harness, "_assemble", assemble)
         cfg = replace(SMALL_CFG, trials=5, **{key: values})
         sweep(cfg, axis)
         # the M axis changes the array, so each of its points draws its own
