@@ -161,7 +161,7 @@ def _project_unit(v: np.ndarray) -> np.ndarray:
     # repeated renormalization drives every |v_i| to exactly 1.0 in floats
     for _ in range(4):
         a = np.abs(v)
-        if np.all(a == 1.0):
+        if (a == 1.0).all():
             break
         v = v / a
     return v
@@ -170,21 +170,29 @@ def _project_unit(v: np.ndarray) -> np.ndarray:
 def _ascend(pt: np.ndarray) -> list[CMResult]:
     """optimize_constant_modulus on B design sets in lockstep.
 
-    `pt` (B x q x M) stacks each set's p^T (p is M x q), and is
-    overwritten as the batch shrinks. Each beam keeps its own step
-    length, backtracking, objective history and stop flag, and leaves
-    the batch once it stops, so it takes exactly the steps it would take
-    alone. For that every product is one gemv per slice on p or p^H in
-    the caller's layout (slice.T and slice.conj()): a contiguous copy
-    would change the kernel and the low bits, and conjugating a product
-    in place of its matrix flips the signs of zeros.
+    `pt` (B x q x M) stacks each set's p^T (p is M x q). It is conjugated
+    in place into p^H, the one stack the ascent keeps; as beams stop, the
+    running slices above the new batch length move into their rows. Each
+    beam keeps its own step length, backtracking, objective history and
+    stop flag, and leaves the batch once it stops, so it takes exactly
+    the steps it would take alone. For that every product is one gemv per
+    slice in the caller's layout: a contiguous copy would change the
+    kernel and the low bits. p^H v is taken on the stack, and the
+    gradient p w as conj(p^H^T conj(w)), p^H^T in p's layout: negating
+    every imaginary part before and after a product negates its
+    roundings with them, so only a zero can come out with the other
+    sign. No entry of v is -0 (short of an underflow), so the trial
+    point v + t rgrad is the same for either sign and has no -0 entry
+    either. Multiplied by the reciprocal of its magnitude, it then
+    rounds as numpy's division by that magnitude does, since numpy
+    divides a complex by a real through the real's reciprocal.
     """
-    b, _, m = pt.shape
-    ph = pt.conj()
+    b, q, m = pt.shape
+    s = pt.sum(axis=1)
+    ph = np.conjugate(pt, out=pt)
     results: list[CMResult] = [None] * b
     slot = np.arange(b)  # the beam each row of the active batch holds
     objs = np.zeros((b, CM_MAX_ITERS + 1))
-    s = pt.sum(axis=1)
     v = np.where(np.abs(s) > 0, np.exp(1j * np.angle(s)), 1.0 + 0j)
 
     # inner = p^H v and den = 1 + |inner|^2, kept in step with v
@@ -192,31 +200,50 @@ def _ascend(pt: np.ndarray) -> list[CMResult]:
     den = 1.0 + np.abs(inner) ** 2
     objs[:, 0] = last = np.log2(den).sum(axis=1)
     step = np.full(b, CM_STEP0 * m)
+    # work arrays, one row per beam, the first k rows in use; a trial
+    # point every running beam accepts swaps places with v, inner and den
+    rgrad, radial, cand = (np.empty((b, m), complex) for _ in range(3))
+    mag = np.empty((b, m))
+    cand_inner, cand_den = np.empty((b, q), complex), np.empty((b, q))
     for it in range(1, CM_MAX_ITERS + 1):
         k = len(slot)
-        # Wirtinger gradient of the objective w.r.t. conj(v)
-        egrad = (pt[:k].transpose(0, 2, 1) @ (inner / den)[..., None])[..., 0]
-        rgrad = egrad - np.real(egrad * np.conj(v)) * v
+        hk, vk, gk, rk, mk = ph[:k], v[:k], rgrad[:k], radial[:k], mag[:k]
+        # Wirtinger gradient p w of the objective w.r.t. conj(v), w = inner / den
+        wc = inner[:k] / den[:k]
+        np.matmul(hk.transpose(0, 2, 1), np.conjugate(wc, out=wc)[..., None], out=gk[..., None])
+        np.conjugate(gk, out=gk)
+        # less its radial part Re(egrad conj(v)) v
+        np.multiply(gk, np.conjugate(vk, out=rk), out=rk)
+        np.copyto(mk, rk.real)
+        np.subtract(gk, np.multiply(mk, vk, out=rk), out=gk)
         # a beam whose gradient has zero squared norm takes no step
-        searching = (rgrad.view(float) ** 2).sum(axis=1) != 0
+        searching = (gk.view(float) ** 2).sum(axis=1) != 0
         new = last.copy()
         trial = step  # halved in place while a beam searches
+        ck, cik, cdk = cand[:k], cand_inner[:k], cand_den[:k]
         for _ in range(30):
-            cand = v + trial[:, None] * rgrad
-            cand = cand / np.abs(cand)  # |cand_i| >= 1: rgrad_i is tangent to v_i
-            cand_inner = (ph[:k] @ cand[..., None])[..., 0]
-            cand_den = 1.0 + np.abs(cand_inner) ** 2
-            obj = np.log2(cand_den).sum(axis=1)
+            np.multiply(gk, trial[:, None], out=ck)
+            ck += vk
+            # |cand_i| >= 1: rgrad_i is tangent to v_i
+            np.divide(1.0, np.abs(ck, out=mk), out=mk)
+            ck *= mk
+            np.matmul(hk, ck[..., None], out=cik[..., None])
+            np.square(np.abs(cik, out=cdk), out=cdk)
+            cdk += 1.0
+            obj = np.log2(cdk).sum(axis=1)
             hit = searching & (obj > last)
-            if hit.all():  # every beam accepts this trial, none an earlier one
-                v, inner, den, new = cand, cand_inner, cand_den, obj
+            hits = np.count_nonzero(hit)
+            if hits == k:  # every beam accepts this trial, none an earlier one
+                v, cand, new = cand, v, obj
+                inner, cand_inner = cand_inner, inner
+                den, cand_den = cand_den, den
                 break
-            if hit.any():
-                for x, y in ((v, cand), (inner, cand_inner), (den, cand_den)):
+            if hits:
+                for x, y in ((vk, ck), (inner[:k], cik), (den[:k], cdk)):
                     np.copyto(x, y, where=hit[:, None])
                 np.copyto(new, obj, where=hit)
                 searching ^= hit
-                if not searching.any():
+                if not np.count_nonzero(searching):
                     break
             np.multiply(trial, 0.5, out=trial, where=searching)
         objs[slot, it] = new
@@ -224,23 +251,23 @@ def _ascend(pt: np.ndarray) -> list[CMResult]:
         accepted = new > last
         converged = ~accepted | (new - last < CM_TOL * np.maximum(1.0, np.abs(last)))
         stop = converged | (it == CM_MAX_ITERS)
-        for i in np.flatnonzero(stop):
+        stopped = stop.nonzero()[0]
+        for i in stopped:
             results[slot[i]] = CMResult(
-                v=_project_unit(v[i]),
+                v=_project_unit(v[i].copy()),  # v's rows are reused
                 objectives=objs[slot[i], : it + accepted[i]].copy(),
                 converged=bool(converged[i]),
             )
         step, last = trial * 2.0, new
-        if stop.any():
-            keep = np.flatnonzero(~stop)
-            # move the running sets forward in place: copying the
-            # compacted stacks would hold both copies at once
-            for dst, src in enumerate(keep):
-                pt[dst], ph[dst] = pt[src], ph[src]
-            slot, v, inner, den, step, last = (
-                x[keep] for x in (slot, v, inner, den, step, last)
-            )
-            if not len(slot):
+        if len(stopped):
+            # the running beams above the new batch length fill the
+            # stopped rows below it
+            n = k - len(stopped)
+            holes, movers = stopped[stopped < n], (~stop[n:]).nonzero()[0] + n
+            for x in (ph, v, inner, den, slot, step, last):
+                x[holes] = x[movers]
+            slot, step, last = slot[:n], step[:n], last[:n]
+            if not n:
                 break
     return results
 
@@ -256,8 +283,8 @@ def optimize_constant_modulus(selected: np.ndarray) -> CMResult:
     after CM_MAX_ITERS steps or once a step gains less than CM_TOL
     relative.
     """
-    # a batch of one never shrinks, so `selected` is left as it is
-    return _ascend(np.asarray(selected).T[None])[0]
+    # the ascent conjugates its stack in place: a copy in selected's layout
+    return _ascend(np.array(selected).T[None])[0]
 
 
 def _assign_bins(n: int, supports: np.ndarray, image: np.ndarray | None = None) -> np.ndarray:

@@ -4,8 +4,9 @@ dense beamspace coefficients of ideal-sparse beams, the per-beam
 effective support of a constant-modulus beam, round-by-round noisy
 readings, readings summed bin member by bin member, a plan's run of
 rounds, the full-grid decode the
-bound decode must equal, and the empty-intersection probability as an
-exact Markov chain."""
+bound decode must equal, the empty-intersection probability as an
+exact Markov chain, and the lockstep constant-modulus ascent with two
+stored stacks and complex division that codebook._ascend must equal."""
 
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -15,7 +16,9 @@ import numpy as np
 
 from irsbeam.arrays import ArrayConfig, cascade_dictionary, dft_dictionary
 from irsbeam.channel import AlignmentEstimate, CascadeChannel
-from irsbeam.codebook import IDEAL_SPARSE, ScanPlan, build_scan_plan
+from irsbeam.codebook import (
+    CM_MAX_ITERS, CM_STEP0, CM_TOL, IDEAL_SPARSE, CMResult, ScanPlan, build_scan_plan,
+)
 from irsbeam.decoder import decode_los, rayleigh_threshold, synthesize_measurements
 from irsbeam.harness import ExperimentConfig
 
@@ -197,3 +200,90 @@ def g_chain(x: int, y: int, z: int) -> Fraction:
                     step[t] = step.get(t, 0) + p * Fraction(w, comb(n, k))
         dist = step
     return dist.get(0, Fraction(0))
+
+
+def _project_unit_reference(v: np.ndarray) -> np.ndarray:
+    # repeated renormalization drives every |v_i| to exactly 1.0 in floats
+    for _ in range(4):
+        a = np.abs(v)
+        if np.all(a == 1.0):
+            break
+        v = v / a
+    return v
+
+
+def ascend_reference(pt: np.ndarray) -> list[CMResult]:
+    """The lockstep ascent of codebook._ascend with two stored stacks, p^T
+    and p^H, and trial points normalized by complex division: the oracle
+    the solver must equal bit for bit, beam by beam.
+
+    `pt` (B x q x M) stacks each set's p^T (p is M x q), and is
+    overwritten as the batch shrinks. Each beam keeps its own step
+    length, backtracking, objective history and stop flag, and leaves
+    the batch once it stops. Every product is one gemv per slice on p or
+    p^H in the caller's layout (slice.T and slice.conj()).
+    """
+    b, _, m = pt.shape
+    ph = pt.conj()
+    results: list[CMResult] = [None] * b
+    slot = np.arange(b)  # the beam each row of the active batch holds
+    objs = np.zeros((b, CM_MAX_ITERS + 1))
+    s = pt.sum(axis=1)
+    v = np.where(np.abs(s) > 0, np.exp(1j * np.angle(s)), 1.0 + 0j)
+
+    # inner = p^H v and den = 1 + |inner|^2, kept in step with v
+    inner = (ph @ v[..., None])[..., 0]
+    den = 1.0 + np.abs(inner) ** 2
+    objs[:, 0] = last = np.log2(den).sum(axis=1)
+    step = np.full(b, CM_STEP0 * m)
+    for it in range(1, CM_MAX_ITERS + 1):
+        k = len(slot)
+        # Wirtinger gradient of the objective w.r.t. conj(v)
+        egrad = (pt[:k].transpose(0, 2, 1) @ (inner / den)[..., None])[..., 0]
+        rgrad = egrad - np.real(egrad * np.conj(v)) * v
+        # a beam whose gradient has zero squared norm takes no step
+        searching = (rgrad.view(float) ** 2).sum(axis=1) != 0
+        new = last.copy()
+        trial = step  # halved in place while a beam searches
+        for _ in range(30):
+            cand = v + trial[:, None] * rgrad
+            cand = cand / np.abs(cand)  # |cand_i| >= 1: rgrad_i is tangent to v_i
+            cand_inner = (ph[:k] @ cand[..., None])[..., 0]
+            cand_den = 1.0 + np.abs(cand_inner) ** 2
+            obj = np.log2(cand_den).sum(axis=1)
+            hit = searching & (obj > last)
+            if hit.all():  # every beam accepts this trial, none an earlier one
+                v, inner, den, new = cand, cand_inner, cand_den, obj
+                break
+            if hit.any():
+                for x, y in ((v, cand), (inner, cand_inner), (den, cand_den)):
+                    np.copyto(x, y, where=hit[:, None])
+                np.copyto(new, obj, where=hit)
+                searching ^= hit
+                if not searching.any():
+                    break
+            np.multiply(trial, 0.5, out=trial, where=searching)
+        objs[slot, it] = new
+        # a beam that took no step kept new == last and has converged
+        accepted = new > last
+        converged = ~accepted | (new - last < CM_TOL * np.maximum(1.0, np.abs(last)))
+        stop = converged | (it == CM_MAX_ITERS)
+        for i in np.flatnonzero(stop):
+            results[slot[i]] = CMResult(
+                v=_project_unit_reference(v[i]),
+                objectives=objs[slot[i], : it + accepted[i]].copy(),
+                converged=bool(converged[i]),
+            )
+        step, last = trial * 2.0, new
+        if stop.any():
+            keep = np.flatnonzero(~stop)
+            # move the running sets forward in place: copying the
+            # compacted stacks would hold both copies at once
+            for dst, src in enumerate(keep):
+                pt[dst], ph[dst] = pt[src], ph[src]
+            slot, v, inner, den, step, last = (
+                x[keep] for x in (slot, v, inner, den, step, last)
+            )
+            if not len(slot):
+                break
+    return results

@@ -22,7 +22,7 @@ from irsbeam.codebook import (
 from irsbeam.errors import InvalidParameterError
 from irsbeam.harness import ExperimentConfig
 
-from helpers import effective_support, plan_rounds, sparse_amplitudes
+from helpers import ascend_reference, effective_support, plan_rounds, sparse_amplitudes
 
 CFG = ArrayConfig(n_t=128, m_y=16, m_z=16, r=4)
 SMALL = ArrayConfig(n_t=8, m_y=2, m_z=2, r=2)
@@ -166,6 +166,43 @@ class TestRoundSolve:
             bins = [c[0] if len(c) == 1 else np.argmax(np.abs(image[i]))
                     for i, c in enumerate(claims)]
             np.testing.assert_array_equal(rnd.row_bin, bins)
+
+
+def assert_ascent_matches_reference(stack):
+    """_ascend on the design stack `stack()` (B x q x M) returns, beam by
+    beam, the bytes of v and of the objective sequence and the stop flag
+    of ascend_reference. Each solver gets its own stack, as it may
+    overwrite the one it is given."""
+    got, want = codebook._ascend(stack()), ascend_reference(stack())
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.v.tobytes() == b.v.tobytes()
+        assert a.objectives.tobytes() == b.objectives.tobytes()
+        assert a.converged is b.converged
+
+
+class TestAscentEqualsReference:
+    @settings(deadline=None)
+    @given(small_geometries())
+    def test_small_geometries(self, geometry):
+        cfg, q, l, seed = geometry
+        bar = cascade_dictionary(cfg)
+        for k, c in enumerate(build_scan_plan(cfg, q, l, rng=seed).c_design):
+            # encode_rounds' layout: slice u is barD[:, c[u]].T
+            assert_ascent_matches_reference(lambda: bar.T[c])
+            if k == 0:
+                # optimize_constant_modulus's, from a column gather and
+                # from a C-ordered M x q matrix
+                for sup in c:
+                    assert_ascent_matches_reference(lambda: bar[:, sup].T[None])
+                    assert_ascent_matches_reference(lambda: np.ascontiguousarray(bar[:, sup]).T[None])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_acceptance_size(self, seed):
+        # N_t=128, 16x16, q=16, L=7: every round's batch of 16 beams
+        bar = cascade_dictionary(CFG)
+        for c in build_scan_plan(CFG, 16, 7, rng=seed).c_design:
+            assert_ascent_matches_reference(lambda: bar.T[c])
 
 
 class TestConstantModulusJson:
