@@ -42,10 +42,6 @@ class PathSet:
         if self.bs_aod is not None and len(self.bs_aod) != n:
             raise InvalidParameterError("bs_aod must match gain count")
 
-    @property
-    def path_count(self) -> int:
-        return len(self.gains)
-
 
 @dataclass(frozen=True)
 class CascadeChannel:

@@ -373,19 +373,17 @@ def build_scan_plan(
     l: int,
     mode: str = IDEAL_SPARSE,
     rng: np.random.Generator | int | np.integer | None = None,
-    states: list | None = None,
 ) -> ScanPlan:
     """L independently randomized rounds; total budget T = U*V*L. Each
     round splits {0..M-1} into q-sets, then {0..N_t-1} into R-sets, so
-    the first l rounds are the plan of l rounds from the same generator.
-    A `states` list receives the generator's state after each round."""
+    the first l rounds are the plan of l rounds from the same generator."""
     if l < 1:
         raise InvalidParameterError("at least one round is required")
     check_round_shape(cfg, q, mode)
     seed = int(rng) if isinstance(rng, (int, np.integer)) else None
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    return _shuffled_plan(cfg, q, l, mode, [rng], None if states is None else [states], seed)
+    return _shuffled_plan(cfg, q, l, mode, [rng], seed=seed)
 
 
 def _shuffled_plan(cfg: ArrayConfig, q: int, l: int, mode: str, rngs: list,

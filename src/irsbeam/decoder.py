@@ -1,13 +1,15 @@
 """Strongest-path recovery from phaseless bin measurements.
 
-One probability-product decoder scores every beamspace entry by the
-product of its bins' squared measurements over a set of rounds: all
-rounds for LOS channels, only the no-multiton (NM) rounds for NLOS
-channels. A decode in which no entry clears the detector gate returns
-the same decoder's result at threshold 0. The decoder does not score
-the whole M x N_t grid: per-row and per-column bounds on the score,
-summed in the grid's round order, prune the search to a sub-grid that
-must hold the best entry, and the answer is bit-for-bit the full grid's.
+One probability-product decoder (_decode_scans) scores every beamspace
+entry by the product of its bins' squared measurements over a set of
+rounds: all rounds for LOS channels, only the no-multiton (NM) rounds,
+which it selects itself, for NLOS channels. A decode in which no entry
+clears the detector gate returns the same decoder's result at threshold
+0. The decoder does not score the whole M x N_t grid: per-row and
+per-column bounds on the score, summed in the grid's round order, prune
+the search to a sub-grid that must hold the best entry, and the answer
+is bit-for-bit the full grid's. decode_los and decode_nlos are that
+decoder on a single scan, without and with the NM rule.
 The plan forms the noiseless readings (ScanPlan.readings); they are noised here.
 """
 
@@ -20,6 +22,8 @@ import numpy as np
 from .channel import AlignmentEstimate, _noised_magnitude, draw_normals
 from .codebook import ScanPlan
 from .errors import InvalidParameterError
+
+_OTHER_PLAN = "decode with the plan the measurements were taken with"
 
 
 @dataclass(frozen=True)
@@ -93,35 +97,20 @@ def _sum_rounds(parts: np.ndarray) -> np.ndarray:
     return total
 
 
-def _decode(
-    measurements: MeasurementSet,
-    plan: ScanPlan,
-    epsilon: float,
-    nm_rounds: tuple[int, ...] | None = None,
-) -> AlignmentEstimate:
-    """Probability-product decoding over the NM rounds (None: every round),
-    ascending: _decode_scans of this one scan."""
-    if plan is not measurements.plan:
-        raise InvalidParameterError("decode with the plan the measurements were taken with")
-    rounds = None
-    if nm_rounds is not None:
-        rounds = np.zeros((1, plan.l), dtype=bool)
-        rounds[0, list(nm_rounds)] = True
-    return _decode_scans(measurements.y[None], plan.row_bin[None], plan.col_bin[None],
-                         np.array([epsilon]), rounds)[0]
-
-
 def _decode_scans(
     y: np.ndarray,
     row_bin: np.ndarray,
     col_bin: np.ndarray,
     epsilon: np.ndarray,
-    rounds: np.ndarray | None = None,
+    nlos: bool = False,
 ) -> list[AlignmentEstimate]:
     """Probability-product decoding of S scans of L rounds (y S x L x U x V,
-    threshold epsilon[s]) over each scan's NM rounds, the True entries of
-    rounds[s] (None: every round). Scan s was taken with the plan whose
-    bin maps are row_bin[s] (L x M) and col_bin[s] (L x N_t).
+    threshold epsilon[s]) over every round, or with `nlos` over each
+    scan's NM rounds: the one place the NM rule is taken. A scan's NM
+    rounds are those with the fewest nulltons (readings y < epsilon[s]).
+    Scan s was taken with the plan whose bin maps are row_bin[s] (L x M)
+    and col_bin[s] (L x N_t). InvalidParameterError unless every reading
+    is finite and nonnegative (_checked).
 
     Candidates are the entries with a bin reading y >= epsilon in at least
     one of those rounds, the magnitude test the NM count uses. Among them
@@ -149,10 +138,11 @@ def _decode_scans(
     are taken for all scans at once; the candidate count, the seed row
     and the sub-grid are each scan's own.
 
-    With no candidate the result is the decode at epsilon 0 over every
-    round (every entry a candidate; for NLOS every round NM), not over the
-    NM rounds: a constant-modulus bin may own no rows, so an empty
-    candidate set does not imply that every round was selected.
+    With no candidate the result is the decode at epsilon 0 with the same
+    `nlos`: every entry a candidate and, as no reading is a nullton, every
+    round NM. It is not the decode over the NM rounds: a constant-modulus
+    bin may own no rows, so an empty candidate set does not imply that
+    every round was selected.
 
     The gate decides only at low SNR and small p_fa. At the acceptance
     size (LOS, seed 3, 150 trials per cell), against the ungated decode
@@ -160,6 +150,7 @@ def _decode_scans(
     or -30 dB; at p_fa = 0.01, 31 and 12 moved at -50 and -40 dB; at
     p_fa = 1e-3, 105 and 59; at -30 dB none moved at any of these p_fa.
     """
+    _checked(y)
     scans, n, u, v = y.shape
     n_t = col_bin.shape[2]
     with np.errstate(divide="ignore"):
@@ -174,7 +165,11 @@ def _decode_scans(
     # them (scans x n x U x bytes), gathered over the rows (scans x n x M x bytes),
     # OR-ed over the rounds
     gate = y >= epsilon[:, None, None, None]
-    if rounds is not None:
+    rounds = None
+    if nlos:
+        # the fewest nulltons are the most readings through the gate: y holds no NaN
+        hits = np.count_nonzero(gate, axis=(2, 3))
+        rounds = hits == hits.max(axis=1, keepdims=True)
         gate &= rounds[:, :, None, None]
     gate = gate.transpose(0, 1, 3, 2).reshape(scans * n * v, u).take(col_at, axis=0)
     bits = np.packbits(np.ascontiguousarray(gate.transpose(0, 1, 3, 2)), axis=-1)
@@ -191,9 +186,8 @@ def _decode_scans(
             cand, cand.any(axis=2), row_bounds, col_bounds, epsilon.tolist())):
         count = int(np.count_nonzero(np.unpackbits(cand_k)))
         if count == 0:
-            every = None if rounds is None else np.ones((1, n), dtype=bool)
             estimates += _decode_scans(y[k:k + 1], row_bin[k:k + 1], col_bin[k:k + 1],
-                                       np.zeros(1), every)
+                                       np.zeros(1), nlos)
             continue
         # the per-scan index arrays below come from ndarray methods, which
         # cost less per call than numpy's function wrappers
@@ -231,31 +225,31 @@ def _decode_scans(
 def decode_los(
     measurements: MeasurementSet, plan: ScanPlan, epsilon: float
 ) -> AlignmentEstimate:
-    """Probability-product ML decoding over all rounds.
+    """Probability-product ML decoding over all rounds: _decode_scans of
+    this one scan.
 
     epsilon is the detector threshold: an entry is a candidate when one
     of its bin readings has y >= epsilon. `plan` is measurements.plan.
     """
-    return _decode(measurements, plan, epsilon)
+    if plan is not measurements.plan:
+        raise InvalidParameterError(_OTHER_PLAN)
+    return _decode_scans(measurements.y[None], plan.row_bin[None], plan.col_bin[None],
+                         np.array([epsilon]))[0]
 
 
 def decode_nlos(
     measurements: MeasurementSet, plan: ScanPlan, epsilon: float
 ) -> AlignmentEstimate:
-    """NM-round-restricted probability-product decoding.
+    """NM-round-restricted probability-product decoding: _decode_scans of
+    this one scan with the NM rule.
 
     Rounds with the fewest nulltons (readings y < epsilon) are taken as
     multiton-free (NM); only those contribute probability factors.
     """
-    nm = np.flatnonzero(_nm_rounds(measurements.y[None], np.array([epsilon]))[0])
-    return _decode(measurements, plan, epsilon, tuple(nm.tolist()))
-
-
-def _nm_rounds(y: np.ndarray, epsilon: np.ndarray) -> np.ndarray:
-    """Per scan of y (S x L x U x V, thresholds epsilon) its NM rounds as
-    an S x L mask: the rounds with the fewest nulltons."""
-    counts = np.count_nonzero(y < epsilon[:, None, None, None], axis=(2, 3))
-    return counts == counts.min(axis=1, keepdims=True)
+    if plan is not measurements.plan:
+        raise InvalidParameterError(_OTHER_PLAN)
+    return _decode_scans(measurements.y[None], plan.row_bin[None], plan.col_bin[None],
+                         np.array([epsilon]), nlos=True)[0]
 
 
 def rayleigh_threshold(sigma: float, p_fa: float) -> float:

@@ -24,7 +24,7 @@ from .channel import (
     sample_paths,
 )
 from .codebook import IDEAL_SPARSE, _shuffled_plan, check_round_shape
-from .decoder import _checked, _decode_scans, _nm_rounds, rayleigh_threshold
+from .decoder import _decode_scans, rayleigh_threshold
 from .errors import InvalidParameterError, check_field_types
 
 WORKERS_ENV = "IRSBEAM_WORKERS"
@@ -309,13 +309,14 @@ def _run_block(cfgs: tuple[ExperimentConfig, ...], trials) -> list[list[TrialRec
 
     The array stages run once over the block: the responses and factors
     (_assemble), the plans' sort and bin maps (_shuffled_plan), the
-    readings, and per config the noise, its check and the decode's
-    readings-wide half (_decode_scans), and the BGR reference
-    (_reference_amplitudes). ||H||_F, the strongest entry's rows, the
-    decode's seed row and sub-grid and BGR are each trial's own, and no
-    array holds a trial axis and an M x N_t one. Every stacked product is,
-    slice by slice, the one a trial alone takes, so each record is the one
-    its config's run_trial gives, whatever the block.
+    readings, and per config the noise and the decode's readings-wide
+    half with its readings check and NM rounds (_decode_scans), and the
+    BGR reference (_reference_amplitudes). ||H||_F, the strongest entry's
+    rows, the decode's seed row and sub-grid and BGR are each trial's
+    own, and no array holds a trial axis and an M x N_t one. Every
+    stacked product is, slice by slice, the one a trial alone takes, so
+    each record is the one its config's run_trial gives, whatever the
+    block.
     """
     cfg = cfgs[0]
     a = cfg.array
@@ -351,9 +352,7 @@ def _run_block(cfgs: tuple[ExperimentConfig, ...], trials) -> list[list[TrialRec
             ys = _noised_magnitude(z, normals[c.l], sigma[:, None, None, None, None])
             # the threshold scales with sigma exactly
             eps = sigma * rayleigh_threshold(1.0, c.p_fa)
-        ys = _checked(ys)
-        rounds = _nm_rounds(ys, eps) if c.scenario == "nlos" else None
-        found.append(_decode_scans(ys, row_bin[:, :c.l], col_bin[:, :c.l], eps, rounds))
+        found.append(_decode_scans(ys, row_bin[:, :c.l], col_bin[:, :c.l], eps, c.scenario == "nlos"))
 
     records = []
     for ch, (opt_amp, grid), estimates in zip(channels, _reference_amplitudes(channels, u, b),

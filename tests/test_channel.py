@@ -59,11 +59,11 @@ def per_path_cascade(bs_irs, irs_user, cfg):
         for gain, az, el, aod in zip(
             bs_irs.gains, bs_irs.azimuth, bs_irs.elevation, bs_irs.bs_aod
         )
-    ) * np.sqrt(cfg.n_t * cfg.m / bs_irs.path_count)
+    ) * np.sqrt(cfg.n_t * cfg.m / len(bs_irs.gains))
     h_r = sum(
         gain * upa_response(az, el, cfg)
         for gain, az, el in zip(irs_user.gains, irs_user.azimuth, irs_user.elevation)
-    ) * np.sqrt(cfg.m / irs_user.path_count)
+    ) * np.sqrt(cfg.m / len(irs_user.gains))
     return np.conj(h_r)[:, None] * g
 
 

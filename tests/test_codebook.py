@@ -376,7 +376,7 @@ class TestPlanStacks:
         # same generator, and `states` holds the generator after each round
         states = []
         rng = np.random.default_rng(19)
-        full = build_scan_plan(SMALL, 2, 4, mode, rng, states)
+        full = _shuffled_plan(SMALL, 2, 4, mode, [rng], [states])
         assert len(states) == 4 and states[-1] == rng.bit_generator.state
         for l in (1, 2, 4):
             rng = np.random.default_rng(19)
@@ -393,8 +393,8 @@ class TestPlanStacks:
 
     @pytest.mark.parametrize("mode", [IDEAL_SPARSE, CONSTANT_MODULUS])
     def test_block_groups_are_each_generators_plan(self, mode):
-        # a block plan's k-th group of rounds is the plan build_scan_plan
-        # draws from the k-th generator, with the same saved states, and
+        # a block plan's k-th group of rounds is the plan the k-th
+        # generator draws alone, with the same saved states, and
         # the group reads the k-th of stacked factor pairs as that plan
         # reads the pair alone, bit for bit
         seeds, l = (5, 6, 7), 3
@@ -406,7 +406,7 @@ class TestPlanStacks:
         z = block.readings(x, y)
         for k, seed in enumerate(seeds):
             saved = []
-            want = build_scan_plan(SMALL, 2, l, mode, np.random.default_rng(seed), saved)
+            want = _shuffled_plan(SMALL, 2, l, mode, [np.random.default_rng(seed)], [saved])
             part = plan_rounds(block, k * l, l)
             self._check(part)
             for f in fields(ScanPlan):

@@ -15,9 +15,7 @@ from irsbeam.codebook import (
 )
 from irsbeam.decoder import (
     MeasurementSet,
-    _decode,
     _decode_scans,
-    _nm_rounds,
     decode_los,
     decode_nlos,
     rayleigh_threshold,
@@ -726,9 +724,7 @@ def decode_cases(draw):
     epsilon = draw(st.sampled_from(
         [0.0, 1.0, 2.0, float(rng.choice(y.ravel())), float(y.max()) + 1.0]
     ))
-    chosen = draw(st.integers(1, 2**plan.l - 1))  # a nonempty round subset, as bits
-    subset = tuple(l for l in range(plan.l) if chosen >> l & 1)
-    return MeasurementSet(y=y, plan=plan), epsilon, subset
+    return MeasurementSet(y=y, plan=plan), epsilon
 
 
 def _corner_plan():
@@ -739,27 +735,36 @@ def _corner_plan():
 
 
 class TestStackedScans:
-    """_decode_scans over a stack of scans, each with its own plan,
-    threshold and rounds, gives each scan's own decode."""
+    """_decode_scans over a stack of scans, each with its own plan and
+    threshold, gives each scan's own decode, with `nlos` over each scan's
+    own NM rounds."""
 
     @settings(deadline=None, max_examples=60)
     @given(decode_cases(), st.integers(0, 3), st.booleans(), st.integers(0, 2**32 - 1))
     def test_stack_equals_each_scan_alone(self, case, extra, nlos, seed):
         # the drawn scan and `extra` more on plans of its shape, with
         # readings that hold exact zeros and thresholds of their own
-        ms, epsilon, _ = case
+        ms, epsilon = case
         rng = np.random.default_rng(seed)
         plan = ms.plan
         sets = [ms] + [MeasurementSet(rng.exponential(size=ms.y.shape) * (rng.random(ms.y.shape) < 0.8),
                                       build_scan_plan(plan.cfg, plan.q, plan.l, plan.mode, rng))
                        for _ in range(extra)]
         eps = np.array([epsilon, *rng.choice([0.0, 0.5, epsilon], size=extra)])
-        y = np.array([m.y for m in sets])
-        rounds = _nm_rounds(y, eps) if nlos else None
-        got = _decode_scans(y, np.array([m.plan.row_bin for m in sets]),
-                            np.array([m.plan.col_bin for m in sets]), eps, rounds)
+        got = _decode_scans(np.array([m.y for m in sets]), np.array([m.plan.row_bin for m in sets]),
+                            np.array([m.plan.col_bin for m in sets]), eps, nlos)
         decode = decode_nlos if nlos else decode_los
         assert got == [decode(m, m.plan, e) for m, e in zip(sets, eps.tolist())]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_rejects_readings_a_scan_cannot_hold(self, bad):
+        # the trial core hands its noised readings straight to the decode,
+        # which checks them as MeasurementSet does
+        plan = build_scan_plan(SMALL, 4, 2, rng=25)
+        y = np.ones((2, plan.l, plan.c_design.shape[1], plan.a_supports.shape[1]))
+        y[1, 1, 0, 0] = bad
+        with pytest.raises(InvalidParameterError, match="finite and nonnegative"):
+            _decode_scans(y, np.array([plan.row_bin] * 2), np.array([plan.col_bin] * 2), np.zeros(2))
 
 
 class TestBoundDecodeMatchesGrid:
@@ -769,12 +774,11 @@ class TestBoundDecodeMatchesGrid:
     @settings(deadline=None)
     @given(decode_cases())
     def test_equals_full_grid_decode(self, case):
-        ms, epsilon, subset = case
+        ms, epsilon = case
         plan = ms.plan
         assert decode_los(ms, plan, epsilon) == grid_decode(ms, plan, epsilon)
         nm = grid_nm_rounds(ms, epsilon)
         assert decode_nlos(ms, plan, epsilon) == grid_decode(ms, plan, epsilon, nm)
-        assert _decode(ms, plan, epsilon, subset) == grid_decode(ms, plan, epsilon, subset)
 
     def _check(self, plan, y, epsilon, want):
         ms = MeasurementSet(y=[np.array(y_l, dtype=float) for y_l in y], plan=plan)

@@ -25,7 +25,7 @@ from irsbeam.arrays import (
 from irsbeam.channel import CascadeChannel, assemble_channels, sample_paths
 from irsbeam.codebook import CONSTANT_MODULUS, IDEAL_SPARSE, ScanPlan, build_scan_plan
 from irsbeam.config import parse_config, parse_config_text
-from irsbeam.decoder import AlignmentEstimate, _decode, synthesize_measurements
+from irsbeam.decoder import AlignmentEstimate, decode_los, synthesize_measurements
 from irsbeam.errors import InvalidParameterError
 from irsbeam.harness import (
     BGR_MAX_ITERS,
@@ -394,7 +394,7 @@ class TestTrials:
         measurements, plan = _trial_measurements(cfg, 0)
         assert est == grid_decode(measurements, plan, est.detector_threshold)
         assert est.candidate_count < cfg.array.m * cfg.array.n_t
-        ungated = _decode(measurements, plan, 0.0)
+        ungated = decode_los(measurements, plan, 0.0)
         assert (ungated.i_star, ungated.j_star) != (est.i_star, est.j_star)
 
     def test_noiseless_trial_mostly_succeeds(self, monkeypatch):
