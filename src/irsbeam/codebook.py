@@ -137,8 +137,7 @@ class ScanPlan:
             # rows of `a` by bin member, summed over that leading axis as real
             # and imaginary parts: numpy sums a lone complex bin pairwise.
             # The stacked pairs' rows follow one another
-            if len(a) > 1:
-                members = members + (np.arange(l) // per * a.shape[1])[:, None, None]
+            members = members + (np.arange(l) // per * a.shape[1])[:, None, None]
             a = np.asarray(a, dtype=complex).reshape(-1, a.shape[2])
             parts = a.take(members.transpose(2, 0, 1).ravel(), axis=0)
             return parts.view(float).reshape(members.shape[2], -1).sum(axis=0).view(complex)

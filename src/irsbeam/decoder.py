@@ -23,8 +23,6 @@ from .channel import AlignmentEstimate, _noised_magnitude, draw_normals
 from .codebook import ScanPlan
 from .errors import InvalidParameterError
 
-_OTHER_PLAN = "decode with the plan the measurements were taken with"
-
 
 @dataclass(frozen=True)
 class MeasurementSet:
@@ -231,10 +229,7 @@ def decode_los(
     epsilon is the detector threshold: an entry is a candidate when one
     of its bin readings has y >= epsilon. `plan` is measurements.plan.
     """
-    if plan is not measurements.plan:
-        raise InvalidParameterError(_OTHER_PLAN)
-    return _decode_scans(measurements.y[None], plan.row_bin[None], plan.col_bin[None],
-                         np.array([epsilon]))[0]
+    return _decode_one(measurements, plan, epsilon, nlos=False)
 
 
 def decode_nlos(
@@ -246,10 +241,17 @@ def decode_nlos(
     Rounds with the fewest nulltons (readings y < epsilon) are taken as
     multiton-free (NM); only those contribute probability factors.
     """
+    return _decode_one(measurements, plan, epsilon, nlos=True)
+
+
+def _decode_one(measurements: MeasurementSet, plan: ScanPlan, epsilon: float,
+                nlos: bool) -> AlignmentEstimate:
+    """_decode_scans of one scan, taken with `plan`: InvalidParameterError
+    unless `plan` is measurements.plan."""
     if plan is not measurements.plan:
-        raise InvalidParameterError(_OTHER_PLAN)
+        raise InvalidParameterError("decode with the plan the measurements were taken with")
     return _decode_scans(measurements.y[None], plan.row_bin[None], plan.col_bin[None],
-                         np.array([epsilon]), nlos=True)[0]
+                         np.array([epsilon]), nlos)[0]
 
 
 def rayleigh_threshold(sigma: float, p_fa: float) -> float:

@@ -155,48 +155,24 @@ def _sigma(fro: list[tuple[float, int]], m: int, n_t: int, snr_db: float) -> np.
     return np.array(sigma)
 
 
-def optimal_beams(u: np.ndarray, b: np.ndarray):
-    """Full-CSI reference beams for h = u b^H: constant-modulus v (M),
-    unit-norm f (N_t).
-
-    Alternating maximization of |v^H h f| on the rank-P factors (u is
-    M x P, b is N_t x P), with f = b x kept in the span of b: v
-    phase-aligns h f = u (b^H b) x, then f is matched to v^H h, so
-    x = w / ||b w|| with w = u^H v and the objective is ||b w||. The
-    start is the dominant right singular direction of h, b x with x the
-    top eigenvector of the P x P matrix (u^H u)(b^H b). The objective is
-    non-decreasing. u and b are first scaled to unit peak by exact powers
-    of two and the stopping rule is relative, so the beams ignore scale.
-    InvalidParameterError unless u and b are finite and h is nonzero.
-    """
-    u, b = _unit_peak(u), _unit_peak(b)
-    u_h = u.conj().T
-    gram = b.conj().T @ b
-    vals, vecs = np.linalg.eig((u_h @ u) @ gram)
-    x = vecs[:, vals.real.argmax()]
-    obj = 0.0
-    for _ in range(BGR_MAX_ITERS):
-        hf = u @ (gram @ x)
-        v = np.exp(1j * np.arctan2(hf.imag, hf.real))  # np.angle, with no wrapper
-        w = u_h @ v
-        bw = b @ w
-        # ||b w|| as np.linalg.norm takes it: two dot products, real and imaginary
-        nrm = math.sqrt(bw.real.dot(bw.real) + bw.imag.dot(bw.imag))
-        if nrm == 0:  # the objective never falls, and starts above 0 unless h = 0
-            raise InvalidParameterError(_ZERO_CHANNEL)
-        x = w / nrm
-        if nrm - obj <= BGR_TOL * obj:
-            break
-        obj = nrm
-    return v, b @ x
-
-
 def _lockstep_beams(u: np.ndarray, b: np.ndarray):
-    """optimal_beams of each pair of the stacks u (B x M x P) and b
-    (B x N_t x P): v B x M and f B x N_t. The pairs step in lockstep, each
-    frozen once it stops, so each takes the steps it takes alone and its
-    every product is the one it takes alone, with one call per step for
-    the whole stack."""
+    """Full-CSI reference beams for h = u b^H of each pair of the stacks
+    u (B x M x P) and b (B x N_t x P): constant-modulus v (B x M) and
+    unit-norm f (B x N_t).
+
+    Alternating maximization of |v^H h f| on the rank-P factors, with
+    f = b x kept in the span of b: v phase-aligns h f = u (b^H b) x, then
+    f is matched to v^H h, so x = w / ||b w|| with w = u^H v and the
+    objective is ||b w||. The start is the dominant right singular
+    direction of h, b x with x the top eigenvector of the P x P matrix
+    (u^H u)(b^H b). The objective is non-decreasing. u and b are first
+    scaled to unit peak by exact powers of two and the stopping rule is
+    relative, so the beams ignore scale. InvalidParameterError unless u
+    and b are finite and every h is nonzero.
+
+    The pairs step in lockstep, each frozen once it stops, so each takes
+    the steps it takes alone and its every product is the one it takes
+    alone, with one call per step for the whole stack."""
     u, b = _unit_peak(u), _unit_peak(b)
     u_h = u.conj().transpose(0, 2, 1)
     gram = b.conj().transpose(0, 2, 1) @ b
@@ -242,14 +218,10 @@ def _reference_amplitudes(channels: list[CascadeChannel], u: np.ndarray,
     full-CSI amplitude bgr divides by, and the best grid pair's (the
     strongest entry's) amplitude. The first is the larger of the
     alternating maximizer's, from the rank-P factors, and the second.
-    InvalidParameterError for a zero or non-finite channel (optimal_beams)
-    and where the maximizer's under- or overflows."""
+    InvalidParameterError for a zero or non-finite channel
+    (_lockstep_beams) and where the maximizer's under- or overflows."""
     amps = []
-    # a block of one takes its pair's own loop: numpy costs more per call
-    # on a stack of one than on the matrix, and the stack gains only from
-    # two pairs on
-    beams = zip(*_lockstep_beams(u, b)) if len(u) > 1 else [optimal_beams(u[0], b[0])]
-    for ch, (v_opt, f_opt) in zip(channels, beams):
+    for ch, v_opt, f_opt in zip(channels, *_lockstep_beams(u, b)):
         opt_amp = abs(np.vdot(ch.u.conj().T @ v_opt, ch.b.conj().T @ f_opt))
         if not 0 < opt_amp < math.inf:
             raise InvalidParameterError(f"{_ZERO_CHANNEL}: its reference amplitude is {opt_amp}")

@@ -5,12 +5,13 @@ effective support of a constant-modulus beam, round-by-round noisy
 readings, readings summed bin member by bin member, a plan's run of
 rounds, the full-grid decode the
 bound decode must equal, the empty-intersection probability as an
-exact Markov chain, and the lockstep constant-modulus ascent with two
-stored stacks and complex division that codebook._ascend must equal."""
+exact Markov chain, the lockstep constant-modulus ascent with two
+stored stacks and complex division that codebook._ascend must equal, and
+the one-pair BGR reference loop that harness._lockstep_beams must equal."""
 
 from dataclasses import fields, replace
 from fractions import Fraction
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 
@@ -20,7 +21,8 @@ from irsbeam.codebook import (
     CM_MAX_ITERS, CM_STEP0, CM_TOL, IDEAL_SPARSE, CMResult, ScanPlan, build_scan_plan,
 )
 from irsbeam.decoder import decode_los, rayleigh_threshold, synthesize_measurements
-from irsbeam.harness import ExperimentConfig
+from irsbeam.errors import InvalidParameterError
+from irsbeam.harness import BGR_MAX_ITERS, BGR_TOL, _ZERO_CHANNEL, ExperimentConfig, _unit_peak
 
 
 def channel_from_lambda(lam: np.ndarray, cfg: ArrayConfig) -> CascadeChannel:
@@ -287,3 +289,32 @@ def ascend_reference(pt: np.ndarray) -> list[CMResult]:
             if not len(slot):
                 break
     return results
+
+
+def optimal_beams(u: np.ndarray, b: np.ndarray):
+    """Full-CSI reference beams for h = u b^H of one pair, u M x P and
+    b N_t x P: constant-modulus v (M), unit-norm f (N_t). The alternating
+    maximization of harness._lockstep_beams on matrices, with each step's
+    products taken on the pair alone: the oracle each pair of a stack
+    must equal bit for bit. InvalidParameterError unless u and b are
+    finite and h is nonzero."""
+    u, b = _unit_peak(u), _unit_peak(b)
+    u_h = u.conj().T
+    gram = b.conj().T @ b
+    vals, vecs = np.linalg.eig((u_h @ u) @ gram)
+    x = vecs[:, vals.real.argmax()]
+    obj = 0.0
+    for _ in range(BGR_MAX_ITERS):
+        hf = u @ (gram @ x)
+        v = np.exp(1j * np.angle(hf))
+        w = u_h @ v
+        bw = b @ w
+        # ||b w|| as np.linalg.norm takes it: two dot products, real and imaginary
+        nrm = sqrt(bw.real.dot(bw.real) + bw.imag.dot(bw.imag))
+        if nrm == 0:  # the objective never falls, and starts above 0 unless h = 0
+            raise InvalidParameterError(_ZERO_CHANNEL)
+        x = w / nrm
+        if nrm - obj <= BGR_TOL * obj:
+            break
+        obj = nrm
+    return v, b @ x

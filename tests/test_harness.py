@@ -36,7 +36,6 @@ from irsbeam.harness import (
     _worker_count,
     aggregate,
     bgr,
-    optimal_beams,
     rows_to_csv,
     run_trial,
     run_trials,
@@ -46,7 +45,7 @@ from irsbeam.harness import (
     trial_rng,
 )
 
-from helpers import channel_from_lambda, exhaustive, grid_decode
+from helpers import channel_from_lambda, exhaustive, grid_decode, optimal_beams
 
 SMALL = ArrayConfig(n_t=16, m_y=4, m_z=4, r=4)
 SMALL_CFG = ExperimentConfig(array=SMALL, q=4, l=3, trials=4, seed=7)
@@ -213,6 +212,13 @@ class TestSnrCalibration:
         assert snr_to_sigma(10.0**k * h, snr) == pytest.approx(expected, rel=1e-12)
 
 
+def _reference_beams(u, b):
+    """The BGR reference beams of one pair, as the pipeline takes them: a
+    stack of one through harness._lockstep_beams."""
+    v, f = harness._lockstep_beams(u[None], b[None])
+    return v[0], f[0]
+
+
 class TestOptimalBeams:
     def test_rank_one_reaches_full_gain(self):
         # h = v0 f0^H with constant-modulus v0: the optimum is exactly M * N_t
@@ -221,7 +227,7 @@ class TestOptimalBeams:
         v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, m))
         f0 = rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t)
         f0 /= np.linalg.norm(f0)
-        v, f = optimal_beams(v0[:, None], f0[:, None])
+        v, f = _reference_beams(v0[:, None], f0[:, None])
         gain = abs(np.vdot(v, np.outer(v0, f0.conj()) @ f)) ** 2
         assert gain == pytest.approx(m**2, rel=1e-9)
 
@@ -229,7 +235,7 @@ class TestOptimalBeams:
         rng = np.random.default_rng(2)
         u = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
         b = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-        v, f = optimal_beams(u, b)
+        v, f = _reference_beams(u, b)
         assert v.shape == (16,) and f.shape == (8,)
         assert np.abs(np.abs(v) - 1).max() < 1e-12
         assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-12)
@@ -247,7 +253,7 @@ class TestBgr:
             with pytest.raises(InvalidParameterError, match="finite and nonzero"):
                 bgr(ch, AlignmentEstimate(0, 0, 1, (), 0.0))
             with pytest.raises(InvalidParameterError, match="finite and nonzero"):
-                optimal_beams(ch.u, ch.b)
+                _reference_beams(ch.u, ch.b)
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_channel_beyond_the_float_range_rejected(self, scale):
@@ -270,7 +276,7 @@ class TestBgr:
                             y=b.conj().T @ dft_dictionary(SMALL.n_t), u=u, b=b, cfg=SMALL)
         assert not (u @ b.conj().T).any()
         with pytest.raises(InvalidParameterError, match="finite and nonzero"):
-            optimal_beams(ch.u, ch.b)
+            _reference_beams(ch.u, ch.b)
         with pytest.raises(InvalidParameterError, match="finite and nonzero"):
             bgr(ch, AlignmentEstimate(0, 0, 1, (), 0.0))
 
@@ -771,25 +777,29 @@ class TestBlocks:
             tracemalloc.stop()
         assert peak < len(block) * cfg.array.m * cfg.array.n_t * 16
 
+    @pytest.mark.parametrize("stack", [1, 12])
     @pytest.mark.parametrize("p", [1, 2])
-    def test_stacked_reference_beams_are_each_pairs_own(self, monkeypatch, p):
-        # a stack of pairs that stop at different steps: each keeps the
-        # beams of its own last step, bit for bit as optimal_beams computes
-        # them for the pair alone
+    def test_stacked_reference_beams_are_each_pairs_own(self, monkeypatch, p, stack):
+        # pairs that stop at different steps, in stacks of one (as a block
+        # of one takes them) or all twelve: each keeps the beams of its own
+        # last step, bit for bit as optimal_beams computes them for the
+        # pair alone
         rng = np.random.default_rng(31)
         channels = [assemble_channels(sample_paths(p, 13.2, rng, with_bs_aod=True),
                                       sample_paths(2, 0.0, rng), ACCEPTANCE_CFG.array)
                     for _ in range(12)]
         alone = [optimal_beams(ch.u, ch.b) for ch in channels]
-        v, f = harness._lockstep_beams(np.array([ch.u for ch in channels]),
-                                       np.array([ch.b for ch in channels]))
-        for k, (v1, f1) in enumerate(alone):
-            assert v[k].tobytes() == v1.tobytes() and f[k].tobytes() == f1.tobytes()
+        for start in range(0, len(channels), stack):
+            part = channels[start:start + stack]
+            v, f = harness._lockstep_beams(np.array([ch.u for ch in part]),
+                                           np.array([ch.b for ch in part]))
+            for k, (v1, f1) in enumerate(alone[start:start + stack]):
+                assert v[k].tobytes() == v1.tobytes() and f[k].tobytes() == f1.tobytes()
         steps = []  # the fewest steps that give each pair its beams
         for ch, (v1, _) in zip(channels, alone):
             k = 1
             monkeypatch.setattr(harness, "BGR_MAX_ITERS", k)
-            while optimal_beams(ch.u, ch.b)[0].tobytes() != v1.tobytes():
+            while harness._lockstep_beams(ch.u[None], ch.b[None])[0].tobytes() != v1.tobytes():
                 k += 1
                 monkeypatch.setattr(harness, "BGR_MAX_ITERS", k)
             steps.append(k)
@@ -816,6 +826,27 @@ def test_every_trial_scores_a_bgr_in_unit_interval(cfg, t):
     # so aggregate averages every record's BGR, with no NaN to skip
     ratio = run_trial(cfg, t).bgr
     assert math.isfinite(ratio) and 0.0 <= ratio <= 1.0
+
+
+@settings(deadline=None)
+@given(small_trial_configs(), st.integers(0, 10**6),
+       st.integers(-500, 500).map(lambda k: 2.0**k) | st.integers(-150, 150).map(lambda k: 10.0**k))
+def test_trial_decisions_ignore_channel_scale(cfg, t, c):
+    # both links' path gains times c scale the channel by c**2, its
+    # readings, sigma and threshold with it; a decision must not move.
+    # Past about c = 2**-510 or 2**510 (10**-153 or 10**153) a factor of
+    # the channel under- or overflows
+    def scaled_paths(*args, **kwargs):
+        paths = sample_paths(*args, **kwargs)
+        return replace(paths, gains=c * paths.gains)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "sample_paths", scaled_paths)
+        scaled = run_trial(cfg, t)
+    rec = run_trial(cfg, t)
+    # the estimate, its candidate count and NM rounds, all but the threshold
+    decision = [(replace(r.estimate, detector_threshold=0.0), r.success) for r in (scaled, rec)]
+    assert decision[0] == decision[1]
 
 
 @st.composite
