@@ -73,7 +73,11 @@ class CascadeChannel:
         return self.x @ self.y
 
     def entry(self, i: int, j: int) -> complex:
-        """lam[i, j], from a row product that rounds as x @ y does."""
+        """lam[i, j], from a row product that rounds as x @ y does;
+        InvalidParameterError unless (i, j) lies in the M x N_t grid."""
+        m, n_t = self.x.shape[0], self.y.shape[1]
+        if not (0 <= i < m and 0 <= j < n_t):
+            raise InvalidParameterError(f"entry ({i}, {j}) lies outside the {m} x {n_t} grid")
         return _row_products(self.x, self.y, [i])[0, j]
 
 
@@ -103,16 +107,29 @@ def _row_products(x: np.ndarray, y: np.ndarray, rows) -> np.ndarray:
     return (x[[*rows, rows[0]]] @ y)[:-1]
 
 
+def _unit_peak(a: np.ndarray) -> np.ndarray:
+    """a, a matrix or a stack of them, with each matrix scaled by the
+    power of two that brings its peak magnitude into [0.5, 1), and a zero
+    one left as it is. InvalidParameterError for a non-finite entry or a
+    nonzero peak below 2^-1024, whose scale 2^-e overflows."""
+    peak = np.abs(a).max(axis=(-2, -1), keepdims=True)
+    for value in peak.ravel().tolist():
+        if not (value == 0 or 2.0**-1024 <= value < np.inf):  # a NaN fails both
+            raise InvalidParameterError(
+                f"channel must be finite and nonzero, with factor peaks >= 2^-1024: got {value}")
+    return a * np.ldexp(1.0, -np.frexp(peak)[1])
+
+
 def _strongest(x: np.ndarray, y: np.ndarray) -> list[tuple[int, int]]:
     """For each of B factor pairs (x B x M x P, y B x P x N_t), the
     (row, col) np.argmax(np.abs(x @ y)) gives, lowest row then column on
     ties, from a few rows of x @ y.
 
-    x and y are first scaled to unit peak by exact powers of two, which
-    scales every product exactly and keeps it normal at any channel
-    scale. Row i is bounded by b_i = |x_i| @ max_j |y_:,j|. The row
-    products (_row_products) are taken of the highest-bound row, whose
-    largest magnitude is s, then of every row, in ascending order, with
+    x and y are first scaled to unit peak (_unit_peak), which scales
+    every product exactly and keeps it normal at any channel scale. Row i
+    is bounded by b_i = |x_i| @ max_j |y_:,j|. The row products
+    (_row_products) are taken of the highest-bound row, whose largest
+    magnitude is s, then of every row, in ascending order, with
     b_i >= s (1 - delta), and the argmax is taken over those rows. The
     scaling and the bounds are stacked over the pairs; each pair's rows
     are its own.
@@ -127,11 +144,8 @@ def _strongest(x: np.ndarray, y: np.ndarray) -> list[tuple[int, int]]:
     once. A skipped row's entries then stay below s once delta exceeds
     (7 + (2 sqrt(2) + 1) P) u plus terms of order P^2 u^2.
     """
-    ax, ay = np.abs(x), np.abs(y).max(axis=2)
-    sx = np.ldexp(1.0, -np.frexp(ax.max(axis=(1, 2)))[1])[:, None, None]
-    sy = np.ldexp(1.0, -np.frexp(ay.max(axis=1))[1])[:, None]
-    x, y = x * sx, y * sy[..., None]
-    bounds = ((ax * sx) @ (ay * sy)[..., None])[..., 0]
+    x, y = _unit_peak(x), _unit_peak(y)
+    bounds = (np.abs(x) @ np.abs(y).max(axis=2)[..., None])[..., 0]
     slack = 1.0 - (4 * x.shape[2] + 8) * 2.0**-53
     found = []
     for xk, yk, bound, top in zip(x, y, bounds, bounds.argmax(axis=1).tolist()):
@@ -199,7 +213,8 @@ def assemble_channels(
     Kronecker factors, so the M x M cascade dictionary is neither built
     nor read, and the strongest entry from a few rows of lam
     (_strongest), so no M x N_t matrix is formed. This is the block of
-    one of _assemble.
+    one of _assemble. InvalidParameterError for a non-finite path gain
+    or angle, or factors beyond the float range (_unit_peak).
     """
     return _assemble([(bs_irs, irs_user)], cfg)[0][0]
 
@@ -223,6 +238,8 @@ def _assemble(pairs: list[tuple[PathSet, PathSet]], cfg: ArrayConfig):
     angles = np.concatenate([a for bs, iu in pairs for a in (
         bs.azimuth, iu.azimuth, bs.elevation, iu.elevation, bs.bs_aod)]).reshape(len(pairs), -1)
     gains = np.concatenate([g for bs, iu in pairs for g in (bs.gains, iu.gains)]).reshape(len(pairs), -1)
+    if not (np.isfinite(angles).all() and np.isfinite(gains).all()):
+        raise InvalidParameterError("path gains and angles must be finite")
     irs = upa_response(angles[:, :n_irs], angles[:, n_irs:2 * n_irs], cfg).transpose(1, 0, 2)
     h_r = (irs[..., p:] @ gains[:, p:, None])[..., 0]
     h_r *= np.sqrt(m / (n_irs - p))

@@ -129,12 +129,12 @@ def _decode_scans(
     columns; exact ties, or a seed whose candidates all score -inf, can
     keep up to all M x N_t. Its scores are summed in the same order, so
     the entry, and every tie, is the one an argmax over the full score
-    grid picks. The candidate count comes from each round's gate packed
-    to bits over the columns, OR-ed over the rounds.
+    grid picks.
 
-    The log readings, gates, candidate bits and the row and column bounds
-    are taken for all scans at once; the candidate count, the seed row
-    and the sub-grid are each scan's own.
+    The log readings, gates, candidate bits (each round's gate packed to
+    bits over the columns, OR-ed over the rounds) and the row and column
+    bounds are taken for all scans at once. Each scan unpacks its bits
+    once, into the M x N_t grid its count, seed row and sub-grid read.
 
     With no candidate the result is the decode at epsilon 0 with the same
     `nlos`: every entry a candidate and, as no reading is a nullton, every
@@ -182,7 +182,8 @@ def _decode_scans(
     estimates = []
     for k, (cand_k, any_k, row_bound, col_bound, eps) in enumerate(zip(
             cand, cand.any(axis=2), row_bounds, col_bounds, epsilon.tolist())):
-        count = int(np.count_nonzero(np.unpackbits(cand_k)))
+        grid = np.unpackbits(cand_k, axis=-1, count=n_t).view(bool)  # M x N_t candidates
+        count = int(np.count_nonzero(grid))
         if count == 0:
             estimates += _decode_scans(y[k:k + 1], row_bin[k:k + 1], col_bin[k:k + 1],
                                        np.zeros(1), nlos)
@@ -195,21 +196,18 @@ def _decode_scans(
         def scores(rows, cols) -> np.ndarray:
             return _sum_rounds(log_y.take(at[:, rows, None] * v + bins[:, None, cols]))
 
-        def candidates(rows) -> np.ndarray:
-            return np.unpackbits(cand_k[rows], axis=-1, count=n_t).view(bool)
-
         cand_rows = any_k.nonzero()[0]
         # the seed row as a one-element index array, so its scores keep a row axis
         seed = cand_rows[[row_bound[cand_rows].argmax()]]
-        s_star = scores(seed, slice(None))[candidates(seed)].max()
+        s_star = scores(seed, slice(None))[grid[seed]].max()
         rows = cand_rows[row_bound[cand_rows] >= s_star]
         cols = (col_bound >= s_star).nonzero()[0]
         sub = scores(rows, cols)
-        np.copyto(sub, -np.inf, where=~candidates(rows)[:, cols])
+        np.copyto(sub, -np.inf, where=~grid[rows][:, cols])
         best = int(sub.argmax())
         if sub.flat[best] == -np.inf:
             i = cand_rows[0]
-            j = candidates(i).argmax()
+            j = grid[i].argmax()
         else:
             i, j = rows[best // len(cols)], cols[best % len(cols)]
         estimates.append(AlignmentEstimate(

@@ -19,6 +19,7 @@ from .channel import (
     CascadeChannel,
     _assemble,
     _noised_magnitude,
+    _unit_peak,
     db_to_power,
     draw_normals,
     sample_paths,
@@ -166,9 +167,10 @@ def _lockstep_beams(u: np.ndarray, b: np.ndarray):
     objective is ||b w||. The start is the dominant right singular
     direction of h, b x with x the top eigenvector of the P x P matrix
     (u^H u)(b^H b). The objective is non-decreasing. u and b are first
-    scaled to unit peak by exact powers of two and the stopping rule is
-    relative, so the beams ignore scale. InvalidParameterError unless u
-    and b are finite and every h is nonzero.
+    scaled to unit peak by exact powers of two (channel._unit_peak) and
+    the stopping rule is relative, so the beams ignore scale.
+    InvalidParameterError unless u and b are finite (_unit_peak) and
+    every h is nonzero (the objective of step 0).
 
     The pairs step in lockstep, each frozen once it stops, so each takes
     the steps it takes alone and its every product is the one it takes
@@ -199,17 +201,6 @@ def _lockstep_beams(u: np.ndarray, b: np.ndarray):
             break
         objs = nrms
     return v[..., 0], (b @ x)[..., 0]
-
-
-def _unit_peak(a: np.ndarray) -> np.ndarray:
-    """a, a matrix or a stack of them, with each matrix scaled by the
-    power of two that brings its peak magnitude into [0.5, 1);
-    InvalidParameterError unless a is finite and no matrix is zero."""
-    peak = np.abs(a).max(axis=(-2, -1), keepdims=True)
-    for value in peak.ravel().tolist():
-        if not 0 < value < math.inf:  # a NaN fails both comparisons
-            raise InvalidParameterError(_ZERO_CHANNEL)
-    return a * np.ldexp(1.0, -np.frexp(peak)[1])
 
 
 def _reference_amplitudes(channels: list[CascadeChannel], u: np.ndarray,
@@ -273,19 +264,22 @@ def _run_block(cfgs: tuple[ExperimentConfig, ...], trials) -> list[list[TrialRec
     generator and draw order: paths, plan, then noise. A config of l
     rounds reads the plan's first l rounds. A noiseless config reads their
     magnitudes; the noisy configs of l rounds share one noise draw
-    (draw_normals), taken after round l of the plan: with several configs
-    the generator state saved there is restored first, and one config
-    draws right after its plan. Each config scales the draw by its own
-    sigma into a new array and takes its own threshold and decode, and
-    BGR is scored once per distinct estimate.
+    (draw_normals), taken after round l of the plan. The plan saves the
+    generator states after each round only when a noisy config has fewer
+    rounds than the plan; such a config's draw restores the state saved
+    after its round l, and any other draw follows the plan. Each config
+    scales the draw by its own sigma into a new array and takes its own
+    threshold and decode, and BGR is scored once per distinct estimate.
 
     The array stages run once over the block: the responses and factors
     (_assemble), the plans' sort and bin maps (_shuffled_plan), the
     readings, and per config the noise and the decode's readings-wide
     half with its readings check and NM rounds (_decode_scans), and the
-    BGR reference (_reference_amplitudes). ||H||_F, the strongest entry's
-    rows, the decode's seed row and sub-grid and BGR are each trial's
-    own, and no array holds a trial axis and an M x N_t one. Every
+    BGR reference (_reference_amplitudes), which, like the strongest
+    entry, reads its factors at unit peak (channel._unit_peak). ||H||_F,
+    the strongest entry's rows, the decode's seed row and sub-grid and
+    BGR are each trial's own, and no array holds a trial axis and an
+    M x N_t one. Every
     stacked product is, slice by slice, the one a trial alone takes, so
     each record is the one its config's run_trial gives, whatever the
     block.
@@ -300,7 +294,7 @@ def _run_block(cfgs: tuple[ExperimentConfig, ...], trials) -> list[list[TrialRec
           sample_paths(cfg.paths_irs_user, cfg.irs_user_rician_db, rng)) for rng in rngs], a)
     if any(c.snr_db is not None for c in cfgs):
         fro = [_frobenius(ch.h) for ch in channels]
-    states = [[] for _ in rngs] if len(cfgs) > 1 else None
+    states = [[] for _ in rngs] if any(c.snr_db is not None and c.l < l_max for c in cfgs) else None
     plan = _shuffled_plan(a, cfg.q, l_max, cfg.mode, rngs, states)
     clean = plan.readings(x, y).reshape(n_trials, l_max, plan.c_design.shape[1], -1)
     row_bin = plan.row_bin.reshape(n_trials, l_max, -1)

@@ -16,13 +16,13 @@ from math import comb, sqrt
 import numpy as np
 
 from irsbeam.arrays import ArrayConfig, cascade_dictionary, dft_dictionary
-from irsbeam.channel import AlignmentEstimate, CascadeChannel
+from irsbeam.channel import AlignmentEstimate, CascadeChannel, _unit_peak
 from irsbeam.codebook import (
     CM_MAX_ITERS, CM_STEP0, CM_TOL, IDEAL_SPARSE, CMResult, ScanPlan, build_scan_plan,
 )
 from irsbeam.decoder import decode_los, rayleigh_threshold, synthesize_measurements
 from irsbeam.errors import InvalidParameterError
-from irsbeam.harness import BGR_MAX_ITERS, BGR_TOL, _ZERO_CHANNEL, ExperimentConfig, _unit_peak
+from irsbeam.harness import BGR_MAX_ITERS, BGR_TOL, _ZERO_CHANNEL, ExperimentConfig
 
 
 def channel_from_lambda(lam: np.ndarray, cfg: ArrayConfig) -> CascadeChannel:

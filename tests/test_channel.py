@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from irsbeam.channel import (
     _noised_magnitude,
     _row_products,
     _strongest,
+    _unit_peak,
     assemble_channels,
     draw_normals,
     sample_paths,
@@ -196,6 +198,23 @@ class TestAssemble:
         ch = assemble_channels(zero, user, CFG)
         assert np.all(ch.h == 0) and np.all(ch.lam == 0)
 
+    @pytest.mark.parametrize("link,name", [
+        (0, "gains"), (0, "azimuth"), (0, "elevation"), (0, "bs_aod"), (1, "gains"), (1, "azimuth"),
+    ])
+    @pytest.mark.parametrize("fill", [np.nan, np.inf])
+    def test_non_finite_path_gain_or_angle_rejected(self, link, name, fill):
+        # an inf angle reached np.sin with a RuntimeWarning, and NaN gains
+        # reached the strongest entry's search, which raised IndexError
+        rng = np.random.default_rng(3)
+        pair = [sample_paths(2, 13.2, rng, with_bs_aod=True), sample_paths(2, 0.0, rng)]
+        values = getattr(pair[link], name).copy()
+        values[1] = fill
+        pair[link] = replace(pair[link], **{name: values})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="path gains and angles must be finite"):
+                assemble_channels(*pair, CFG)
+
     def test_energy_preservation(self):
         rng = np.random.default_rng(11)
         bs_irs = sample_paths(3, 5.0, rng, with_bs_aod=True)
@@ -256,6 +275,34 @@ def test_block_channels_are_each_pairs_channel(p, pp):
             got, want = getattr(ch, name), getattr(one, name)
             assert got.strides == want.strides, name
             assert got.tobytes() == want.tobytes() == stack[k].tobytes(), name
+
+
+class TestUnitPeak:
+    """Each matrix of a stack is scaled by the power of two that brings its
+    peak magnitude into [0.5, 1), or refused where that power overflows."""
+
+    @pytest.mark.parametrize("peak", [2.0**-1024, 2.0**-1022, 3.0, 2.0**1023 * 1.5])
+    def test_scales_each_matrix_exactly_into_half_open_unit(self, peak):
+        stack = np.array([[[peak, 0.5j * peak]], [[0.75, 0.25]]])
+        got = _unit_peak(stack)
+        e = int(np.frexp(peak)[1])
+        assert np.array_equal(got, [stack[0] * 2.0**-e, stack[1]])
+        assert 0.5 <= np.abs(got[0]).max() < 1
+
+    def test_zero_matrix_left_as_it_is(self):
+        stack = np.array([np.zeros((2, 3), complex), np.full((2, 3), 4.0 + 0j)])
+        got = _unit_peak(stack)
+        assert np.array_equal(got[0], stack[0]) and np.abs(got[1]).max() == 0.5
+
+    @pytest.mark.parametrize("fill", [2.0**-1030, 2.0**-1074, np.nan, np.inf, -np.inf])
+    def test_peak_beyond_the_scale_range_rejected(self, fill):
+        # a peak below 2^-1024 needs a scale of 2^1025 or more, which is
+        # inf, and the scaled matrix would hold inf and NaN
+        stack = np.array([np.ones((2, 2), complex), np.full((2, 2), fill + 0j)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="finite and nonzero"):
+                _unit_peak(stack)
 
 
 class TestStrongest:

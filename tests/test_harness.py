@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import irsbeam
@@ -266,6 +266,29 @@ class TestBgr:
             warnings.simplefilter("error")
             with pytest.raises(InvalidParameterError, match="finite and nonzero"):
                 bgr(ch, AlignmentEstimate(*ch.strongest, 1, (), 0.0))
+
+    @pytest.mark.parametrize("scale", [2.0**-1030, 2.0**-1074])
+    def test_factor_below_the_scale_range_rejected(self, scale):
+        # a nonzero factor whose peak lies below 2^-1024 was scaled by an
+        # infinite power of two, and eig raised numpy's LinAlgError
+        rng = np.random.default_rng(6)
+        u = rng.standard_normal((SMALL.m, 2)) + 1j * rng.standard_normal((SMALL.m, 2))
+        b = rng.standard_normal((SMALL.n_t, 2)) + 0j
+        u /= np.abs(u).max()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pair in ((u * scale, b), (u, b * scale)):
+                with pytest.raises(InvalidParameterError, match="finite and nonzero"):
+                    harness._lockstep_beams(pair[0][None], pair[1][None])
+
+    @pytest.mark.parametrize("i,j", [(-1, 0), (SMALL.m, 0), (0, SMALL.n_t), (0, -1)])
+    def test_estimate_outside_the_grid_rejected(self, i, j):
+        # (-1, 0) scored entry (M - 1, 0), and (M, 0) raised a bare IndexError
+        lam = np.zeros((SMALL.m, SMALL.n_t), complex)
+        lam[SMALL.m - 1, 0] = 1.0
+        ch = channel_from_lambda(lam, SMALL)
+        with pytest.raises(InvalidParameterError, match="outside the 16 x 16 grid"):
+            bgr(ch, AlignmentEstimate(i, j, 1, None, 0.0))
 
     def test_channel_whose_factors_cancel_rejected(self):
         # two paths with the same IRS factor and opposite BS factors, all
@@ -645,8 +668,9 @@ class TestTrials:
 @st.composite
 def block_partitions(draw):
     """A small group, LOS or NLOS, ideal-sparse or constant-modulus, P = 1
-    or 2: one config, an SNR group (a noiseless point among them) or a T
-    group with a repeated L; and a partition of its trials into blocks."""
+    or 2: one config, an SNR group (a noiseless point among them), a T
+    group with a repeated L, or a group that mixes L and SNR; and a
+    partition of its trials into blocks."""
     cfg = ExperimentConfig(
         array=SMALL, q=draw(st.sampled_from([2, 4, 8])), l=draw(st.integers(1, 3)),
         mode=draw(st.sampled_from([IDEAL_SPARSE, IDEAL_SPARSE, CONSTANT_MODULUS])),
@@ -655,12 +679,15 @@ def block_partitions(draw):
         paths_bs_irs=draw(st.integers(1, 2)), trials=draw(st.integers(1, 7)),
         seed=draw(st.integers(0, 2**32)),
     )
-    kind = draw(st.sampled_from(["one", "snr", "T"]))
+    kind = draw(st.sampled_from(["one", "snr", "T", "mixed"]))
     if kind == "snr":
         snrs = draw(st.lists(st.none() | st.sampled_from([-30.0, -10.0, 10.0]), min_size=2, max_size=4))
         group = tuple(replace(cfg, snr_db=s) for s in snrs)
     elif kind == "T":
         group = tuple(replace(cfg, l=l) for l in draw(st.lists(st.integers(1, 4), min_size=2, max_size=4)))
+    elif kind == "mixed":
+        points = st.tuples(st.integers(1, 4), st.none() | st.sampled_from([-30.0, -10.0, 0.0]))
+        group = tuple(replace(cfg, l=l, snr_db=s) for l, s in draw(st.lists(points, min_size=2, max_size=4)))
     else:
         group = (cfg,)
     sizes, left = [], cfg.trials
@@ -670,12 +697,24 @@ def block_partitions(draw):
     return group, sizes
 
 
+def _mixed_group(*points):
+    """An NLOS group of 7 trials on the small array, one config per (l, snr_db)."""
+    cfg = replace(SMALL_CFG, scenario="nlos", trials=7)
+    return tuple(replace(cfg, l=l, snr_db=s) for l, s in points)
+
+
 class TestBlocks:
     """A group's trials run in blocks: a block's records are its trials'
     run_trial records, whatever the block, its size or the partition."""
 
     @settings(deadline=None, max_examples=60)
     @given(block_partitions())
+    # groups that mix L and SNR: a noisy point of fewer rounds than the
+    # plan draws its noise after its own rounds, not after the plan's,
+    # also where every noisy point of the group has the same L
+    @example((_mixed_group((2, -10.0), (3, None)), [2, 5]))
+    @example((_mixed_group((3, None), (1, 0.0), (1, -10.0)), [7]))
+    @example((_mixed_group((3, None), (1, 0.0), (1, -10.0)), [1, 3, 3]))
     def test_any_partition_gives_run_trials_records(self, drawn):
         group, sizes = drawn
         got, start = [], 0
@@ -845,6 +884,35 @@ def test_trial_decisions_ignore_channel_scale(cfg, t, c):
         scaled = run_trial(cfg, t)
     rec = run_trial(cfg, t)
     # the estimate, its candidate count and NM rounds, all but the threshold
+    decision = [(replace(r.estimate, detector_threshold=0.0), r.success) for r in (scaled, rec)]
+    assert decision[0] == decision[1]
+
+
+@settings(deadline=None)
+@given(small_trial_configs(), st.integers(0, 10**6),
+       st.integers(-1074, 1023).map(lambda k: 2.0**k) | st.integers(-323, 308).map(lambda k: 10.0**k))
+@example(replace(SMALL_CFG, snr_db=None), 0, 2.0**-1074)
+@example(replace(SMALL_CFG, scenario="nlos"), 0, 2.0**1023)
+@example(SMALL_CFG, 1, 2.0**-530)
+@example(SMALL_CFG, 1, 2.0**515)
+# where the channel leaves the float range a product over- or underflows
+# with a RuntimeWarning before a check refuses the channel
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_trial_at_any_float_scale_decides_as_at_scale_one_or_is_refused(cfg, t, c):
+    # both links' path gains times any power of two or ten a float holds:
+    # the trial decides as at scale 1, or its channel, readings or
+    # reference are refused with the package's error, never numpy's
+    def scaled_paths(*args, **kwargs):
+        paths = sample_paths(*args, **kwargs)
+        return replace(paths, gains=c * paths.gains)
+
+    rec = run_trial(cfg, t)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "sample_paths", scaled_paths)
+        try:
+            scaled = run_trial(cfg, t)
+        except InvalidParameterError:
+            return
     decision = [(replace(r.estimate, detector_threshold=0.0), r.success) for r in (scaled, rec)]
     assert decision[0] == decision[1]
 
