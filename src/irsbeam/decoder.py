@@ -16,12 +16,16 @@ The plan forms the noiseless readings (ScanPlan.readings); they are noised here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import AlignmentEstimate, _noised_magnitude, draw_normals
 from .codebook import ScanPlan
 from .errors import InvalidParameterError
+
+_FLOAT_MAX = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -95,20 +99,67 @@ def _sum_rounds(parts: np.ndarray) -> np.ndarray:
     return total
 
 
+class _ScanIndex(NamedTuple):
+    """The plan-only indices _decode_scans reads for S scans of L rounds
+    of U x V readings, taken with the bin maps row_bin (S x L x M) and
+    col_bin (S x L x N_t) (_scan_index).
+
+    Entry (i, j) reads, in round k of scan s, row row_at[s, k, i] of the
+    S*L*U rows of the readings and column col_at[s, k, j] of their S*L*V
+    columns: reading row_at[s, k, i] * V + col_bin[s, k, j]. masks
+    (S x L x V x W, W = ceil(N_t / 64)) holds each column bin as 64-bit
+    words, bit j % 64 of word j // 64 set for each of its columns j; the
+    bins of a round are disjoint, so a sum of masks is their union."""
+
+    row_at: np.ndarray
+    col_at: np.ndarray
+    masks: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _column_words(n_t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per column j < n_t, its word j // 64 and its bit 1 << (j % 64)."""
+    j = np.arange(n_t)
+    return j // 64, np.left_shift(np.uint64(1), (j % 64).astype(np.uint64))
+
+
+def _scan_index(row_bin: np.ndarray, col_bin: np.ndarray, u: int, v: int) -> _ScanIndex:
+    """The _ScanIndex of the bin maps row_bin and col_bin."""
+    scans, n, n_t = col_bin.shape
+    word, bit = _column_words(n_t)
+    offsets = np.arange(scans * n).reshape(scans, n, 1)
+    col_at = col_bin + offsets * v
+    masks = np.zeros((scans, n, v, word[-1] + 1), dtype=np.uint64)
+    # ufunc.at is given one value per index: numpy 2.4 reads past values
+    # it has to broadcast over an index of several axes
+    np.add.at(masks.reshape(-1), (col_at * masks.shape[3] + word).ravel(),
+              bit[None].repeat(scans * n, axis=0).ravel())
+    return _ScanIndex(row_bin + offsets * u, col_at, masks)
+
+
+def _bits(words: np.ndarray, n_t: int) -> np.ndarray:
+    """The first n_t bits of each row of 64-bit words, as bools: bit
+    j % 64 of word j // 64 is column j."""
+    raw = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(raw, axis=-1, count=n_t, bitorder="little").view(bool)
+
+
 def _decode_scans(
     y: np.ndarray,
     row_bin: np.ndarray,
     col_bin: np.ndarray,
     epsilon: np.ndarray,
     nlos: bool = False,
+    index: _ScanIndex | None = None,
 ) -> list[AlignmentEstimate]:
     """Probability-product decoding of S scans of L rounds (y S x L x U x V,
     threshold epsilon[s]) over every round, or with `nlos` over each
     scan's NM rounds: the one place the NM rule is taken. A scan's NM
     rounds are those with the fewest nulltons (readings y < epsilon[s]).
     Scan s was taken with the plan whose bin maps are row_bin[s] (L x M)
-    and col_bin[s] (L x N_t). InvalidParameterError unless every reading
-    is finite and nonnegative (_checked).
+    and col_bin[s] (L x N_t); `index` is their _scan_index, built here
+    when not given. InvalidParameterError unless every reading is finite
+    and nonnegative (_checked).
 
     Candidates are the entries with a bin reading y >= epsilon in at least
     one of those rounds, the magnitude test the NM count uses. Among them
@@ -121,20 +172,33 @@ def _decode_scans(
     row bin, and column j's bound the largest in its column bin. Bounds
     and scores are summed in round order from round 0, and floating-point
     addition is monotone, so no score exceeds its row's or its column's
-    bound. A round outside the NM rounds adds +0.0 to a bound, which
-    leaves every sum as the one over the NM rounds alone. The seed score
-    s* is the best candidate score in the highest-bound row that holds a
-    candidate. The best entry then lies in the sub-grid of the candidate
-    rows and the columns whose bounds reach s*, usually a few rows and
-    columns; exact ties, or a seed whose candidates all score -inf, can
-    keep up to all M x N_t. Its scores are summed in the same order, so
-    the entry, and every tie, is the one an argmax over the full score
-    grid picks.
+    bound. With `nlos` the log readings of the rounds outside a scan's NM
+    rounds are set to 0.0 in place before any sum: adding +0.0 leaves
+    every sum (no log is -0.0) as the one over the NM rounds alone. The
+    seed row is the first of the highest bound among the rows that hold a
+    candidate, and s* the best score among its candidates. The best entry
+    then lies in the sub-grid of the candidate rows and the columns whose
+    bounds reach s*, usually the seed row alone or a few rows and columns;
+    exact ties, or a seed whose candidates all score -inf (then s* = -inf
+    and the sub-grid holds every candidate), can keep up to all M x N_t.
+    Its scores are summed in the same order, so the entry, and every tie,
+    is the one an argmax over the full score grid picks, and a sub-grid
+    whose best is -inf gives its first candidate.
 
-    The log readings, gates, candidate bits (each round's gate packed to
-    bits over the columns, OR-ed over the rounds) and the row and column
-    bounds are taken for all scans at once. Each scan unpacks its bits
-    once, into the M x N_t grid its count, seed row and sub-grid read.
+    Every step is taken for all scans at once, with no loop over them.
+    Candidate bits are 64-bit words over the columns: a round's row bin
+    has the sum of the masks (_scan_index) of the column bins its gate
+    passes, which are disjoint, so the sum is their union. The words are
+    gathered to the rows, OR-ed over the rounds and counted word by word.
+    The seed rows are one masked argmax over the row bounds and their
+    scores one gather; each scan's first best candidate in its seed row
+    is its winner so far. The sub-grids' other rows are one flat list of
+    (scan, row, column) triples, from the kept (scan, row) pairs' bits
+    and the columns whose bounds reach s*, scored by one gather summed in
+    round order. Each scan's first best triple, lowest row then column,
+    replaces its winner when it scores above s*, or s* from a lower row.
+    Past M x N_t triples in all, each scan's triples are scored on their
+    own, so no pass scores more entries than one M x N_t grid.
 
     With no candidate the result is the decode at epsilon 0 with the same
     `nlos`: every entry a candidate and, as no reading is a nullton, every
@@ -148,20 +212,15 @@ def _decode_scans(
     or -30 dB; at p_fa = 0.01, 31 and 12 moved at -50 and -40 dB; at
     p_fa = 1e-3, 105 and 59; at -30 dB none moved at any of these p_fa.
     """
-    _checked(y)
     scans, n, u, v = y.shape
-    n_t = col_bin.shape[2]
-    with np.errstate(divide="ignore"):
+    m, n_t = row_bin.shape[2], col_bin.shape[2]
+    row_at, col_at, masks = _scan_index(row_bin, col_bin, u, v) if index is None else index
+    with np.errstate(divide="ignore", invalid="ignore"):
         log_y = np.log(y)
-    # entry (i, j) reads, in round k of scan s, row row_at[s, k, i] of the
-    # scans*n*U rows of the readings and column col_bin[s, k, j] of that row
-    offsets = np.arange(scans * n).reshape(scans, n, 1)
-    row_at = row_bin + offsets * u
-    col_at = col_bin + offsets * v
-
-    # each round's gate gathered over the columns and packed to bits over
-    # them (scans x n x U x bytes), gathered over the rows (scans x n x M x bytes),
-    # OR-ed over the rounds
+    # a negative, NaN or infinite reading has a NaN or +inf log, which
+    # _checked refuses
+    if not log_y.max() < np.inf:
+        _checked(y)
     gate = y >= epsilon[:, None, None, None]
     rounds = None
     if nlos:
@@ -169,50 +228,75 @@ def _decode_scans(
         hits = np.count_nonzero(gate, axis=(2, 3))
         rounds = hits == hits.max(axis=1, keepdims=True)
         gate &= rounds[:, :, None, None]
-    gate = gate.transpose(0, 1, 3, 2).reshape(scans * n * v, u).take(col_at, axis=0)
-    bits = np.packbits(np.ascontiguousarray(gate.transpose(0, 1, 3, 2)), axis=-1)
-    cand = np.bitwise_or.reduce(bits.reshape(scans * n * u, -1).take(row_at, axis=0), axis=1)
+        log_y[~rounds] = 0.0
+    # each round's row bins' words, gathered to the rows and OR-ed over the rounds
+    cand = np.bitwise_or.reduce(np.matmul(gate, masks).reshape(scans * n * u, -1).take(row_at, axis=0),
+                                axis=1)
+    counts = np.bitwise_count(cand).sum(axis=(1, 2), dtype=np.int64).tolist()
+    cand_rows = cand[..., 0] != 0
+    for w in range(1, cand.shape[2]):
+        cand_rows |= cand[..., w] != 0
 
-    row_parts, col_parts = log_y.max(axis=3), log_y.max(axis=2)
-    if rounds is not None:
-        row_parts = np.where(rounds[..., None], row_parts, 0.0)
-        col_parts = np.where(rounds[..., None], col_parts, 0.0)
-    row_bounds = _sum_rounds(row_parts.take(row_at).transpose(1, 0, 2))
-    col_bounds = _sum_rounds(col_parts.take(col_at).transpose(1, 0, 2))
+    # round-major (L x ...) gathers, whose rounds _sum_rounds adds in turn
+    rows_t, cols_t = row_at.transpose(1, 0, 2), col_bin.transpose(1, 0, 2)
+    # each round's row maxima, over a contiguous copy so the maximum runs
+    # down its columns, and column maxima, gathered to the rows and columns
+    row_bounds = _sum_rounds(log_y.transpose(0, 1, 3, 2).copy().max(axis=2).take(rows_t))
+    col_bounds = _sum_rounds(log_y.max(axis=2).take(col_at.transpose(1, 0, 2)))
+    # the first candidate row of the highest bound: a candidate row that
+    # bounds at -inf still ranks above every other row
+    seed = np.where(cand_rows, np.maximum(row_bounds, -_FLOAT_MAX), -np.inf).argmax(axis=1)
+    scan = np.arange(scans)
+    seed_bits = _bits(cand[scan, seed], n_t)
+    seed_scores = np.where(seed_bits, _sum_rounds(log_y.take(rows_t[:, scan, seed, None] * v + cols_t)),
+                           -np.inf)
+    s_star = seed_scores.max(axis=1)[:, None]
+    # each scan's winner so far: the seed row's first best candidate, or
+    # at s* = -inf its first candidate
+    win_i, win_j = seed.copy(), (seed_bits & (seed_scores == s_star)).argmax(axis=1)
+    kept = cand_rows & (row_bounds >= s_star)
+    kept[scan, seed] = False
+    pair_s, pair_i = kept.nonzero()
+    if len(pair_s):
+        # the sub-grid's other rows, as (scan, row, column) triples
+        sub = _bits(cand[pair_s, pair_i], n_t) & (col_bounds >= s_star)[pair_s]
+        cuts = [0, len(pair_s)]
+        if np.count_nonzero(sub) > m * n_t:  # past M x N_t triples, a pass per scan
+            cuts = np.searchsorted(pair_s, np.arange(scans + 1)).tolist()
+        for lo, hi in zip(cuts, cuts[1:]):
+            flat = np.flatnonzero(sub[lo:hi])
+            pt, jt = flat // n_t, flat % n_t
+            st, it = pair_s[lo:hi][pt], pair_i[lo:hi][pt]
+            at = rows_t[:, st, it]
+            at *= v
+            at += cols_t[:, st, jt]
+            scores = _sum_rounds(log_y.take(at))
+            best = np.full(scans, -np.inf)
+            np.maximum.at(best, st, scores)
+            # the first best triple of each scan, which wins over the seed
+            # row's above s*, or at s* from a lower row
+            top = (scores == best[st]).nonzero()[0]
+            first = st[top]
+            lead = np.ones(len(top), dtype=bool)
+            np.not_equal(first[1:], first[:-1], out=lead[1:])
+            top, first = top[lead], first[lead]
+            gain = (scores[top] > s_star[first, 0]) | ((scores[top] == s_star[first, 0])
+                                                      & (it[top] < seed[first]))
+            win_i[first[gain]], win_j[first[gain]] = it[top[gain]], jt[top[gain]]
+
+    none = [k for k, count in enumerate(counts) if count == 0]
+    redo = iter(_decode_scans(y[none], row_bin[none], col_bin[none], np.zeros(len(none)), nlos)
+                if none else ())
     estimates = []
-    for k, (cand_k, any_k, row_bound, col_bound, eps) in enumerate(zip(
-            cand, cand.any(axis=2), row_bounds, col_bounds, epsilon.tolist())):
-        grid = np.unpackbits(cand_k, axis=-1, count=n_t).view(bool)  # M x N_t candidates
-        count = int(np.count_nonzero(grid))
+    for count, i, j, nm, eps in zip(counts, win_i.tolist(), win_j.tolist(),
+                                    [None] * scans if rounds is None else rounds.tolist(),
+                                    epsilon.tolist()):
         if count == 0:
-            estimates += _decode_scans(y[k:k + 1], row_bin[k:k + 1], col_bin[k:k + 1],
-                                       np.zeros(1), nlos)
+            estimates.append(next(redo))
             continue
-        # the per-scan index arrays below come from ndarray methods, which
-        # cost less per call than numpy's function wrappers
-        nm = None if rounds is None else rounds[k].nonzero()[0]
-        at, bins = (row_at[k], col_bin[k]) if nm is None else (row_at[k][nm], col_bin[k][nm])
-
-        def scores(rows, cols) -> np.ndarray:
-            return _sum_rounds(log_y.take(at[:, rows, None] * v + bins[:, None, cols]))
-
-        cand_rows = any_k.nonzero()[0]
-        # the seed row as a one-element index array, so its scores keep a row axis
-        seed = cand_rows[[row_bound[cand_rows].argmax()]]
-        s_star = scores(seed, slice(None))[grid[seed]].max()
-        rows = cand_rows[row_bound[cand_rows] >= s_star]
-        cols = (col_bound >= s_star).nonzero()[0]
-        sub = scores(rows, cols)
-        np.copyto(sub, -np.inf, where=~grid[rows][:, cols])
-        best = int(sub.argmax())
-        if sub.flat[best] == -np.inf:
-            i = cand_rows[0]
-            j = grid[i].argmax()
-        else:
-            i, j = rows[best // len(cols)], cols[best % len(cols)]
         estimates.append(AlignmentEstimate(
-            i_star=int(i), j_star=int(j), candidate_count=count,
-            nm_rounds=None if nm is None else tuple(nm.tolist()),
+            i_star=i, j_star=j, candidate_count=count,
+            nm_rounds=None if nm is None else tuple(k for k, on in enumerate(nm) if on),
             detector_threshold=eps,
         ))
     return estimates

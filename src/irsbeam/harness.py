@@ -25,14 +25,13 @@ from .channel import (
     sample_paths,
 )
 from .codebook import IDEAL_SPARSE, _shuffled_plan, check_round_shape
-from .decoder import _decode_scans, rayleigh_threshold
+from .decoder import _decode_scans, _scan_index, rayleigh_threshold
 from .errors import InvalidParameterError, check_field_types
 
 WORKERS_ENV = "IRSBEAM_WORKERS"
 
-# Thread-count setters of the OpenBLAS that numpy wheels bundle: the
-# scipy-openblas build of numpy 2, then the build of numpy 1.x.
-_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_")
+# Thread-count setter of the scipy-openblas build that numpy 2 wheels bundle.
+_BLAS_SETTER = "scipy_openblas_set_num_threads64_"
 
 # Full-CSI reference beams: alternating-step cap and relative objective
 # gain below which the alternation stops.
@@ -252,6 +251,8 @@ def _block_size(cfgs: tuple[ExperimentConfig, ...]) -> int:
     return max(1, a.m * a.n_t // readings)
 
 
+# a product beyond the float range becomes inf or NaN, which a later check refuses
+@np.errstate(over="ignore", invalid="ignore")
 def _run_block(cfgs: tuple[ExperimentConfig, ...], trials) -> list[list[TrialRecord]]:
     """Trials `trials` at each config of a group: per trial, its records
     in the configs' order. Each samples a channel, scans it, decodes,
@@ -273,16 +274,19 @@ def _run_block(cfgs: tuple[ExperimentConfig, ...], trials) -> list[list[TrialRec
 
     The array stages run once over the block: the responses and factors
     (_assemble), the plans' sort and bin maps (_shuffled_plan), the
-    readings, and per config the noise and the decode's readings-wide
-    half with its readings check and NM rounds (_decode_scans), and the
-    BGR reference (_reference_amplitudes), which, like the strongest
-    entry, reads its factors at unit peak (channel._unit_peak). ||H||_F,
-    the strongest entry's rows, the decode's seed row and sub-grid and
-    BGR are each trial's own, and no array holds a trial axis and an
-    M x N_t one. Every
-    stacked product is, slice by slice, the one a trial alone takes, so
-    each record is the one its config's run_trial gives, whatever the
-    block.
+    readings, the decode's plan indices (_scan_index, once per distinct
+    l, for every config of that l), per config the noise and the whole
+    decode (_decode_scans), and the BGR reference
+    (_reference_amplitudes), which, like the strongest entry, reads its
+    factors at unit peak (channel._unit_peak). ||H||_F, the strongest
+    entry's rows and BGR are each trial's own. No array holds a trial
+    axis and an M x N_t one, but for the decode's sub-grid bits under
+    exact ties (at most trials x M x N_t bools). Every stacked product
+    is, slice by slice, the one a trial alone takes, so each record is
+    the one its config's run_trial gives, whatever the block. A product
+    that leaves the float range becomes inf or NaN without a warning: the
+    factors' unit-peak rescale, ||H||_F, the decode's readings check or
+    the BGR reference then refuses the channel (InvalidParameterError).
     """
     cfg = cfgs[0]
     a = cfg.array
@@ -300,7 +304,8 @@ def _run_block(cfgs: tuple[ExperimentConfig, ...], trials) -> list[list[TrialRec
     row_bin = plan.row_bin.reshape(n_trials, l_max, -1)
     col_bin = plan.col_bin.reshape(n_trials, l_max, -1)
 
-    found, normals = [], {}  # found: each config's estimates; normals: l -> the draws
+    # found: each config's estimates; normals and index: l -> the draws, the decode's indices
+    found, normals, index = [], {}, {}
     for c in cfgs:
         z = clean[:, :c.l]
         if c.snr_db is None:
@@ -318,7 +323,10 @@ def _run_block(cfgs: tuple[ExperimentConfig, ...], trials) -> list[list[TrialRec
             ys = _noised_magnitude(z, normals[c.l], sigma[:, None, None, None, None])
             # the threshold scales with sigma exactly
             eps = sigma * rayleigh_threshold(1.0, c.p_fa)
-        found.append(_decode_scans(ys, row_bin[:, :c.l], col_bin[:, :c.l], eps, c.scenario == "nlos"))
+        if c.l not in index:
+            index[c.l] = _scan_index(row_bin[:, :c.l], col_bin[:, :c.l], *z.shape[2:])
+        found.append(_decode_scans(ys, row_bin[:, :c.l], col_bin[:, :c.l], eps, c.scenario == "nlos",
+                                   index[c.l]))
 
     records = []
     for ch, (opt_amp, grid), estimates in zip(channels, _reference_amplitudes(channels, u, b),
@@ -372,12 +380,11 @@ def _one_blas_thread() -> None:
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
         lib = ctypes.CDLL(path)
-        for name in _BLAS_SETTERS:
-            if hasattr(lib, name):
-                setter = getattr(lib, name)
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                return
+        if hasattr(lib, _BLAS_SETTER):
+            setter = getattr(lib, _BLAS_SETTER)
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return
 
 
 def _check_group(group: tuple[ExperimentConfig, ...]) -> None:

@@ -3,7 +3,8 @@ studies, the exhaustive grid scan as a scan with singleton bins, the
 dense beamspace coefficients of ideal-sparse beams, the per-beam
 effective support of a constant-modulus beam, round-by-round noisy
 readings, readings summed bin member by bin member, a plan's run of
-rounds, the full-grid decode the
+rounds, the small plan geometries property tests draw, the full-grid
+decode the
 bound decode must equal, the empty-intersection probability as an
 exact Markov chain, the lockstep constant-modulus ascent with two
 stored stacks and complex division that codebook._ascend must equal, and
@@ -14,6 +15,7 @@ from fractions import Fraction
 from math import comb, sqrt
 
 import numpy as np
+from hypothesis import strategies as st
 
 from irsbeam.arrays import ArrayConfig, cascade_dictionary, dft_dictionary
 from irsbeam.channel import AlignmentEstimate, CascadeChannel, _unit_peak
@@ -145,6 +147,21 @@ def readings_per_round(lam: np.ndarray, plan, sigma: float, rng) -> list[np.ndar
         noisy_magnitude_per_matrix(round_readings(lam, rnd), sigma, rng)
         for rnd in plan.rounds
     ]
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def small_geometries(draw):
+    """(array, q, l, seed) of a small ideal-sparse plan."""
+    m_y, m_z = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n_t = draw(st.integers(1, 12))
+    q = draw(st.sampled_from(divisors(m_y * m_z)))
+    r = draw(st.sampled_from(divisors(n_t)))
+    l, seed = draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1))
+    return ArrayConfig(n_t=n_t, m_y=m_y, m_z=m_z, r=r), q, l, seed
 
 
 def grid_decode(measurements, plan, epsilon: float, nm_rounds=None) -> AlignmentEstimate:

@@ -22,7 +22,9 @@ from irsbeam.codebook import (
 from irsbeam.errors import InvalidParameterError
 from irsbeam.harness import ExperimentConfig
 
-from helpers import ascend_reference, effective_support, plan_rounds, sparse_amplitudes
+from helpers import (
+    ascend_reference, effective_support, plan_rounds, small_geometries, sparse_amplitudes,
+)
 
 CFG = ArrayConfig(n_t=128, m_y=16, m_z=16, r=4)
 SMALL = ArrayConfig(n_t=8, m_y=2, m_z=2, r=2)
@@ -94,21 +96,6 @@ class TestBuildRound:
         for i in range(0, CFG.m, 37):
             hits = [u for u, s in enumerate(rnd.c_supports) if i in s]
             assert hits == [rnd.row_bin[i]]
-
-
-def divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-@st.composite
-def small_geometries(draw):
-    """(array, q, l, seed) of a small ideal-sparse plan."""
-    m_y, m_z = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    n_t = draw(st.integers(1, 12))
-    q = draw(st.sampled_from(divisors(m_y * m_z)))
-    r = draw(st.sampled_from(divisors(n_t)))
-    l, seed = draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1))
-    return ArrayConfig(n_t=n_t, m_y=m_y, m_z=m_z, r=r), q, l, seed
 
 
 class TestPlanProperties:

@@ -22,14 +22,16 @@ from irsbeam.decoder import (
     synthesize_measurements,
 )
 from irsbeam.errors import InvalidParameterError
-from irsbeam.harness import snr_to_sigma
+from irsbeam.harness import ExperimentConfig, _block_size, snr_to_sigma
 
 from helpers import (
+    divisors,
     exhaustive_scan,
     grid_decode,
     grid_nm_rounds,
     readings_per_round,
     sequential_readings,
+    small_geometries,
 )
 
 SMALL = ArrayConfig(n_t=16, m_y=4, m_z=4, r=4)
@@ -696,10 +698,6 @@ class TestUngatedFallback:
         assert est.nm_rounds == (0, 1)
 
 
-def _divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 @st.composite
 def decode_cases(draw):
     """A small ideal-sparse or constant-modulus plan, readings for it and
@@ -708,8 +706,8 @@ def decode_cases(draw):
     integer, one of the readings or above every reading."""
     m_y, m_z = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     n_t = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24]))
-    cfg = ArrayConfig(n_t=n_t, m_y=m_y, m_z=m_z, r=draw(st.sampled_from(_divisors(n_t))))
-    q = draw(st.sampled_from(_divisors(cfg.m)))
+    cfg = ArrayConfig(n_t=n_t, m_y=m_y, m_z=m_z, r=draw(st.sampled_from(divisors(n_t))))
+    q = draw(st.sampled_from(divisors(cfg.m)))
     mode = draw(st.sampled_from([IDEAL_SPARSE, CONSTANT_MODULUS]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     plan = build_scan_plan(cfg, q, draw(st.integers(1, 4)), mode, rng)
@@ -755,6 +753,59 @@ class TestStackedScans:
                             np.array([m.plan.col_bin for m in sets]), eps, nlos)
         decode = decode_nlos if nlos else decode_los
         assert got == [decode(m, m.plan, e) for m, e in zip(sets, eps.tolist())]
+
+    @settings(deadline=None, max_examples=40)
+    @given(small_geometries(), st.sampled_from([1, 7, None]), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_block_equals_each_scan_and_the_grid(self, geometry, scans, nlos, seed):
+        # a block of 1, 7 or _block_size scans (None), each on its own plan
+        # and threshold: scans whose best score is shared by several
+        # entries, with no candidate, with every candidate row bounded at
+        # -inf, or with small integer readings, under thresholds that give
+        # each scan its own NM rounds
+        cfg, q, l, plan_seed = geometry
+        rng = np.random.default_rng([plan_seed, seed])
+        scans = scans or _block_size((ExperimentConfig(array=cfg, q=q, l=l),))
+        sets, eps = [], []
+        for kind in rng.choice(["ties", "none", "minus_inf", "integers"], size=scans):
+            plan = build_scan_plan(cfg, q, l, rng=rng)
+            y = rng.exponential(size=(l, plan.c_design.shape[1], plan.a_supports.shape[1]))
+            epsilon = float(rng.choice([0.0, 0.5, 1.0]))
+            if kind == "ties":
+                # entries (i0, j0), (i0, j1) and (i1, j0) read the round's
+                # top value in every round, so all three score the best
+                i0, i1 = rng.integers(cfg.m, size=2)
+                j0, j1 = rng.integers(cfg.n_t, size=2)
+                for k, (rows, cols) in enumerate(zip(plan.row_bin, plan.col_bin)):
+                    y[k, [rows[i0], rows[i0], rows[i1]], [cols[j0], cols[j1], cols[j0]]] = 4.0 + y.max()
+            elif kind == "none":
+                epsilon = float(y.max()) + 1.0
+            elif kind == "minus_inf":
+                y[0] = 0.0
+            else:
+                y = rng.integers(0, 3, size=y.shape).astype(float)
+            sets.append(MeasurementSet(y=y, plan=plan))
+            eps.append(epsilon)
+        got = _decode_scans(np.array([m.y for m in sets]), np.array([m.plan.row_bin for m in sets]),
+                            np.array([m.plan.col_bin for m in sets]), np.array(eps), nlos)
+        decode = decode_nlos if nlos else decode_los
+        assert got == [decode(m, m.plan, e) for m, e in zip(sets, eps)]
+        assert got == [grid_decode(m, m.plan, e, grid_nm_rounds(m, e) if nlos else None)
+                       for m, e in zip(sets, eps)]
+
+    def test_ties_past_m_by_n_t_triples_score_scan_by_scan(self):
+        # readings all equal tie every entry, so a scan's sub-grid is its
+        # whole grid: three such scans hold more than M x N_t triples and
+        # are scored one scan at a time, next to scans of continuous
+        # readings
+        rng = np.random.default_rng(31)
+        sets = [MeasurementSet(y=np.full((2, 4, 4), 2.0) if k % 2 else rng.exponential(size=(2, 4, 4)),
+                               plan=build_scan_plan(SMALL, 4, 2, rng=rng)) for k in range(6)]
+        got = _decode_scans(np.array([m.y for m in sets]), np.array([m.plan.row_bin for m in sets]),
+                            np.array([m.plan.col_bin for m in sets]), np.full(6, 0.5))
+        assert got == [decode_los(m, m.plan, 0.5) for m in sets]
+        assert got == [grid_decode(m, m.plan, 0.5) for m in sets]
+        assert [(e.i_star, e.j_star) for e in got[1::2]] == [(0, 0)] * 3
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_rejects_readings_a_scan_cannot_hold(self, bad):
@@ -833,6 +884,20 @@ class TestBoundDecodeMatchesGrid:
         cfg = ArrayConfig(n_t=2, m_y=1, m_z=1, r=1)
         plan = handmade_plan(cfg, [([[0]], [[0], [1]])] * 3)
         est = self._check(plan, [[[5, 3]], [[18, 15]], [[16, 32]]], 0.0, (0, 0))
+        assert est.candidate_count == 2
+
+    def test_one_triple_sub_grid_sums_in_round_order(self):
+        # entries (0, 0) and (1, 1) read the same nine values, in round
+        # order, and every other entry reads 0.1 below epsilon 1: the
+        # seed is row 0 and the sub-grid's other rows hold one triple,
+        # (1, 1), which ties s* and loses to the lower row. A sum of nine
+        # rounds in any other order than round order (np.add.reduce over
+        # a one-column stack sums pairwise here, one unit in the last
+        # place higher) lets (1, 1) win
+        cfg = ArrayConfig(n_t=2, m_y=2, m_z=1, r=1)
+        plan = handmade_plan(cfg, [([[0], [1]], [[0], [1]])] * 9)
+        reads = [8.8, 6.5, 5.6, 5.5, 3.5, 1.6, 3.0, 7.0, 3.1]
+        est = self._check(plan, [[[r, 0.1], [0.1, r]] for r in reads], 1.0, (0, 0))
         assert est.candidate_count == 2
 
     def test_acceptance_size_allocates_less_than_one_score_grid(self):

@@ -895,9 +895,6 @@ def test_trial_decisions_ignore_channel_scale(cfg, t, c):
 @example(replace(SMALL_CFG, scenario="nlos"), 0, 2.0**1023)
 @example(SMALL_CFG, 1, 2.0**-530)
 @example(SMALL_CFG, 1, 2.0**515)
-# where the channel leaves the float range a product over- or underflows
-# with a RuntimeWarning before a check refuses the channel
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_trial_at_any_float_scale_decides_as_at_scale_one_or_is_refused(cfg, t, c):
     # both links' path gains times any power of two or ten a float holds:
     # the trial decides as at scale 1, or its channel, readings or
