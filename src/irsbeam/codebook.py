@@ -124,6 +124,8 @@ class ScanPlan:
         L rounds with the bin's members on a leading axis, so every bin is
         summed in member order, whatever P and B. The rows times the column
         sums is a sum of P outer products; nothing of size M x N_t is made.
+        InvalidParameterError unless the plan has a round, P >= 1, X and Y
+        stack the same B pairs, and B divides L.
         """
         l, u, q = self.c_design.shape
         v, r = self.a_supports.shape[1:]
@@ -131,7 +133,12 @@ class ScanPlan:
             raise InvalidParameterError("a plan with at least one round required")
         if x.ndim == 2:
             x, y = x[None], y[None]
-        per = l // len(x)  # rounds per pair
+        b, m, p = x.shape if x.ndim == 3 else (0, 0, 0)
+        if not (b and l % b == 0 and m == self.cfg.m and p and y.shape == (b, p, self.cfg.n_t)):
+            raise InvalidParameterError(
+                f"readings need X (B x) {self.cfg.m} x P and Y (B x) P x {self.cfg.n_t}, P >= 1, "
+                f"for B pairs dividing the {l} rounds, got {x.shape} and {y.shape}")
+        per = l // b  # rounds per pair
 
         def bin_sums(a: np.ndarray, members: np.ndarray) -> np.ndarray:
             # rows of `a` by bin member, summed over that leading axis as real

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -99,42 +98,11 @@ def _sum_rounds(parts: np.ndarray) -> np.ndarray:
     return total
 
 
-class _ScanIndex(NamedTuple):
-    """The plan-only indices _decode_scans reads for S scans of L rounds
-    of U x V readings, taken with the bin maps row_bin (S x L x M) and
-    col_bin (S x L x N_t) (_scan_index).
-
-    Entry (i, j) reads, in round k of scan s, row row_at[s, k, i] of the
-    S*L*U rows of the readings and column col_at[s, k, j] of their S*L*V
-    columns: reading row_at[s, k, i] * V + col_bin[s, k, j]. masks
-    (S x L x V x W, W = ceil(N_t / 64)) holds each column bin as 64-bit
-    words, bit j % 64 of word j // 64 set for each of its columns j; the
-    bins of a round are disjoint, so a sum of masks is their union."""
-
-    row_at: np.ndarray
-    col_at: np.ndarray
-    masks: np.ndarray
-
-
 @lru_cache(maxsize=8)
 def _column_words(n_t: int) -> tuple[np.ndarray, np.ndarray]:
     """Per column j < n_t, its word j // 64 and its bit 1 << (j % 64)."""
     j = np.arange(n_t)
     return j // 64, np.left_shift(np.uint64(1), (j % 64).astype(np.uint64))
-
-
-def _scan_index(row_bin: np.ndarray, col_bin: np.ndarray, u: int, v: int) -> _ScanIndex:
-    """The _ScanIndex of the bin maps row_bin and col_bin."""
-    scans, n, n_t = col_bin.shape
-    word, bit = _column_words(n_t)
-    offsets = np.arange(scans * n).reshape(scans, n, 1)
-    col_at = col_bin + offsets * v
-    masks = np.zeros((scans, n, v, word[-1] + 1), dtype=np.uint64)
-    # ufunc.at is given one value per index: numpy 2.4 reads past values
-    # it has to broadcast over an index of several axes
-    np.add.at(masks.reshape(-1), (col_at * masks.shape[3] + word).ravel(),
-              bit[None].repeat(scans * n, axis=0).ravel())
-    return _ScanIndex(row_bin + offsets * u, col_at, masks)
 
 
 def _bits(words: np.ndarray, n_t: int) -> np.ndarray:
@@ -150,16 +118,14 @@ def _decode_scans(
     col_bin: np.ndarray,
     epsilon: np.ndarray,
     nlos: bool = False,
-    index: _ScanIndex | None = None,
 ) -> list[AlignmentEstimate]:
     """Probability-product decoding of S scans of L rounds (y S x L x U x V,
     threshold epsilon[s]) over every round, or with `nlos` over each
     scan's NM rounds: the one place the NM rule is taken. A scan's NM
     rounds are those with the fewest nulltons (readings y < epsilon[s]).
     Scan s was taken with the plan whose bin maps are row_bin[s] (L x M)
-    and col_bin[s] (L x N_t); `index` is their _scan_index, built here
-    when not given. InvalidParameterError unless every reading is finite
-    and nonnegative (_checked).
+    and col_bin[s] (L x N_t). InvalidParameterError unless every reading
+    is finite and nonnegative (_checked).
 
     Candidates are the entries with a bin reading y >= epsilon in at least
     one of those rounds, the magnitude test the NM count uses. Among them
@@ -186,10 +152,15 @@ def _decode_scans(
     whose best is -inf gives its first candidate.
 
     Every step is taken for all scans at once, with no loop over them.
-    Candidate bits are 64-bit words over the columns: a round's row bin
-    has the sum of the masks (_scan_index) of the column bins its gate
-    passes, which are disjoint, so the sum is their union. The words are
-    gathered to the rows, OR-ed over the rounds and counted word by word.
+    The head builds the plan indices: entry (i, j) reads, in round k of
+    scan s, row row_at[s, k, i] of the S*L*U rows of the readings and
+    column col_at[s, k, j] of their S*L*V columns, and masks (S x L x V x
+    W, W = ceil(N_t / 64)) holds each column bin as 64-bit words, bit
+    j % 64 of word j // 64 set for each of its columns j. Candidate bits
+    are such words: a round's row bin has the sum of the masks of the
+    column bins its gate passes, which are disjoint, so the sum is their
+    union. The words are gathered to the rows, OR-ed over the rounds and
+    counted word by word.
     The seed rows are one masked argmax over the row bounds and their
     scores one gather; each scan's first best candidate in its seed row
     is its winner so far. The sub-grids' other rows are one flat list of
@@ -204,7 +175,10 @@ def _decode_scans(
     `nlos`: every entry a candidate and, as no reading is a nullton, every
     round NM. It is not the decode over the NM rounds: a constant-modulus
     bin may own no rows, so an empty candidate set does not imply that
-    every round was selected.
+    every round was selected. Such a scan is decoded in the same pass:
+    its words become every column (a round's column bins cover every
+    column and every row has a bin), its count M x N_t, with `nlos` its
+    NM rounds every round, and its recorded threshold 0.0.
 
     The gate decides only at low SNR and small p_fa. At the acceptance
     size (LOS, seed 3, 150 trials per cell), against the ungated decode
@@ -214,7 +188,14 @@ def _decode_scans(
     """
     scans, n, u, v = y.shape
     m, n_t = row_bin.shape[2], col_bin.shape[2]
-    row_at, col_at, masks = _scan_index(row_bin, col_bin, u, v) if index is None else index
+    word, bit = _column_words(n_t)
+    offsets = np.arange(scans * n).reshape(scans, n, 1)
+    row_at, col_at = row_bin + offsets * u, col_bin + offsets * v
+    masks = np.zeros((scans, n, v, word[-1] + 1), dtype=np.uint64)
+    # ufunc.at is given one value per index: numpy 2.4 reads past values
+    # it has to broadcast over an index of several axes
+    np.add.at(masks.reshape(-1), (col_at * masks.shape[3] + word).ravel(),
+              bit[None].repeat(scans * n, axis=0).ravel())
     with np.errstate(divide="ignore", invalid="ignore"):
         log_y = np.log(y)
     # a negative, NaN or infinite reading has a NaN or +inf log, which
@@ -228,11 +209,19 @@ def _decode_scans(
         hits = np.count_nonzero(gate, axis=(2, 3))
         rounds = hits == hits.max(axis=1, keepdims=True)
         gate &= rounds[:, :, None, None]
-        log_y[~rounds] = 0.0
     # each round's row bins' words, gathered to the rows and OR-ed over the rounds
     cand = np.bitwise_or.reduce(np.matmul(gate, masks).reshape(scans * n * u, -1).take(row_at, axis=0),
                                 axis=1)
-    counts = np.bitwise_count(cand).sum(axis=(1, 2), dtype=np.int64).tolist()
+    counts = np.bitwise_count(cand).sum(axis=(1, 2), dtype=np.int64)
+    none = counts == 0
+    if none.any():  # the decode at epsilon 0: every entry a candidate, every round NM
+        cand[none] = masks[none, 0].sum(axis=1)[:, None]
+        counts[none] = m * n_t
+        epsilon = np.where(none, 0.0, epsilon)
+        if nlos:
+            rounds[none] = True
+    if nlos:
+        log_y[~rounds] = 0.0
     cand_rows = cand[..., 0] != 0
     for w in range(1, cand.shape[2]):
         cand_rows |= cand[..., w] != 0
@@ -284,22 +273,12 @@ def _decode_scans(
                                                       & (it[top] < seed[first]))
             win_i[first[gain]], win_j[first[gain]] = it[top[gain]], jt[top[gain]]
 
-    none = [k for k, count in enumerate(counts) if count == 0]
-    redo = iter(_decode_scans(y[none], row_bin[none], col_bin[none], np.zeros(len(none)), nlos)
-                if none else ())
-    estimates = []
-    for count, i, j, nm, eps in zip(counts, win_i.tolist(), win_j.tolist(),
-                                    [None] * scans if rounds is None else rounds.tolist(),
-                                    epsilon.tolist()):
-        if count == 0:
-            estimates.append(next(redo))
-            continue
-        estimates.append(AlignmentEstimate(
-            i_star=i, j_star=j, candidate_count=count,
-            nm_rounds=None if nm is None else tuple(k for k, on in enumerate(nm) if on),
-            detector_threshold=eps,
-        ))
-    return estimates
+    return [AlignmentEstimate(i_star=i, j_star=j, candidate_count=count,
+                              nm_rounds=None if nm is None else tuple(k for k, on in enumerate(nm) if on),
+                              detector_threshold=eps)
+            for count, i, j, nm, eps in zip(counts.tolist(), win_i.tolist(), win_j.tolist(),
+                                            [None] * scans if rounds is None else rounds.tolist(),
+                                            epsilon.tolist())]
 
 
 def decode_los(
@@ -329,9 +308,11 @@ def decode_nlos(
 def _decode_one(measurements: MeasurementSet, plan: ScanPlan, epsilon: float,
                 nlos: bool) -> AlignmentEstimate:
     """_decode_scans of one scan, taken with `plan`: InvalidParameterError
-    unless `plan` is measurements.plan."""
+    unless `plan` is measurements.plan and epsilon is finite and >= 0."""
     if plan is not measurements.plan:
         raise InvalidParameterError("decode with the plan the measurements were taken with")
+    if not 0 <= epsilon < np.inf:
+        raise InvalidParameterError(f"epsilon must be finite and >= 0, got {epsilon}")
     return _decode_scans(measurements.y[None], plan.row_bin[None], plan.col_bin[None],
                          np.array([epsilon]), nlos)[0]
 
@@ -341,7 +322,11 @@ def rayleigh_threshold(sigma: float, p_fa: float) -> float:
 
     Under the noise-only hypothesis the magnitude is Rayleigh with scale
     sigma/sqrt(2), so P(y > eps) = exp(-eps^2 / sigma^2).
+    InvalidParameterError unless sigma is finite and >= 0 and p_fa lies
+    in (0, 1).
     """
+    if not 0 <= sigma < np.inf:
+        raise InvalidParameterError(f"sigma must be finite and >= 0, got {sigma}")
     if not 0 < p_fa < 1:
         raise InvalidParameterError("p_fa must lie in (0, 1)")
     return float(sigma * np.sqrt(np.log(1.0 / p_fa)))

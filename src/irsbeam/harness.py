@@ -25,8 +25,8 @@ from .channel import (
     sample_paths,
 )
 from .codebook import IDEAL_SPARSE, _shuffled_plan, check_round_shape
-from .decoder import _decode_scans, _scan_index, rayleigh_threshold
-from .errors import InvalidParameterError, check_field_types
+from .decoder import _decode_scans, rayleigh_threshold
+from .errors import FIELD_SCALARS, InvalidParameterError, check_field_types
 
 WORKERS_ENV = "IRSBEAM_WORKERS"
 
@@ -236,7 +236,12 @@ def bgr(ch: CascadeChannel, estimate: AlignmentEstimate, opt_amp: float | None =
 
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    """Counter-derived stream: trials are order-independent."""
+    """Counter-derived stream: trials are order-independent.
+    InvalidParameterError unless seed and trial_index are integers >= 0
+    (a numpy integer counts, a bool does not)."""
+    for name, value in (("seed", seed), ("trial_index", trial_index)):
+        if not (FIELD_SCALARS["int"][0](value) and value >= 0):
+            raise InvalidParameterError(f"{name} must be an integer >= 0, got {value!r}")
     return np.random.default_rng(np.random.SeedSequence((seed, trial_index)))
 
 
@@ -274,19 +279,18 @@ def _run_block(cfgs: tuple[ExperimentConfig, ...], trials) -> list[list[TrialRec
 
     The array stages run once over the block: the responses and factors
     (_assemble), the plans' sort and bin maps (_shuffled_plan), the
-    readings, the decode's plan indices (_scan_index, once per distinct
-    l, for every config of that l), per config the noise and the whole
-    decode (_decode_scans), and the BGR reference
-    (_reference_amplitudes), which, like the strongest entry, reads its
-    factors at unit peak (channel._unit_peak). ||H||_F, the strongest
-    entry's rows and BGR are each trial's own. No array holds a trial
-    axis and an M x N_t one, but for the decode's sub-grid bits under
-    exact ties (at most trials x M x N_t bools). Every stacked product
-    is, slice by slice, the one a trial alone takes, so each record is
-    the one its config's run_trial gives, whatever the block. A product
-    that leaves the float range becomes inf or NaN without a warning: the
-    factors' unit-peak rescale, ||H||_F, the decode's readings check or
-    the BGR reference then refuses the channel (InvalidParameterError).
+    readings, per config the noise and the whole decode (_decode_scans),
+    and the BGR reference (_reference_amplitudes), which, like the
+    strongest entry, reads its factors at unit peak (channel._unit_peak).
+    ||H||_F, the strongest entry's rows and BGR are each trial's own. No
+    array holds a trial axis and an M x N_t one, but for the decode's
+    sub-grid bits under exact ties (at most trials x M x N_t bools). Every
+    stacked product is, slice by slice, the one a trial alone takes, so
+    each record is the one its config's run_trial gives, whatever the
+    block. A product that leaves the float range becomes inf or NaN
+    without a warning: the factors' unit-peak rescale, ||H||_F, the
+    decode's readings check or the BGR reference then refuses the channel
+    (InvalidParameterError).
     """
     cfg = cfgs[0]
     a = cfg.array
@@ -304,8 +308,8 @@ def _run_block(cfgs: tuple[ExperimentConfig, ...], trials) -> list[list[TrialRec
     row_bin = plan.row_bin.reshape(n_trials, l_max, -1)
     col_bin = plan.col_bin.reshape(n_trials, l_max, -1)
 
-    # found: each config's estimates; normals and index: l -> the draws, the decode's indices
-    found, normals, index = [], {}, {}
+    # found: each config's estimates; normals: l -> the draws
+    found, normals = [], {}
     for c in cfgs:
         z = clean[:, :c.l]
         if c.snr_db is None:
@@ -323,10 +327,7 @@ def _run_block(cfgs: tuple[ExperimentConfig, ...], trials) -> list[list[TrialRec
             ys = _noised_magnitude(z, normals[c.l], sigma[:, None, None, None, None])
             # the threshold scales with sigma exactly
             eps = sigma * rayleigh_threshold(1.0, c.p_fa)
-        if c.l not in index:
-            index[c.l] = _scan_index(row_bin[:, :c.l], col_bin[:, :c.l], *z.shape[2:])
-        found.append(_decode_scans(ys, row_bin[:, :c.l], col_bin[:, :c.l], eps, c.scenario == "nlos",
-                                   index[c.l]))
+        found.append(_decode_scans(ys, row_bin[:, :c.l], col_bin[:, :c.l], eps, c.scenario == "nlos"))
 
     records = []
     for ch, (opt_amp, grid), estimates in zip(channels, _reference_amplitudes(channels, u, b),

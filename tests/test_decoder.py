@@ -245,6 +245,25 @@ class TestNulltons:
         with pytest.raises(InvalidParameterError, match="p_fa"):
             rayleigh_threshold(0.5, p_fa)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), -1.0, float("inf")])
+    def test_threshold_rejects_sigma_outside_finite_nonnegative(self, sigma):
+        # each would give a threshold (nan, -1.517, inf) no gate can use
+        with pytest.raises(InvalidParameterError, match="sigma"):
+            rayleigh_threshold(sigma, 0.1)
+
+    @pytest.mark.parametrize("decode", [decode_los, decode_nlos])
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1.0])
+    def test_decode_rejects_epsilon_outside_finite_nonnegative(self, decode, epsilon):
+        # a NaN or infinite threshold passes no reading, so the decode
+        # would fall back to epsilon 0 ungated; a negative one would be
+        # recorded
+        cfg = ArrayConfig(n_t=16, m_y=4, m_z=4, r=2)
+        plan = build_scan_plan(cfg, 4, 3, rng=1)
+        rng = np.random.default_rng(1)
+        ms = synthesize_measurements(rng.standard_normal((cfg.m, cfg.n_t)), plan, 0.1, rng)
+        with pytest.raises(InvalidParameterError, match="epsilon"):
+            decode(ms, plan, epsilon)
+
 
 def nm_rounds_for_counts(counts):
     """decode_nlos's NM rounds when round l has counts[l] nulltons."""
@@ -567,6 +586,35 @@ def bin_sum_cases(draw):
     return plan, draw_matrix(cfg.m, p), draw_matrix(p, cfg.n_t)
 
 
+class TestReadingsRefuseFactorsOffThePlan:
+    """ScanPlan.readings, and synthesize_measurements through it, refuse a
+    factor pair X (B x) M x P, Y (B x) P x N_t that does not fit the plan:
+    other M, N_t or P, stacks of different B, or B not dividing L."""
+
+    @pytest.mark.parametrize("l, x_shape, y_shape", [
+        (7, (2, 16, 2), (2, 2, 16)),  # 7 rounds on 2 pairs
+        (2, (3, 16, 2), (3, 2, 16)),  # 2 rounds on 3 pairs
+        (2, (20, 2), (2, 16)),  # X of 20 rows
+        (2, (16, 2), (2, 20)),  # Y of 20 columns
+        (2, (16, 2), (3, 16)),  # X of 2 paths, Y of 3
+        (2, (2, 16, 2), (1, 2, 16)),  # 2 X, 1 Y
+        (2, (16, 2), (1, 2, 16)),  # one pair, Y stacked
+        (2, (0, 16, 2), (0, 2, 16)),  # no pair
+        (2, (16, 0), (0, 16)),  # no path
+    ])
+    def test_rejects_pair_off_the_plan(self, l, x_shape, y_shape):
+        # left to the gathers, these raise numpy's own errors or read a
+        # slice of a factor that is too large
+        plan = build_scan_plan(ArrayConfig(n_t=16, m_y=4, m_z=4, r=2), 4, l, rng=1)
+        rng = np.random.default_rng(2)
+        x, y = rng.standard_normal(x_shape) + 0j, rng.standard_normal(y_shape) + 0j
+        with pytest.raises(InvalidParameterError, match="readings need"):
+            plan.readings(x, y)
+        if x.ndim == 2:
+            with pytest.raises(InvalidParameterError, match="readings need"):
+                synthesize_measurements((x, y), plan, 0.0)
+
+
 class TestReadingsSumBinsInOrder:
     """Every bin is summed member by member from its first, whatever the
     path count: numpy sums a reduced axis of 8 or more contiguous entries
@@ -806,6 +854,39 @@ class TestStackedScans:
         assert got == [decode_los(m, m.plan, 0.5) for m in sets]
         assert got == [grid_decode(m, m.plan, 0.5) for m in sets]
         assert [(e.i_star, e.j_star) for e in got[1::2]] == [(0, 0)] * 3
+
+    @pytest.mark.parametrize("n_t, r", [(65, 5), (72, 8), (96, 8), (100, 4), (130, 10), (200, 8)])
+    @pytest.mark.parametrize("nlos", [False, True])
+    def test_partial_last_word_equals_each_scan_and_the_grid(self, n_t, r, nlos):
+        # N_t past 64 and not a multiple of it: the candidate words end in
+        # a partial word. Scans of continuous readings, all-equal (tied)
+        # readings, integer readings, at epsilon 0, and with no reading
+        # through the gate (decoded at epsilon 0 in the same pass)
+        cfg = ArrayConfig(n_t=n_t, m_y=4, m_z=4, r=r)
+        rng = np.random.default_rng(n_t)
+        sets, eps = [], []
+        for kind in ["continuous", "tied", "zero", "none", "integers", "none", "continuous", "tied"]:
+            plan = build_scan_plan(cfg, 4, 3, rng=rng)
+            y = rng.exponential(size=(plan.l, plan.c_design.shape[1], plan.a_supports.shape[1]))
+            epsilon = 1.0
+            if kind == "tied":
+                y[:] = 2.0
+            elif kind == "zero":
+                epsilon = 0.0
+            elif kind == "none":
+                epsilon = float(y.max()) + 1.0
+            elif kind == "integers":
+                y = rng.integers(0, 3, size=y.shape).astype(float)
+            sets.append(MeasurementSet(y=y, plan=plan))
+            eps.append(epsilon)
+        got = _decode_scans(np.array([m.y for m in sets]), np.array([m.plan.row_bin for m in sets]),
+                            np.array([m.plan.col_bin for m in sets]), np.array(eps), nlos)
+        decode = decode_nlos if nlos else decode_los
+        assert got == [decode(m, m.plan, e) for m, e in zip(sets, eps)]
+        assert got == [grid_decode(m, m.plan, e, grid_nm_rounds(m, e) if nlos else None)
+                       for m, e in zip(sets, eps)]
+        assert [got[k].detector_threshold for k in (3, 5)] == [0.0, 0.0]
+        assert {got[k].candidate_count for k in (1, 3, 5, 7)} == {cfg.m * n_t}
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_rejects_readings_a_scan_cannot_hold(self, bad):

@@ -409,6 +409,23 @@ class TestTrials:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, trial_rng(3, 18).random(4))
 
+    @pytest.mark.parametrize("t", [-1, 1.5, True, np.float64(2.0), "1"])
+    def test_run_trial_rejects_an_index_that_is_no_integer_at_least_0(self, t):
+        # SeedSequence refuses -1 and 1.5 with numpy's own errors and
+        # reads True as trial 1
+        with pytest.raises(InvalidParameterError, match="trial_index"):
+            run_trial(SMALL_CFG, t)
+
+    @pytest.mark.parametrize("seed", [-1, 2.0, False])
+    def test_trial_rng_rejects_a_seed_that_is_no_integer_at_least_0(self, seed):
+        with pytest.raises(InvalidParameterError, match="seed"):
+            trial_rng(seed, 0)
+
+    def test_numpy_integers_are_trial_indices(self):
+        np.testing.assert_array_equal(trial_rng(np.uint8(3), np.int64(17)).random(4),
+                                      trial_rng(3, 17).random(4))
+        assert run_trial(SMALL_CFG, np.int32(1)) == run_trial(SMALL_CFG, 1)
+
     def test_run_trial_deterministic(self):
         a = run_trial(SMALL_CFG, 0)
         b = run_trial(SMALL_CFG, 0)
